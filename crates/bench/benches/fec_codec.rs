@@ -36,8 +36,8 @@ fn bench_viterbi(c: &mut Criterion) {
             b.iter(|| decode_soft_unterminated(&llrs).unwrap());
         });
         // Before/after pair for the hot-path optimization: the
-        // closure-per-transition reference decoder vs the table-driven
-        // decoder reusing its metric/survivor buffers across calls.
+        // closure-per-transition reference decoder vs the state-parallel
+        // decoder reusing its survivor buffer across calls.
         g.bench_with_input(BenchmarkId::new("soft_reference", n), &n, |b, _| {
             b.iter(|| reference::decode_soft_unterminated(&llrs).unwrap());
         });

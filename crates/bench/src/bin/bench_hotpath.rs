@@ -9,8 +9,8 @@
 //!    warmed [`Receiver::receive_into`] (workspace reuse, lazy chunked
 //!    CFO) vs [`ReferenceReceiver::receive`] (fresh allocations,
 //!    whole-buffer CFO passes).
-//! 3. **viterbi** — table-driven [`ViterbiDecoder`] with buffer reuse vs
-//!    the closure-per-transition `viterbi::reference` decoder.
+//! 3. **viterbi** — state-parallel [`ViterbiDecoder`] with buffer reuse
+//!    vs the closure-per-transition `viterbi::reference` decoder.
 //! 4. **correlate** — O(1)-per-lag sliding window energy in
 //!    [`normalized_cross_correlate_into`] vs the O(L)-per-lag
 //!    `normalized_cross_correlate_reference`.

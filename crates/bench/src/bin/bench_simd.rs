@@ -12,8 +12,9 @@
 //!    ([`Modulation::demap_soft_x4_into`]) vs four scalar
 //!    [`Modulation::demap_soft_into`] calls.
 //! 4. **viterbi_x4** — the four-frame lane decoder
-//!    ([`ViterbiDecoderX4`]) vs four scalar
-//!    [`ViterbiDecoder::decode_soft_unterminated_into`] walks.
+//!    ([`ViterbiDecoderX4`]) vs four one-frame
+//!    [`ViterbiDecoder::decode_soft_unterminated_into`] walks (which are
+//!    themselves vectorized across the 64 states).
 //! 5. **detect_x4** — four-observations-per-lane linear detection
 //!    ([`Prepared::apply_x4_into`]) vs four scalar
 //!    [`Prepared::apply_into`] calls.

@@ -700,7 +700,7 @@ impl Receiver {
 
     /// Drains an [`RxBatch`]'s deferred soft decodes: jobs are grouped by
     /// coded length (the lane decoder requires equal-length streams) and
-    /// run four at a time; stragglers fall back to the scalar decoder.
+    /// run four at a time; stragglers take the one-frame decoder.
     fn flush_fec(&self, ws: &mut RxWorkspace, batch: &mut RxBatch) {
         let RxBatch {
             frames,
@@ -869,7 +869,7 @@ impl Receiver {
                 break;
             }
             // Flush this round's suspended decodes: group by coded
-            // length, lane-decode quads, finish stragglers scalar.
+            // length, lane-decode quads, finish stragglers one at a time.
             pending.sort_unstable_by_key(|&ci| (states[ci].job.expect("pending has job").1, ci));
             let mut k = 0;
             while k < pending.len() {
@@ -1515,7 +1515,7 @@ impl Receiver {
     /// Stage 10b: Viterbi decode of `ws.full_llrs` plus descrambling into
     /// `frame.psdu`. Separated from [`Self::receive_front`] so the batch
     /// path can group several frames' decodes through the four-lane
-    /// Viterbi — this scalar finisher and the lane decoder are
+    /// Viterbi — this one-frame finisher and the lane decoder are
     /// bit-identical.
     fn fec_finish(
         &self,

@@ -2,11 +2,13 @@
 //!
 //! Two front ends share one trellis search:
 //!
-//! * [`decode_hard`] takes hard bits (0/1) and uses Hamming branch metrics;
 //! * [`decode_soft`] takes log-likelihood ratios (LLRs, positive ⇒ bit 0
 //!   more likely, the convention produced by `mimonet-detect`'s demappers)
 //!   and uses correlation branch metrics, which is the max-likelihood
-//!   metric for BPSK-like per-bit channels.
+//!   metric for BPSK-like per-bit channels;
+//! * [`decode_hard`] takes hard bits (0/1) and makes Hamming-metric
+//!   decisions, by searching on the bits as ±1 LLRs (see
+//!   [`ViterbiDecoder`] for why the decisions are identical).
 //!
 //! Punctured positions are passed as *erasures*: [`Symbol::Erased`] for hard
 //! input, LLR 0.0 for soft input — both contribute nothing to any branch
@@ -63,43 +65,61 @@ impl std::fmt::Display for ViterbiError {
 
 impl std::error::Error for ViterbiError {}
 
-/// Precomputed trellis: for each (state, input bit) the next state and the
-/// index of the output pair `(a << 1) | b` into a per-step reward table.
-/// Built once lazily; 64 states is tiny.
+/// Precomputed trellis, built once lazily (64 states is tiny).
+///
+/// The encoder shifts each input bit into the state's top bit, so next
+/// state `ns` is entered from exactly two states, `2(ns & 31)` and
+/// `2(ns & 31) + 1`, both on input bit `ns >> 5`. Branch `k` of `ns`
+/// below is the one leaving `2(ns & 31) + k`: ascending (state, bit)
+/// order, the order a forward state sweep visits them, which fixes
+/// compare-select tie-breaking for the gather-formulated decoders.
 struct Trellis {
     // [state][input] -> index of the output pair (a, b) as (a << 1) | b.
     pair_idx: [[usize; 2]; NUM_STATES],
     // [state][input] -> next state.
     next: [[u8; 2]; NUM_STATES],
-    // [next_state] -> the two (prev_state, input) branches landing there,
-    // in ascending (prev_state, input) order — the order the forward
-    // state sweep visits them, which fixes compare-select tie-breaking
-    // for the gather-formulated decoders.
-    prev: [[(u8, u8); 2]; NUM_STATES],
+    // [k][ns] -> sign of branch k's coded bit A (resp. B): +1.0 for a
+    // hypothesized 0, -1.0 for a 1, so its soft reward is
+    // `(0.5 * llr_a) * sign_a + (0.5 * llr_b) * sign_b`.
+    sign_a: [[f64; NUM_STATES]; 2],
+    sign_b: [[f64; NUM_STATES]; 2],
+    // [ns] -> branch 0's survivor byte, (prev_state << 1) | input bit;
+    // branch 1's is `code[ns] | 2`.
+    code: [u8; NUM_STATES],
 }
 
 impl Trellis {
     fn new() -> Self {
         let mut pair_idx = [[0usize; 2]; NUM_STATES];
         let mut next = [[0u8; 2]; NUM_STATES];
-        let mut prev = [[(0u8, 0u8); 2]; NUM_STATES];
-        let mut n_prev = [0usize; NUM_STATES];
         for s in 0..NUM_STATES {
             for bit in 0..2usize {
                 let (a, b, ns) = encode_step(s as u8, bit as u8);
                 pair_idx[s][bit] = ((a as usize) << 1) | b as usize;
                 next[s][bit] = ns;
-                let ns = ns as usize;
-                prev[ns][n_prev[ns]] = (s as u8, bit as u8);
-                n_prev[ns] += 1;
             }
         }
-        // A shift-register code: every state has exactly two predecessors.
-        debug_assert!(n_prev.iter().all(|&n| n == 2));
+        let sign = |x: u8| if x == 0 { 1.0 } else { -1.0 };
+        let mut sign_a = [[0.0; NUM_STATES]; 2];
+        let mut sign_b = [[0.0; NUM_STATES]; 2];
+        let mut code = [0u8; NUM_STATES];
+        for ns in 0..NUM_STATES {
+            let bit = (ns >> 5) as u8;
+            for k in 0..2 {
+                let prev = (2 * (ns & 31) + k) as u8;
+                let (a, b, to) = encode_step(prev, bit);
+                debug_assert_eq!(to as usize, ns);
+                sign_a[k][ns] = sign(a);
+                sign_b[k][ns] = sign(b);
+            }
+            code[ns] = (((ns & 31) << 2) as u8) | bit;
+        }
         Self {
             pair_idx,
             next,
-            prev,
+            sign_a,
+            sign_b,
+            code,
         }
     }
 }
@@ -112,24 +132,45 @@ fn trellis() -> &'static Trellis {
 
 const NEG: f64 = f64::NEG_INFINITY;
 
-/// A reusable Viterbi decoder holding the metric and survivor buffers.
+/// A reusable Viterbi decoder: one state-parallel search serves hard and
+/// soft decoding.
 ///
-/// The search is *table-driven*: each trellis step first computes the four
-/// possible output-pair rewards `r(a) + r(b)` once, then every
-/// (state, input) branch is a single table lookup plus add — instead of the
-/// 256 reward-closure invocations per step of the naive formulation (the
-/// "before" side, kept in [`reference`]). The per-pair sums use the same
-/// operands in the same order as the naive code, so decoded outputs are
-/// bit-identical.
+/// Each trellis step is a *gather*: lane `ns` of fixed-size 64-entry
+/// arrays computes the two candidates entering next state `ns`, from
+/// states `2(ns & 31)` and `2(ns & 31) + 1`, with reward
+/// `a0·sa + b0·sb` (`a0 = 0.5·llr[2t]`, `b0 = 0.5·llr[2t+1]`, per-branch
+/// signs `sa, sb ∈ {+1, −1}` from the trellis), and keeps the better one
+/// through two strict compare-selects, `c0 > −inf` then `c1 > m0`. No
+/// lane branches on its data and lanes never mix, so the loop
+/// autovectorizes under the [`F64x4`] bit-identity rule. It is
+/// bit-identical to the naive forward scatter kept in [`reference`]:
+///
+/// * `x·(±1)` is exact and the sum adds the same operands in the same
+///   order as the scatter's `r(a) + r(b)`;
+/// * the scatter skips `-inf` states, and visits the two branches of a
+///   next state in ascending (state, bit) order, updating on a strict
+///   `>`; the selects compute `-inf + r` (`-inf` or NaN) unconditionally,
+///   which never wins a strict compare, and take the branches in that
+///   same order, so ties, `-inf` and NaN resolve exactly alike — and a
+///   NaN never becomes a metric;
+/// * survivors are `(prev << 1) | bit` bytes, 0 (as in the scatter's
+///   untouched `(0, 0)`) where no candidate won.
+///
+/// Hard symbols run through the same search as LLRs `Bit(0) → +1.0`,
+/// `Bit(1) → −1.0`, anything else `→ 0.0`. A Hamming branch reward (1
+/// per matching bit) equals that soft reward plus 0.5 per non-erased
+/// bit — one constant per step, shared by every branch — and every
+/// metric stays a multiple of ½ far below 2^52, so every compare, the
+/// survivors and the final argmax come out as under Hamming metrics.
 ///
 /// Buffers grow to the largest block seen and are then reused; decoding a
 /// warmed decoder into a warmed output vector performs no heap allocation.
 #[derive(Clone, Debug, Default)]
 pub struct ViterbiDecoder {
-    metric: Vec<f64>,
-    next_metric: Vec<f64>,
-    // survivor[t][next_state] = (prev_state, input bit)
-    survivor: Vec<[(u8, u8); NUM_STATES]>,
+    // survivor[t][next_state] = (prev_state << 1) | input bit
+    survivor: Vec<[u8; NUM_STATES]>,
+    // Hard symbols staged as ±1/0 LLRs.
+    hard_llrs: Vec<f64>,
 }
 
 impl ViterbiDecoder {
@@ -139,97 +180,75 @@ impl ViterbiDecoder {
         Self::default()
     }
 
-    /// Core search over `num_steps` trellis steps. `pair_rewards(t)` returns
-    /// the four branch rewards for hypothesized output pairs, indexed by
-    /// `(a << 1) | b`. Decoded input bits are appended to `out`.
-    fn search_into(
-        &mut self,
-        num_steps: usize,
-        pair_rewards: impl Fn(usize) -> [f64; 4],
+    /// Checks the stream length, then decodes `llrs` into `out`
+    /// (cleared first): all steps when unterminated, the data bits
+    /// without the tail when terminated.
+    fn decode_into(
+        survivor: &mut Vec<[u8; NUM_STATES]>,
+        llrs: &[f64],
         terminated: bool,
         out: &mut Vec<u8>,
-    ) {
+    ) -> Result<(), ViterbiError> {
+        out.clear();
+        if !llrs.len().is_multiple_of(2) {
+            return Err(ViterbiError::OddLength(llrs.len()));
+        }
+        let steps = llrs.len() / 2;
+        if terminated && steps < TAIL_BITS {
+            return Err(ViterbiError::TooShort(llrs.len()));
+        }
         let tr = trellis();
-        self.metric.clear();
-        self.metric.resize(NUM_STATES, NEG);
-        self.metric[0] = 0.0; // encoder starts in the zero state
-        self.next_metric.clear();
-        self.next_metric.resize(NUM_STATES, NEG);
-        self.survivor.clear();
-        self.survivor.reserve(num_steps);
-
-        for t in 0..num_steps {
-            let pair = pair_rewards(t);
-            self.next_metric.fill(NEG);
-            let mut surv = [(0u8, 0u8); NUM_STATES];
-            for s in 0..NUM_STATES {
-                let m = self.metric[s];
-                if m == NEG {
-                    continue;
-                }
-                for bit in 0..2usize {
-                    let ns = tr.next[s][bit] as usize;
-                    let cand = m + pair[tr.pair_idx[s][bit]];
-                    if cand > self.next_metric[ns] {
-                        self.next_metric[ns] = cand;
-                        surv[ns] = (s as u8, bit as u8);
-                    }
-                }
-            }
-            self.survivor.push(surv);
-            std::mem::swap(&mut self.metric, &mut self.next_metric);
+        let mut metric = &mut [NEG; NUM_STATES];
+        metric[0] = 0.0; // encoder starts in the zero state
+        let mut next = &mut [NEG; NUM_STATES];
+        survivor.clear();
+        survivor.resize(steps, [0; NUM_STATES]);
+        for (pair, surv) in llrs.chunks_exact(2).zip(survivor.iter_mut()) {
+            acs_step(tr, metric, 0.5 * pair[0], 0.5 * pair[1], next, surv);
+            std::mem::swap(&mut metric, &mut next);
         }
 
-        // Final state: zero for terminated blocks, otherwise best metric.
+        // Final state: zero for terminated blocks, otherwise best metric
+        // (last max wins on ties).
         let mut state = if terminated {
             0usize
         } else {
-            self.metric
+            metric
                 .iter()
                 .enumerate()
-                .max_by(|a, b| a.1.partial_cmp(b.1).unwrap())
+                .max_by(|a, b| {
+                    a.1.partial_cmp(b.1)
+                        .expect("metrics are never NaN: NaN never wins a strict compare")
+                })
                 .map(|(i, _)| i)
                 .unwrap_or(0)
         };
-
-        let base = out.len();
-        out.resize(base + num_steps, 0);
-        for t in (0..num_steps).rev() {
-            let (prev, bit) = self.survivor[t][state];
-            out[base + t] = bit;
-            state = prev as usize;
+        out.resize(steps, 0);
+        for (bit, surv) in out.iter_mut().zip(survivor.iter()).rev() {
+            let code = surv[state];
+            *bit = code & 1;
+            state = (code >> 1) as usize;
         }
+        if terminated {
+            out.truncate(steps - TAIL_BITS);
+        }
+        Ok(())
     }
 
-    /// Per-step reward table for hard symbols: reward 1 for matching a
-    /// received bit, 0 for a mismatch or an erasure — exactly the naive
-    /// `bit_reward` summed over the (a, b) pair.
-    #[inline]
-    fn hard_pair(coded: &[Symbol], t: usize) -> [f64; 4] {
-        let bit = |idx: usize, hyp: u8| match coded[idx] {
-            Symbol::Erased => 0.0,
-            Symbol::Bit(rx) => {
-                if rx == hyp {
-                    1.0
-                } else {
-                    0.0
-                }
-            }
-        };
-        let (a0, a1) = (bit(2 * t, 0), bit(2 * t, 1));
-        let (b0, b1) = (bit(2 * t + 1, 0), bit(2 * t + 1, 1));
-        [a0 + b0, a0 + b1, a1 + b0, a1 + b1]
-    }
-
-    /// Per-step reward table for soft LLRs: `+llr/2` for hypothesis 0,
-    /// `-llr/2` for 1 (erasures carry LLR 0 and contribute nothing).
-    #[inline]
-    fn soft_pair(llrs: &[f64], t: usize) -> [f64; 4] {
-        let a0 = 0.5 * llrs[2 * t];
-        let a1 = -0.5 * llrs[2 * t];
-        let b0 = 0.5 * llrs[2 * t + 1];
-        let b1 = -0.5 * llrs[2 * t + 1];
-        [a0 + b0, a0 + b1, a1 + b0, a1 + b1]
+    /// Stages hard symbols as ±1/0 LLRs and decodes them.
+    fn decode_symbols_into(
+        &mut self,
+        coded: &[Symbol],
+        terminated: bool,
+        out: &mut Vec<u8>,
+    ) -> Result<(), ViterbiError> {
+        self.hard_llrs.clear();
+        self.hard_llrs.extend(coded.iter().map(|s| match s {
+            Symbol::Bit(0) => 1.0,
+            Symbol::Bit(1) => -1.0,
+            _ => 0.0,
+        }));
+        Self::decode_into(&mut self.survivor, &self.hard_llrs, terminated, out)
     }
 
     /// [`decode_hard`] into a caller-owned vector (cleared first; capacity
@@ -239,17 +258,7 @@ impl ViterbiDecoder {
         coded: &[Symbol],
         out: &mut Vec<u8>,
     ) -> Result<(), ViterbiError> {
-        out.clear();
-        if !coded.len().is_multiple_of(2) {
-            return Err(ViterbiError::OddLength(coded.len()));
-        }
-        let steps = coded.len() / 2;
-        if steps < TAIL_BITS {
-            return Err(ViterbiError::TooShort(coded.len()));
-        }
-        self.search_into(steps, |t| Self::hard_pair(coded, t), true, out);
-        out.truncate(steps - TAIL_BITS);
-        Ok(())
+        self.decode_symbols_into(coded, true, out)
     }
 
     /// [`decode_hard_unterminated`] into a caller-owned vector (cleared
@@ -259,16 +268,7 @@ impl ViterbiDecoder {
         coded: &[Symbol],
         out: &mut Vec<u8>,
     ) -> Result<(), ViterbiError> {
-        out.clear();
-        if !coded.len().is_multiple_of(2) {
-            return Err(ViterbiError::OddLength(coded.len()));
-        }
-        let steps = coded.len() / 2;
-        if steps == 0 {
-            return Ok(());
-        }
-        self.search_into(steps, |t| Self::hard_pair(coded, t), false, out);
-        Ok(())
+        self.decode_symbols_into(coded, false, out)
     }
 
     /// [`decode_soft`] into a caller-owned vector (cleared first; capacity
@@ -278,17 +278,7 @@ impl ViterbiDecoder {
         llrs: &[f64],
         out: &mut Vec<u8>,
     ) -> Result<(), ViterbiError> {
-        out.clear();
-        if !llrs.len().is_multiple_of(2) {
-            return Err(ViterbiError::OddLength(llrs.len()));
-        }
-        let steps = llrs.len() / 2;
-        if steps < TAIL_BITS {
-            return Err(ViterbiError::TooShort(llrs.len()));
-        }
-        self.search_into(steps, |t| Self::soft_pair(llrs, t), true, out);
-        out.truncate(steps - TAIL_BITS);
-        Ok(())
+        Self::decode_into(&mut self.survivor, llrs, true, out)
     }
 
     /// [`decode_soft_unterminated`] into a caller-owned vector (cleared
@@ -298,16 +288,39 @@ impl ViterbiDecoder {
         llrs: &[f64],
         out: &mut Vec<u8>,
     ) -> Result<(), ViterbiError> {
-        out.clear();
-        if !llrs.len().is_multiple_of(2) {
-            return Err(ViterbiError::OddLength(llrs.len()));
+        Self::decode_into(&mut self.survivor, llrs, false, out)
+    }
+}
+
+/// One add-compare-select step of [`ViterbiDecoder`]'s search: lane `ns`
+/// gathers the two candidates entering next state `ns`, writes the
+/// winner's metric to `next[ns]` and its survivor byte to `surv[ns]`.
+#[inline]
+fn acs_step(
+    tr: &Trellis,
+    metric: &[f64; NUM_STATES],
+    a0: f64,
+    b0: f64,
+    next: &mut [f64; NUM_STATES],
+    surv: &mut [u8; NUM_STATES],
+) {
+    const HALF: usize = NUM_STATES / 2;
+    // Next states j and j + 32 share predecessors 2j and 2j + 1; two
+    // half sweeps keep every array access contiguous in `j`.
+    for h in 0..2 {
+        for j in 0..HALF {
+            let ns = h * HALF + j;
+            let c0 = metric[2 * j] + (a0 * tr.sign_a[0][ns] + b0 * tr.sign_b[0][ns]);
+            let c1 = metric[2 * j + 1] + (a0 * tr.sign_a[1][ns] + b0 * tr.sign_b[1][ns]);
+            let g0 = c0 > NEG;
+            let m0 = if g0 { c0 } else { NEG };
+            let g1 = c1 > m0;
+            next[ns] = if g1 { c1 } else { m0 };
+            // Branch 0's code if either branch won, | 2 for branch 1; 0
+            // if neither. Mask arithmetic, not a branch, so the byte
+            // store vectorizes with the rest of the lane.
+            surv[ns] = (tr.code[ns] & ((g0 | g1) as u8).wrapping_neg()) | ((g1 as u8) << 1);
         }
-        let steps = llrs.len() / 2;
-        if steps == 0 {
-            return Ok(());
-        }
-        self.search_into(steps, |t| Self::soft_pair(llrs, t), false, out);
-        Ok(())
     }
 }
 
@@ -317,20 +330,20 @@ impl ViterbiDecoder {
 /// of the RX tail, and consecutive frames' decodes are fully independent —
 /// so this decoder walks the trellis *once* per step for four equal-length
 /// soft streams, with all metric arithmetic on [`F64x4`] lanes. Each
-/// lane's operation sequence equals the scalar
-/// [`ViterbiDecoder::decode_soft_unterminated_into`]'s exactly:
+/// lane runs the gather of the one-frame [`ViterbiDecoder`]:
 ///
-/// * the scalar path skips states whose metric is `-inf`; here the lane
-///   computes `cand = -inf + reward = -inf` unconditionally, and the
-///   strict `cand > next` compare-select never fires for `-inf`, which is
-///   the same outcome on every lane;
-/// * branches are visited in the same ascending (state, bit) order, so
-///   compare-select tie-breaking picks the same survivor;
+/// * rewards come from a per-step table of the four `r(a) + r(b)` sums,
+///   equal to the one-frame decoder's `a0·sa + b0·sb` (NaN where it is
+///   NaN);
+/// * each next state takes its two branches in ascending (state, bit)
+///   order through the same strict compare-selects, so ties, `-inf` and
+///   NaN resolve alike;
 /// * the final-state argmax and the traceback are run per lane with the
 ///   identical code.
 ///
-/// The decoder is always compiled and always bit-identical to four scalar
-/// decodes; `receive_batch` uses it in every build.
+/// It takes only full quads: `receive_batch` and `scan_batch` send every
+/// four equal-length decodes here, the rest through [`ViterbiDecoder`],
+/// and each lane's output equals a one-frame decode bit for bit.
 #[derive(Clone, Debug, Default)]
 pub struct ViterbiDecoderX4 {
     metric: Vec<F64x4>,
@@ -390,8 +403,8 @@ impl ViterbiDecoderX4 {
 
         let neg = F64x4::splat(NEG);
         for t in 0..num_steps {
-            // Per-lane reward table: the same `a + b` sums, in the same
-            // order, as the scalar `soft_pair`.
+            // Per-lane reward table: the same `r(a) + r(b)` sums, in the
+            // same order, as the naive search in `reference`.
             let mut pair = [F64x4::ZERO; 4];
             for lane in 0..4 {
                 let a0 = 0.5 * llrs[lane][2 * t];
@@ -403,20 +416,16 @@ impl ViterbiDecoderX4 {
                 pair[2].0[lane] = a1 + b0;
                 pair[3].0[lane] = a1 + b1;
             }
-            // Gather formulation: each next state has exactly two
-            // predecessor branches; evaluating them in the scalar sweep's
-            // ascending (state, bit) order with strict branchless
-            // compare-selects reproduces the scatter loop's metrics,
-            // survivors, and tie-breaks exactly — without its per-lane
-            // branches or its read-modify-write of `next_metric`.
+            // The one-frame gather: next state `ns` takes its branches
+            // from states `2(ns & 31)` and `2(ns & 31) + 1` (input bit
+            // `ns >> 5`), in that order, through strict branchless
+            // compare-selects.
             let mut surv = [[0u8; 4]; NUM_STATES];
             for ns in 0..NUM_STATES {
-                let (p0, b0) = tr.prev[ns][0];
-                let (p1, b1) = tr.prev[ns][1];
-                let c0 = self.metric[p0 as usize] + pair[tr.pair_idx[p0 as usize][b0 as usize]];
-                let c1 = self.metric[p1 as usize] + pair[tr.pair_idx[p1 as usize][b1 as usize]];
-                let code0 = (p0 << 1) | b0;
-                let code1 = (p1 << 1) | b1;
+                let (p0, bit) = (2 * (ns & 31), ns >> 5);
+                let (code0, code1) = (tr.code[ns], tr.code[ns] | 2);
+                let c0 = self.metric[p0] + pair[tr.pair_idx[p0][bit]];
+                let c1 = self.metric[p0 + 1] + pair[tr.pair_idx[p0 + 1][bit]];
                 let g0 = c0.gt(neg);
                 let m0 = F64x4::select(g0, c0, neg);
                 let g1 = c1.gt(m0);
@@ -432,8 +441,9 @@ impl ViterbiDecoderX4 {
         }
 
         for (lane, out) in outs.iter_mut().enumerate() {
-            // Identical argmax (last max wins on ties, like the scalar
-            // `max_by`) and traceback, run on this lane's metrics.
+            // Identical argmax (last max wins on ties, like the one-frame
+            // decoder's `max_by`) and traceback, run on this lane's
+            // metrics.
             let mut state = self
                 .metric
                 .iter()
@@ -506,9 +516,10 @@ pub fn decode_soft(llrs: &[f64]) -> Result<Vec<u8>, ViterbiError> {
     Ok(out)
 }
 
-/// The pre-optimization closure-driven search, kept as the equivalence
-/// oracle for the table-driven decoder (proptests in `tests/`) and as the
-/// "before" side of the hot-path benchmark. Allocates fresh metric and
+/// The pre-optimization closure-driven forward scatter, kept as the
+/// equivalence oracle for [`ViterbiDecoder`] and [`ViterbiDecoderX4`]
+/// (unit tests here, proptests in `tests/`) and as the "before" side of
+/// the hot-path benchmark. Allocates fresh metric and
 /// survivor buffers and invokes the reward closure twice per branch —
 /// 256 calls per trellis step.
 pub mod reference {
@@ -928,5 +939,131 @@ mod tests {
         let syms = vec![Symbol::Erased; 2 * (20 + TAIL_BITS)];
         let out = decode_hard(&syms).unwrap();
         assert_eq!(out.len(), 20);
+    }
+
+    /// Stream lengths for the hostile-input checks: empty, odd, too short
+    /// for a terminated block (< 12), exactly the tail, and long.
+    const HOSTILE_LENS: [usize; 16] = [
+        0, 1, 2, 3, 10, 11, 12, 13, 14, 97, 98, 500, 1001, 2048, 2999, 3000,
+    ];
+
+    /// Deterministic soft stream: finite LLRs in [-4, 4], with one value in
+    /// `every` (on average) replaced by ±0.0, ±inf, NaN, ±1e300, ±f64::MAX
+    /// (metrics overflow to ±inf within two steps) or a subnormal.
+    fn hostile_llrs(len: usize, seed: u64, every: u64) -> Vec<f64> {
+        const SPECIAL: [f64; 14] = [
+            0.0,
+            -0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            -f64::NAN,
+            1e300,
+            -1e300,
+            f64::MAX,
+            -f64::MAX,
+            5e-324,
+            -5e-324,
+            f64::MIN_POSITIVE / 3.0,
+            -1e-310,
+        ];
+        let mut x = seed.wrapping_mul(0x9E37_79B9) | 1;
+        llr_pattern(len, seed)
+            .into_iter()
+            .map(|l| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                if x.is_multiple_of(every) {
+                    SPECIAL[(x >> 16) as usize % SPECIAL.len()]
+                } else {
+                    l
+                }
+            })
+            .collect()
+    }
+
+    /// Deterministic hard stream: one symbol in `every` (on average) is
+    /// `Erased` or an out-of-range `Bit(b)`, `b ≥ 2`.
+    fn hostile_symbols(len: usize, seed: u64, every: u64) -> Vec<Symbol> {
+        let mut x = seed.wrapping_mul(0xC2B2_AE35) | 1;
+        pattern(len, seed)
+            .into_iter()
+            .map(|b| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                match (x.is_multiple_of(every), (x >> 16) % 4) {
+                    (true, 0) => Symbol::Erased,
+                    (true, 1) => Symbol::Bit(2),
+                    (true, 2) => Symbol::Bit(0x80 | b),
+                    (true, _) => Symbol::Bit(u8::MAX),
+                    (false, _) => Symbol::Bit(b),
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn hostile_soft_inputs_match_reference() {
+        for len in HOSTILE_LENS {
+            for (k, every) in [1u64, 3, 17, 200].into_iter().enumerate() {
+                let llrs = hostile_llrs(len, 31 * len as u64 + k as u64, every);
+                assert_eq!(
+                    decode_soft(&llrs),
+                    reference::decode_soft(&llrs),
+                    "terminated soft, len {len}, every {every}"
+                );
+                assert_eq!(
+                    decode_soft_unterminated(&llrs),
+                    reference::decode_soft_unterminated(&llrs),
+                    "unterminated soft, len {len}, every {every}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn hostile_hard_inputs_match_reference() {
+        for len in HOSTILE_LENS {
+            for (k, every) in [1u64, 3, 17, 200].into_iter().enumerate() {
+                let syms = hostile_symbols(len, 37 * len as u64 + k as u64, every);
+                assert_eq!(
+                    decode_hard(&syms),
+                    reference::decode_hard(&syms),
+                    "terminated hard, len {len}, every {every}"
+                );
+                assert_eq!(
+                    decode_hard_unterminated(&syms),
+                    reference::decode_hard_unterminated(&syms),
+                    "unterminated hard, len {len}, every {every}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn hostile_soft_inputs_x4_matches_four_production_decodes() {
+        let mut x4 = ViterbiDecoderX4::new();
+        let mut dec = ViterbiDecoder::new();
+        for len in HOSTILE_LENS {
+            for every in [1u64, 3, 17, 200] {
+                let streams: Vec<Vec<f64>> = (0..4)
+                    .map(|lane| hostile_llrs(len, 41 * len as u64 + 7 * every + lane, every))
+                    .collect();
+                let mut outs: [Vec<u8>; 4] = Default::default();
+                let [o0, o1, o2, o3] = &mut outs;
+                let got = x4.decode_soft_unterminated_x4_into(
+                    [&streams[0], &streams[1], &streams[2], &streams[3]],
+                    [o0, o1, o2, o3],
+                );
+                for lane in 0..4 {
+                    let mut want = Vec::new();
+                    let res = dec.decode_soft_unterminated_into(&streams[lane], &mut want);
+                    assert_eq!(got, res, "len {len}, every {every}, lane {lane}");
+                    assert_eq!(outs[lane], want, "len {len}, every {every}, lane {lane}");
+                }
+            }
+        }
     }
 }

@@ -189,9 +189,9 @@ impl ComputePlane {
         }
     }
 
-    /// Admits a session into the plane. Returns `false` when the config
-    /// is invalid (the caller reports `bad-config` without spending any
-    /// compute).
+    /// Admits a session into the plane. Returns the validation error when
+    /// the config is invalid (the caller reports `bad-config` without
+    /// spending any compute).
     pub(crate) fn submit(&self, run: Arc<SessionRun>) -> Result<(), SessionError> {
         let cfg = &run.cfg;
         if cfg.trace != 0 || cfg.telemetry_every > 0 {

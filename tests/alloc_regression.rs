@@ -76,31 +76,40 @@ fn warmed_receive_into_allocates_nothing() {
     let mut ws = RxWorkspace::new();
     let mut frame = RxFrame::default();
 
-    // Warm up: every scratch buffer grows to its working size, and the
-    // decode must actually succeed (a failed decode exercises less of
-    // the pipeline and would make the zero-alloc claim vacuous).
-    for _ in 0..2 {
-        rx.receive_into(&views, &mut ws, &mut frame)
-            .expect("warm-up decode");
-        assert_eq!(frame.psdu, psdu);
+    // Both data decoders are pinned: hard decoding stages its symbols as
+    // ±1/0 LLRs in the Viterbi decoder's scratch, which must be reused.
+    let hard = Receiver::new(RxConfig {
+        soft_decoding: false,
+        ..RxConfig::new(2)
+    });
+    for (mode, rx) in [("soft", &rx), ("hard", &hard)] {
+        // Warm up: every scratch buffer grows to its working size, and
+        // the decode must actually succeed (a failed decode exercises
+        // less of the pipeline and would make the zero-alloc claim
+        // vacuous).
+        for _ in 0..2 {
+            rx.receive_into(&views, &mut ws, &mut frame)
+                .unwrap_or_else(|e| panic!("{mode} warm-up decode: {e:?}"));
+            assert_eq!(frame.psdu, psdu, "{mode} warm-up decode");
+        }
+
+        ALLOCS.store(0, Ordering::SeqCst);
+        REALLOCS.store(0, Ordering::SeqCst);
+        ARMED.store(true, Ordering::SeqCst);
+        let res = rx.receive_into(&views, &mut ws, &mut frame);
+        ARMED.store(false, Ordering::SeqCst);
+
+        res.unwrap_or_else(|e| panic!("{mode} measured decode: {e:?}"));
+        assert_eq!(frame.psdu, psdu, "{mode} measured decode");
+        let allocs = ALLOCS.load(Ordering::SeqCst);
+        let reallocs = REALLOCS.load(Ordering::SeqCst);
+        assert_eq!(
+            (allocs, reallocs),
+            (0, 0),
+            "warmed {mode}-decision Receiver::receive_into must not touch \
+             the heap ({allocs} allocations, {reallocs} reallocations)"
+        );
     }
-
-    ALLOCS.store(0, Ordering::SeqCst);
-    REALLOCS.store(0, Ordering::SeqCst);
-    ARMED.store(true, Ordering::SeqCst);
-    let res = rx.receive_into(&views, &mut ws, &mut frame);
-    ARMED.store(false, Ordering::SeqCst);
-
-    res.expect("measured decode");
-    assert_eq!(frame.psdu, psdu);
-    let allocs = ALLOCS.load(Ordering::SeqCst);
-    let reallocs = REALLOCS.load(Ordering::SeqCst);
-    assert_eq!(
-        (allocs, reallocs),
-        (0, 0),
-        "warmed Receiver::receive_into must not touch the heap \
-         ({allocs} allocations, {reallocs} reallocations)"
-    );
 
     // Same pin for the traced variant: the observability plane's promise
     // is that `traced_receive_into` adds *zero* allocations over the
