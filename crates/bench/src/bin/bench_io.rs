@@ -23,7 +23,7 @@ use mimonet_bench::report::FigureReport;
 use mimonet_bench::{seeds, BenchOpts};
 use mimonet_dsp::complex::Complex64;
 use mimonet_io::client::LinkClient;
-use mimonet_io::linkd::LinkServer;
+use mimonet_io::engine::EngineServer;
 use mimonet_io::queue::{BoundedQueue, OverflowPolicy};
 use mimonet_io::session::{run_session, Scheduler};
 use mimonet_io::wire::{decode, encode, IqChunk, SessionConfig, WireMsg};
@@ -110,7 +110,7 @@ fn bench_loopback(det: bool, opts: &BenchOpts) -> Value {
     };
     let local = run_session(&cfg, Scheduler::Threaded).expect("local session");
 
-    let server = LinkServer::bind("127.0.0.1:0").expect("bind loopback");
+    let server = EngineServer::bind("127.0.0.1:0").expect("bind loopback");
     let mut client = LinkClient::connect(server.local_addr()).expect("connect");
     let t0 = Instant::now();
     let served = client.run_session(&cfg).expect("served session");

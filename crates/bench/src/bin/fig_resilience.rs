@@ -21,7 +21,7 @@ use mimonet::obs::{SloCounts, SloSpec};
 use mimonet_bench::report::FigureReport;
 use mimonet_bench::{header, row, seeds, BenchOpts};
 use mimonet_io::client::ResilientClient;
-use mimonet_io::linkd::LinkServer;
+use mimonet_io::engine::EngineServer;
 use mimonet_io::netchaos::{ChaosProxy, FaultClass};
 use mimonet_io::resilience::RetryPolicy;
 use mimonet_io::session::corrupted_frames;
@@ -54,7 +54,7 @@ fn run_cell(class: FaultClass, intensity: f64, n_seeds: u64, master: u64) -> Cel
     let mut cell = Cell::default();
     for i in 0..n_seeds {
         let seed = mimonet_dsp::seedtree::mix(master ^ mimonet_dsp::seedtree::mix(i));
-        let server = LinkServer::bind("127.0.0.1:0").expect("bind linkd");
+        let server = EngineServer::bind("127.0.0.1:0").expect("bind linkd");
         let proxy =
             ChaosProxy::spawn(server.local_addr(), class.spec(seed, intensity)).expect("proxy");
         let policy = RetryPolicy {

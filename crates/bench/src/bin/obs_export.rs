@@ -13,7 +13,7 @@
 //! * **default** — runs one traced link session in-process and exports
 //!   its frame-lifecycle events as a single `link` lane (pid 1).
 //! * **`--live`** — self-contained client/server run: binds a real
-//!   `LinkServer`, optionally routes the connection through a seeded
+//!   `EngineServer`, optionally routes the connection through a seeded
 //!   [`ChaosProxy`] (`--chaos`, default class `drop`), and drives a
 //!   [`ResilientClient`] with a client-side collector. The export
 //!   carries two lanes — `client` (pid 1) and `linkd` (pid 2) — whose
@@ -34,7 +34,7 @@ use mimonet::{chrome_trace, frame_trace_id, LinkTracer, TraceEventKind};
 use mimonet_bench::seeds;
 use mimonet_io::capture::replay_scan;
 use mimonet_io::client::ResilientClient;
-use mimonet_io::linkd::LinkServer;
+use mimonet_io::engine::EngineServer;
 use mimonet_io::netchaos::{ChaosProxy, FaultClass};
 use mimonet_io::resilience::RetryPolicy;
 use mimonet_io::session::{run_session_observed, Scheduler, SessionObserver};
@@ -183,7 +183,7 @@ fn export_local(cfg: &SessionConfig) -> serde::Value {
 /// `--live`: real linkd over TCP (optionally chaos-proxied), two
 /// correlated lanes.
 fn export_live(cfg: &SessionConfig, chaos: Option<FaultClass>) -> serde::Value {
-    let server = LinkServer::bind("127.0.0.1:0").unwrap_or_else(|e| {
+    let server = EngineServer::bind("127.0.0.1:0").unwrap_or_else(|e| {
         eprintln!("obs_export: bind failed: {e}");
         std::process::exit(1);
     });

@@ -1,10 +1,10 @@
 //! `mimonet-linkd` — MIMO-OFDM link service daemon and test client.
 //!
 //! ```text
-//! mimonet-linkd serve  [--addr HOST:PORT] [--engine threaded|async]   run the daemon
+//! mimonet-linkd serve  [--addr HOST:PORT] [engine knobs]   run the daemon
 //! mimonet-linkd client [--addr HOST:PORT] [session knobs] [--assert-local]
 //! mimonet-linkd metrics [--addr HOST:PORT] [--format prom|json] [--lint]
-//! mimonet-linkd selftest [--engine threaded|async]   loopback smoke: serve + 4 clients
+//! mimonet-linkd selftest [engine knobs]   loopback smoke: serve + 4 clients
 //! ```
 //!
 //! Session knobs: `--mcs N --frames N --payload BYTES --snr DB --seed N`,
@@ -14,14 +14,12 @@
 //! unless the served PSDUs and `LinkStats` JSON match byte-for-byte —
 //! the CI smoke test's check.
 //!
-//! `--engine async` serves through the event-driven session engine
-//! (poll-based shards + shared compute plane — thousands of concurrent
-//! links on a fixed thread set) instead of thread-per-connection;
-//! `--shards`, `--workers`, `--budget`, `--max-sessions`, and
-//! `--shed-threshold` tune it. Both engines speak the same wire protocol
-//! and stream byte-identical session replies, so `--assert-local` works
-//! unchanged against either — that is the cross-engine identity check CI
-//! runs.
+//! The daemon is the event-driven session engine
+//! ([`mimonet_io::engine`]): poll-based I/O shards plus a shared compute
+//! plane, thousands of concurrent links on a fixed thread set. Engine
+//! knobs: `--shards`, `--workers`, `--budget`, `--max-sessions`, and
+//! `--shed-threshold`. `selftest` binds it on an ephemeral port, runs 4
+//! concurrent sessions, and checks each against the in-process run.
 //!
 //! `metrics` probes a running daemon over the wire (`MetricsProbe`) and
 //! prints the Prometheus text (or JSON) snapshot; `--lint` additionally
@@ -30,21 +28,21 @@
 
 use mimonet_io::client::LinkClient;
 use mimonet_io::engine::{EngineConfig, EngineServer};
-use mimonet_io::linkd::LinkServer;
 use mimonet_io::session::{run_session, session_from_scenario, Scheduler};
 use mimonet_io::wire::{SessionConfig, METRICS_JSON, METRICS_PROMETHEUS};
 use serde::Serialize;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: mimonet-linkd serve [--addr HOST:PORT] [--engine threaded|async]\n\
+        "usage: mimonet-linkd serve [--addr HOST:PORT]\n\
          \x20                          [--shards N] [--workers N] [--budget FRAMES]\n\
          \x20                          [--max-sessions N] [--shed-threshold N]\n\
          \x20      mimonet-linkd client [--addr HOST:PORT] [--mcs N] [--frames N]\n\
          \x20                           [--payload BYTES] [--snr DB] [--seed N]\n\
          \x20                           [--scenario FILE --link NAME] [--assert-local]\n\
          \x20      mimonet-linkd metrics [--addr HOST:PORT] [--format prom|json] [--lint]\n\
-         \x20      mimonet-linkd selftest [--engine threaded|async]"
+         \x20      mimonet-linkd selftest [--shards N] [--workers N] [--budget FRAMES]\n\
+         \x20                             [--max-sessions N] [--shed-threshold N]"
     );
     std::process::exit(2);
 }
@@ -60,15 +58,6 @@ fn parse<T: std::str::FromStr>(args: &mut std::slice::Iter<'_, String>, flag: &s
     })
 }
 
-/// Which daemon implementation serves the wire protocol.
-#[derive(Clone, Copy, PartialEq)]
-enum EngineKind {
-    /// One OS thread per connection (`LinkServer`).
-    Threaded,
-    /// Event-driven shards + shared compute plane (`EngineServer`).
-    Async,
-}
-
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let mode = argv.first().map(String::as_str).unwrap_or("");
@@ -77,7 +66,6 @@ fn main() {
     let mut assert_local = false;
     let mut format = METRICS_PROMETHEUS;
     let mut lint = false;
-    let mut engine = EngineKind::Threaded;
     let mut engine_cfg = EngineConfig::default();
 
     let rest: Vec<String> = argv.iter().skip(1).cloned().collect();
@@ -121,16 +109,6 @@ fn main() {
             "--snr" => cfg.snr_db = parse(&mut it, "--snr"),
             "--seed" => cfg.seed = parse(&mut it, "--seed"),
             "--assert-local" => assert_local = true,
-            "--engine" => {
-                engine = match parse::<String>(&mut it, "--engine").as_str() {
-                    "threaded" => EngineKind::Threaded,
-                    "async" => EngineKind::Async,
-                    other => {
-                        eprintln!("bad value for --engine: {other} (want threaded|async)");
-                        usage();
-                    }
-                }
-            }
             "--shards" => engine_cfg.shards = parse(&mut it, "--shards"),
             "--workers" => engine_cfg.compute_workers = parse(&mut it, "--workers"),
             "--budget" => engine_cfg.session_token_budget = parse(&mut it, "--budget"),
@@ -155,46 +133,26 @@ fn main() {
     }
 
     match mode {
-        "serve" => serve(&addr, engine, engine_cfg),
+        "serve" => serve(&addr, engine_cfg),
         "client" => client(&addr, &cfg, assert_local),
         "metrics" => metrics(&addr, format, lint),
-        "selftest" => selftest(&cfg, engine, engine_cfg),
+        "selftest" => selftest(&cfg, engine_cfg),
         _ => usage(),
     }
 }
 
-fn serve(addr: &str, engine: EngineKind, engine_cfg: EngineConfig) {
-    // Both servers stop when the process dies; bind, report, and park.
+fn serve(addr: &str, engine_cfg: EngineConfig) {
+    // The engine stops when the process dies; bind, report, and park.
     // No signal handling by design (CI backgrounds the daemon and kills
     // it). The bound server must stay in scope: dropping it would join
     // its threads and stop serving.
-    let _threaded;
-    let _engine;
-    let local = match engine {
-        EngineKind::Threaded => {
-            let s = LinkServer::bind(addr).unwrap_or_else(|e| {
-                eprintln!("mimonet-linkd: bind {addr} failed: {e}");
-                std::process::exit(1);
-            });
-            let local = s.local_addr();
-            _threaded = s;
-            local
-        }
-        EngineKind::Async => {
-            let s = EngineServer::bind_with(addr, engine_cfg.clone()).unwrap_or_else(|e| {
-                eprintln!("mimonet-linkd: bind {addr} failed: {e}");
-                std::process::exit(1);
-            });
-            let local = s.local_addr();
-            println!(
-                "mimonet-linkd: async engine, {} shards, {} compute workers",
-                engine_cfg.shards, engine_cfg.compute_workers
-            );
-            _engine = s;
-            local
-        }
-    };
-    println!("mimonet-linkd: serving on {local}");
+    let (shards, workers) = (engine_cfg.shards, engine_cfg.compute_workers);
+    let server = EngineServer::bind_with(addr, engine_cfg).unwrap_or_else(|e| {
+        eprintln!("mimonet-linkd: bind {addr} failed: {e}");
+        std::process::exit(1);
+    });
+    println!("mimonet-linkd: {shards} shards, {workers} compute workers");
+    println!("mimonet-linkd: serving on {}", server.local_addr());
     loop {
         std::thread::sleep(std::time::Duration::from_secs(3600));
     }
@@ -267,32 +225,14 @@ fn metrics(addr: &str, format: u8, lint: bool) {
     }
 }
 
-fn selftest(cfg: &SessionConfig, engine: EngineKind, engine_cfg: EngineConfig) {
-    // Bind the chosen engine on an ephemeral port. The reference is
-    // always the in-process threaded-scheduler run, so `--engine async`
-    // is the cross-engine byte-identity check.
-    let mut threaded = None;
-    let mut evented = None;
-    let addr = match engine {
-        EngineKind::Threaded => {
-            let s = LinkServer::bind("127.0.0.1:0").unwrap_or_else(|e| {
-                eprintln!("mimonet-linkd: selftest bind failed: {e}");
-                std::process::exit(1);
-            });
-            let a = s.local_addr();
-            threaded = Some(s);
-            a
-        }
-        EngineKind::Async => {
-            let s = EngineServer::bind_with("127.0.0.1:0", engine_cfg).unwrap_or_else(|e| {
-                eprintln!("mimonet-linkd: selftest bind failed: {e}");
-                std::process::exit(1);
-            });
-            let a = s.local_addr();
-            evented = Some(s);
-            a
-        }
-    };
+fn selftest(cfg: &SessionConfig, engine_cfg: EngineConfig) {
+    // Bind the engine on an ephemeral port; the reference is the
+    // in-process threaded-scheduler run of the same session.
+    let server = EngineServer::bind_with("127.0.0.1:0", engine_cfg).unwrap_or_else(|e| {
+        eprintln!("mimonet-linkd: selftest bind failed: {e}");
+        std::process::exit(1);
+    });
+    let addr = server.local_addr();
     let reference = run_session(cfg, Scheduler::Threaded).unwrap_or_else(|e| {
         eprintln!("mimonet-linkd: selftest local run failed: {e}");
         std::process::exit(1);
@@ -327,19 +267,10 @@ fn selftest(cfg: &SessionConfig, engine: EngineKind, engine_cfg: EngineConfig) {
             }
         }
     }
-    let (ok, failed, label) = match (threaded, evented) {
-        (Some(s), _) => {
-            let st = s.shutdown();
-            (st.sessions_ok(), st.sessions_failed(), "threaded")
-        }
-        (_, Some(s)) => {
-            let st = s.shutdown();
-            (st.sessions_ok(), st.sessions_failed(), "async")
-        }
-        _ => unreachable!("one engine was bound"),
-    };
+    let stats = server.shutdown();
+    let (ok, failed) = (stats.sessions_ok(), stats.sessions_failed());
     println!(
-        "selftest[{label}]: 4 concurrent sessions, {ok} ok / {failed} failed on the daemon, \
+        "selftest: 4 concurrent sessions, {ok} ok / {failed} failed on the daemon, \
          {failures} divergent"
     );
     if failures > 0 || ok != 4 {

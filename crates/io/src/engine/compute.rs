@@ -17,14 +17,15 @@
 //!   deferred-FEC path walks four frames at a time through
 //!   [`ViterbiDecoderX4`]. Batch grouping never changes decode results
 //!   (pinned bit-identical by `tests/simd_equivalence.rs`), so the
-//!   engine's per-session output is byte-identical to the threaded
-//!   daemon's flowgraph no matter how sessions interleave.
+//!   engine's per-session output is byte-identical to the session
+//!   flowgraph ([`crate::session::run_session`]) no matter how sessions
+//!   interleave.
 //!
 //! Sessions that need the observability plane (`trace != 0` or
 //! `telemetry_every > 0`) fall back to the full flowgraph on the
 //! deterministic single-thread scheduler inside one worker — the
 //! scheduler-agreement test pins that path byte-identical to the
-//! threaded daemon too, and the worker pool keeps the engine's thread
+//! threaded scheduler too, and the worker pool keeps the engine's thread
 //! count constant either way.
 //!
 //! [`ViterbiDecoderX4`]: mimonet_fec::ViterbiDecoderX4
@@ -401,7 +402,9 @@ fn record_result(
 }
 
 /// Observability fallback: the full flowgraph on the single-thread
-/// scheduler, mirroring the threaded daemon's trace/SLO handling.
+/// scheduler. Every delivered frame gets a transport-enqueue event, and
+/// the traced session is graded against the default link SLO so a
+/// scraper sees breaches without pulling the trace itself.
 fn full_session(run: &Arc<SessionRun>, shared: &EngineShared, shards: &[ShardHandle]) {
     let cfg = &run.cfg;
     let collector = (cfg.trace != 0)

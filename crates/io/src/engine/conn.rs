@@ -1,21 +1,24 @@
-//! Per-connection protocol state machine for the async engine.
+//! Per-connection protocol state machine for the engine.
 //!
-//! One [`Conn`] owns one non-blocking socket and speaks the exact wire
-//! protocol of the threaded daemon — same handshake, same reply
-//! sequences, same typed error reports — but never blocks: reads
-//! accumulate into a buffer that the frame codec ([`crate::wire::decode`])
-//! drains message-by-message, and writes drain an outbound buffer that
-//! replies are encoded into lazily (bounded, so a slow reader cannot
-//! balloon memory).
+//! One `Conn` owns one non-blocking socket and speaks the link wire
+//! protocol — a versioned `Hello` handshake (client first), then any
+//! number of requests, each answered by its reply sequence or a typed
+//! `ErrorReport` — without ever blocking: reads accumulate into a
+//! buffer that the frame codec ([`crate::wire::decode`]) drains
+//! message-by-message, and writes drain an outbound buffer that replies
+//! are encoded into lazily (bounded, so a slow reader cannot balloon
+//! memory). A wire fault (bad CRC, desync, EOF inside a frame) is
+//! answered with the typed report from [`crate::net::transport_error`],
+//! counted as a protocol error, and closes the connection after the
+//! flush.
 //!
 //! A `SessionRequest` marks the connection **busy** and hands the
 //! session to the compute plane; further client messages queue in the
-//! read buffer until the completion comes back — the same one-session-
-//! at-a-time semantics a threaded connection has, without parking a
-//! thread. Data frames stream through a per-session [`BoundedQueue`]
-//! sized by the token budget with [`OverflowPolicy::DropNewest`]: frames
-//! beyond the budget are shed (counted, resumable later), control frames
-//! never are.
+//! read buffer until the completion comes back, so each connection runs
+//! one session at a time without parking a thread. Data frames stream
+//! through a per-session [`BoundedQueue`] sized by the token budget with
+//! [`OverflowPolicy::DropNewest`]: frames beyond the budget are shed
+//! (counted, resumable later), control frames never are.
 
 use super::compute::{Completion, ComputePlane, SessionRun};
 use super::EngineShared;
@@ -105,8 +108,9 @@ impl Conn {
         self.dead || (self.closing && !self.wants_write()) || (self.read_eof && !self.wants_write())
     }
 
-    /// Connection-deadline check (mirrors the threaded daemon's typed
-    /// `give-up-deadline` close).
+    /// Connection-deadline check: past its budget a connection is
+    /// answered with a typed `give-up-deadline` report (so the client
+    /// knows to re-dial rather than wait) and closed after the flush.
     pub(crate) fn check_deadline(&mut self, ctx: &Ctx<'_>) {
         if self.closing || self.dead {
             return;
@@ -160,10 +164,16 @@ impl Conn {
                     consumed += n;
                     self.handle(msg, ctx);
                 }
-                Err(WireError::Truncated { .. }) => break,
+                // Wait for the rest of the frame — unless the peer is
+                // gone. A clean EOF (empty buffer) closes silently.
+                Err(WireError::Truncated { .. })
+                    if !self.read_eof || consumed == self.rbuf.len() =>
+                {
+                    break
+                }
                 Err(e) => {
-                    // Bad CRC, desync, oversized frame: typed close, the
-                    // same taxonomy the threaded daemon reports.
+                    // Bad CRC, desync, oversized frame, EOF mid-frame:
+                    // typed close.
                     ctx.shared
                         .stats
                         .protocol_errors
@@ -186,8 +196,8 @@ impl Conn {
         }
     }
 
-    /// One protocol message — the engine's mirror of the threaded
-    /// daemon's `serve_connection` match.
+    /// One protocol message: the handshake until `Hello` is done, then
+    /// probes, resumes, and session requests.
     fn handle(&mut self, msg: WireMsg, ctx: &Ctx<'_>) {
         let shared = ctx.shared;
         if !self.hello_done {

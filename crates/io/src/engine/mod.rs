@@ -1,8 +1,13 @@
-//! `mimonet-io::engine` — the event-driven link-session engine.
+//! `mimonet-io::engine` — the event-driven link-session engine behind
+//! `mimonet-linkd`.
 //!
-//! The threaded daemon ([`crate::linkd`]) parks one OS thread per
-//! connection; this engine multiplexes thousands of link sessions over a
-//! fixed thread set:
+//! One TCP connection is one client; each `SessionRequest` on it runs
+//! one TX→channel→RX link session and streams back
+//! `SessionAccept` → `FrameDecoded`* → `SessionStats` → [`Trace`] →
+//! `Telemetry` (the terminator), or a single typed `ErrorReport`. Wire
+//! faults end the connection with a typed report where the socket still
+//! allows one, and the engine keeps serving everyone else. The engine
+//! multiplexes thousands of link sessions over a fixed thread set:
 //!
 //! ```text
 //!             ┌───────────┐   round-robin    ┌─────────────────────┐
@@ -22,9 +27,10 @@
 //! * **Reactor** ([`reactor`]): `poll(2)` readiness over non-blocking
 //!   sockets, a UDP-pair waker, no event-loop dependency.
 //! * **Shards** ([`shard`]): each owns a slice of connections and runs
-//!   their protocol state machines ([`conn`]) — the same wire protocol,
-//!   reply sequences, and [`crate::store::SessionStore`] resumption as
-//!   the threaded daemon, byte-for-byte.
+//!   their protocol state machines ([`conn`]): handshake, probes,
+//!   admission, and resumption from a shared
+//!   [`crate::store::SessionStore`] keyed by the token each
+//!   `SessionAccept` carries.
 //! * **Compute plane** ([`compute`]): admitted sessions round-robin
 //!   through a generation queue; their bursts interleave in a decode
 //!   queue drained in cross-session batches through
@@ -38,8 +44,11 @@
 //!   `linkd_shed_total` and resumable later.
 //!
 //! Per-session output (`FrameDecoded` stream + `LinkStats` JSON) is
-//! byte-identical to the threaded daemon — `tests/linkd_engine.rs` pins
-//! it with a property test across MCS/SNR/payload space.
+//! byte-identical to an in-process [`crate::session::run_session`] of the
+//! same config — `tests/linkd_engine.rs` pins it with a property test
+//! across MCS/SNR/payload space.
+//!
+//! [`Trace`]: crate::wire::WireMsg::Trace
 
 pub mod compute;
 pub mod conn;
@@ -59,13 +68,15 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-/// Ring capacity of a traced session's event collector (mirrors the
-/// threaded daemon).
+/// Ring capacity of a traced session's event collector: ~16 lifecycle
+/// events per frame, sized for a full-length session before the ring
+/// starts overwriting (drops are counted, never silent).
 pub(crate) const TRACE_RING_CAPACITY: usize = 64 * 1024;
 
-/// Engine service policy. [`Default`] mirrors the threaded daemon's
-/// defaults (no shedding, no admission cap, resume store on) with two
-/// I/O shards and two compute workers.
+/// Engine service policy. [`Default`] disables every limit that could
+/// perturb a session (no shedding, no admission cap, no token budget,
+/// no deadline; the resume store is on) and runs two I/O shards and two
+/// compute workers.
 #[derive(Clone, Debug)]
 pub struct EngineConfig {
     /// Hard admission cap: session requests beyond this many concurrent
@@ -102,9 +113,9 @@ impl Default for EngineConfig {
     }
 }
 
-/// Engine-wide counters, shared with monitors via `Arc`. The macro-free
-/// twin of the threaded daemon's `ServerStats`, extended with the
-/// engine's batching and token-budget planes.
+/// Engine-wide counters, shared with monitors via `Arc`: connections,
+/// session outcomes, shedding, the token-budget and batching planes, and
+/// SLO grading.
 #[derive(Debug, Default)]
 pub struct EngineStats {
     pub(crate) connections: AtomicU64,
@@ -204,10 +215,9 @@ impl EngineShared {
         }
     }
 
-    /// The engine's full metrics surface — the daemon series the
-    /// threaded daemon exports (same names, so dashboards survive an
-    /// engine swap) plus the engine's token-budget, shedding, and
-    /// batching planes.
+    /// The engine's full metrics surface, one typed sample per series —
+    /// the single source both wire formats render from, so Prometheus
+    /// and JSON snapshots can never disagree on a value.
     pub(crate) fn metric_samples(&self) -> Vec<MetricSample> {
         let s = &self.stats;
         vec![
@@ -289,7 +299,7 @@ impl EngineShared {
                 help: "Wire protocol version this daemon speaks",
                 value: WIRE_VERSION as u64,
             },
-            // Engine-specific series.
+            // Token-budget, shedding, and batching planes.
             MetricSample {
                 name: "linkd_session_tokens",
                 kind: MetricKind::Gauge,

@@ -64,8 +64,8 @@ pub(crate) fn shard_loop(
         }
 
         // 2. Land compute completions on their connections. A completion
-        // for a connection that died mid-run still settles the books
-        // (the threaded daemon counts that as a failed session too).
+        // for a connection that died mid-run still settles the books: it
+        // counts as a failed session.
         while let Some(completion) = handle.completions.lock().unwrap().pop_front() {
             let conn_id = match &completion {
                 Completion::Done { conn, .. } | Completion::Failed { conn, .. } => *conn,

@@ -21,10 +21,11 @@
 //! * [`session`] — seeded, scoreable link sessions: the shared substrate
 //!   that makes in-process runs, daemon-served runs, and capture replays
 //!   comparable field-for-field.
-//! * [`linkd`] / [`client`] — the `mimonet-linkd` multi-client daemon
-//!   (one supervised flowgraph session per request, concurrent clients
-//!   fully isolated, crash-cut sessions resumable by token) and its
-//!   client library, including the policy-driven [`client::ResilientClient`].
+//! * [`engine`] / [`client`] — the `mimonet-linkd` session engine
+//!   (poll-driven I/O shards plus a compute plane that batches FEC
+//!   across sessions; concurrent clients fully isolated, crash-cut
+//!   sessions resumable by token) and its client library, including the
+//!   policy-driven [`client::ResilientClient`].
 //! * [`resilience`] — the unified give-up taxonomy: [`resilience::Deadline`],
 //!   jittered [`resilience::RetryPolicy`] with a hard sleep budget, and a
 //!   [`resilience::CircuitBreaker`] with half-open probing.
@@ -37,7 +38,6 @@
 pub mod capture;
 pub mod client;
 pub mod engine;
-pub mod linkd;
 pub mod net;
 pub mod netchaos;
 pub mod queue;
@@ -52,7 +52,6 @@ pub use capture::{
 };
 pub use client::{ClientError, LinkClient, ResilientClient, ResilientOutcome, SessionResult};
 pub use engine::{EngineConfig, EngineServer, EngineStats};
-pub use linkd::{LinkServer, ServerConfig, ServerStats};
 pub use net::{
     transport_error, TcpChunkSink, TcpChunkSource, TransportConfig, TransportStats, UdpChunkSink,
     UdpChunkSource,

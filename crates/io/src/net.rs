@@ -284,8 +284,8 @@ impl TcpChunkSink {
     }
 
     /// Blocking connect: drives [`Self::poll_reconnect`] to completion,
-    /// sleeping out each backoff window — the thread-per-connection
-    /// daemon's path.
+    /// sleeping out each backoff window — the path a blocking `send`
+    /// takes.
     fn ensure_connected(&mut self) -> Result<(), BlockError> {
         loop {
             if self.poll_reconnect()? {

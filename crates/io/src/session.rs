@@ -40,7 +40,8 @@ pub enum Scheduler {
     /// Deterministic single-threaded scheduler (`Flowgraph::run`).
     SingleThread,
     /// Supervised thread-per-block scheduler (`Flowgraph::run_threaded`)
-    /// — what `mimonet-linkd` uses, one graph per client session.
+    /// — the in-process reference `mimonet-linkd --assert-local` and
+    /// `selftest` compare served sessions against.
     Threaded,
 }
 

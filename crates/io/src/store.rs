@@ -1,4 +1,4 @@
-//! Completed-session outcome store shared by both daemons.
+//! Completed-session outcome store behind session resumption.
 //!
 //! A served session's full reply — decoded frames, scored stats JSON,
 //! telemetry JSON, and (for traced sessions) the lifecycle trace — is
@@ -8,10 +8,9 @@
 //! Replay is idempotent: the client dedupes by frame index.
 //!
 //! The store is capacity-bounded LRU: inserting past capacity evicts the
-//! oldest entry, and a successful resume refreshes its token's age. Both
-//! the thread-per-connection daemon ([`crate::linkd`]) and the async
-//! engine ([`crate::engine`]) use this same type, so resumption survives
-//! switching a deployment between the two.
+//! oldest entry, and a successful resume refreshes its token's age. The
+//! engine ([`crate::engine`]) keeps one store shared by all its shards,
+//! so a resume may land on any shard.
 
 use crate::wire::DecodedFrame;
 use mimonet::obs::TraceEvent;

@@ -1,20 +1,24 @@
-//! Async session engine vs the threaded daemon: per-session output must
-//! be byte-identical (FrameDecoded stream + LinkStats JSON) no matter
-//! how many sessions interleave inside the engine, admission control and
-//! token-budget shedding must behave deterministically, and resumption
-//! must survive mid-stream resets exactly as it does on the threaded
-//! path.
+//! Session engine: per-session output is byte-identical to an
+//! in-process run (FrameDecoded stream + LinkStats JSON) no matter how
+//! many sessions interleave inside the engine, admission control and
+//! token-budget shedding behave deterministically, resumption survives
+//! mid-stream resets, and garbage bytes and idle connections past their
+//! deadline degrade to typed errors while the engine keeps serving.
+//! `tests/linkd_loopback.rs` covers the daemon's default configuration.
 
 use mimonet::{frame_trace_id, lint_prometheus};
 use mimonet_io::client::{ClientError, LinkClient, ResilientClient};
 use mimonet_io::engine::{EngineConfig, EngineServer};
-use mimonet_io::linkd::LinkServer;
 use mimonet_io::netchaos::{ChaosProxy, FaultClass};
 use mimonet_io::resilience::RetryPolicy;
 use mimonet_io::session::{corrupted_frames, run_session, Scheduler};
-use mimonet_io::wire::{SessionConfig, METRICS_JSON, METRICS_PROMETHEUS};
+use mimonet_io::wire::{
+    read_msg, write_msg, SessionConfig, WireMsg, METRICS_JSON, METRICS_PROMETHEUS, WIRE_VERSION,
+};
 use proptest::prelude::*;
 use serde::Serialize;
+use std::io::Write;
+use std::net::TcpStream;
 use std::time::Duration;
 
 fn cfg(seed: u64) -> SessionConfig {
@@ -38,15 +42,32 @@ fn engine_session(c: &SessionConfig) -> mimonet_io::client::SessionResult {
     out
 }
 
+/// Handshakes a raw socket by hand, leaving it ready for a request.
+fn handshake(addr: std::net::SocketAddr) -> TcpStream {
+    let mut sock = TcpStream::connect(addr).unwrap();
+    write_msg(
+        &mut sock,
+        &WireMsg::Hello {
+            version: WIRE_VERSION,
+        },
+    )
+    .unwrap();
+    match read_msg(&mut sock).unwrap() {
+        WireMsg::Hello { version } => assert_eq!(version, WIRE_VERSION),
+        other => panic!("expected Hello, got {other:?}"),
+    }
+    sock
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// The tentpole identity: across MCS presets, payload sizes, SNR
-    /// regimes (including lossy ones), and seeds, the engine's direct
-    /// executor streams the same frames and the same LinkStats JSON as
-    /// the threaded daemon's flowgraph.
+    /// The engine's core identity: across MCS presets, payload sizes, SNR
+    /// regimes (including lossy ones), and seeds, the engine streams the
+    /// same frames and the same LinkStats JSON as the in-process
+    /// flowgraph run on the threaded scheduler.
     #[test]
-    fn engine_matches_threaded_daemon_across_config_space(
+    fn engine_matches_in_process_runs_across_config_space(
         mcs in prop_oneof![Just(0u8), Just(4u8), Just(8u8), Just(12u8)],
         payload_exp in 4u32..10,
         snr_db in prop_oneof![Just(2.0f64), Just(10.0), Just(30.0)],
@@ -61,21 +82,16 @@ proptest! {
             ..SessionConfig::default()
         };
 
-        let threaded_server = LinkServer::bind("127.0.0.1:0").unwrap();
-        let mut client = LinkClient::connect(threaded_server.local_addr()).unwrap();
-        let threaded = client.run_session(&c).unwrap();
-        client.close().unwrap();
-        drop(threaded_server);
-
+        let local = run_session(&c, Scheduler::Threaded).unwrap();
         let engine = engine_session(&c);
 
         prop_assert_eq!(
-            &engine.frames, &threaded.frames,
-            "engine frames must be bit-identical to the threaded daemon"
+            &engine.frames, &local.decoded,
+            "engine frames must be bit-identical to the in-process run"
         );
         prop_assert_eq!(
-            &engine.stats_json, &threaded.stats_json,
-            "engine LinkStats JSON must be byte-identical to the threaded daemon"
+            engine.stats_json, serde::json::to_string(&local.stats.serialize()),
+            "engine LinkStats JSON must be byte-identical to the in-process run"
         );
     }
 }
@@ -324,7 +340,6 @@ fn token_budget_meters_data_frames_and_resume_drains_the_rest() {
     // replay is metered exactly like the original stream. (Raw wire
     // reads: `LinkClient::collect_reply` indexes frames from zero, so a
     // metered mid-stream tail needs the low-level loop.)
-    use mimonet_io::wire::{read_msg, write_msg, WireMsg};
     let mut collected = first.frames.clone();
     while collected.len() < 6 {
         let before = collected.len();
@@ -366,8 +381,7 @@ fn resume_dedupes_after_a_mid_stream_chaos_reset() {
     let server = EngineServer::bind("127.0.0.1:0").unwrap();
     // Route the client through a chaos proxy that hard-resets the
     // connection at a deterministic stream offset: the resilient client
-    // reconnects and resumes, deduping by frame index — against the
-    // async engine this time.
+    // reconnects and resumes, deduping by frame index.
     let proxy =
         ChaosProxy::spawn(server.local_addr(), FaultClass::Reset.spec(0xC0FFEE, 1.0)).unwrap();
     let c = SessionConfig {
@@ -383,7 +397,12 @@ fn resume_dedupes_after_a_mid_stream_chaos_reset() {
         jitter_salt: 81,
     };
     let mut client = ResilientClient::new(proxy.local_addr(), policy);
-    client.read_timeout = Duration::from_millis(500);
+    // A reset closes the socket, so healing never waits on this timeout.
+    // It must outlast the whole session's compute: `SessionAccept` (and
+    // with it the resume token) goes out only once the session is done,
+    // which an unoptimized build under parallel tests can take over half
+    // a second for; a first attempt that times out restarts fresh.
+    client.read_timeout = Duration::from_secs(5);
     let out = client.run(&c).expect("resilient run must complete");
     let local = run_session(&c, Scheduler::Threaded).unwrap();
     assert_eq!(
@@ -457,22 +476,11 @@ fn engine_metrics_are_lint_clean_and_expose_the_token_plane() {
 
 #[test]
 fn garbage_bytes_are_a_typed_desync_and_the_engine_survives() {
-    use mimonet_io::wire::{read_msg, write_msg, WireMsg, WIRE_VERSION};
-    use std::io::Write;
-    use std::net::TcpStream;
-
     let server = EngineServer::bind("127.0.0.1:0").unwrap();
     let addr = server.local_addr();
 
-    let mut sock = TcpStream::connect(addr).unwrap();
-    write_msg(
-        &mut sock,
-        &WireMsg::Hello {
-            version: WIRE_VERSION,
-        },
-    )
-    .unwrap();
-    read_msg(&mut sock).unwrap();
+    // 12 bytes of garbage = a full (bogus) header: bad magic.
+    let mut sock = handshake(addr);
     sock.write_all(b"GARBAGEBYTES").unwrap();
     sock.flush().unwrap();
     match read_msg(&mut sock) {
@@ -487,4 +495,37 @@ fn garbage_bytes_are_a_typed_desync_and_the_engine_survives() {
     let stats = server.shutdown();
     assert!(stats.protocol_errors() >= 1);
     assert_eq!(stats.sessions_ok(), 1);
+}
+
+#[test]
+fn connection_deadline_is_a_typed_give_up_and_the_engine_survives() {
+    let server = EngineServer::bind_with(
+        "127.0.0.1:0",
+        EngineConfig {
+            connection_deadline: Some(Duration::from_millis(150)),
+            ..EngineConfig::default()
+        },
+    )
+    .unwrap();
+    let addr = server.local_addr();
+
+    // Handshake, then stay idle past the budget: the engine closes the
+    // connection with a typed give-up instead of waiting forever.
+    let mut sock = handshake(addr);
+    match read_msg(&mut sock) {
+        Ok(WireMsg::ErrorReport { kind, give_up, .. }) => {
+            assert_eq!(kind, "give-up-deadline");
+            assert_eq!(give_up, "give-up-deadline");
+        }
+        other => panic!("expected a typed deadline report, got {other:?}"),
+    }
+    drop(sock);
+
+    // A fresh connection gets a fresh budget and is served.
+    let mut client = LinkClient::connect(addr).unwrap();
+    assert_eq!(client.health().unwrap().sessions_failed, 0);
+    drop(client);
+    let stats = server.shutdown();
+    assert_eq!(stats.connections(), 2);
+    assert_eq!(stats.protocol_errors(), 0);
 }

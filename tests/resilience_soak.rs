@@ -10,7 +10,7 @@
 //! across `RUST_TEST_THREADS=1` and `=8` runs to pin that claim.
 
 use mimonet_io::client::ResilientClient;
-use mimonet_io::linkd::LinkServer;
+use mimonet_io::engine::EngineServer;
 use mimonet_io::netchaos::{ChaosProxy, FaultClass};
 use mimonet_io::resilience::RetryPolicy;
 use mimonet_io::session::corrupted_frames;
@@ -46,7 +46,7 @@ fn soak_one(class: FaultClass, seed: u64) -> RunReport {
     // Fresh server and proxy per run: the proxy's flow counter restarts
     // at zero, so the fault schedule this run sees depends only on the
     // chaos seed — not on which runs came before it.
-    let server = LinkServer::bind("127.0.0.1:0").unwrap();
+    let server = EngineServer::bind("127.0.0.1:0").unwrap();
     let proxy = ChaosProxy::spawn(server.local_addr(), class.spec(seed, INTENSITY)).unwrap();
 
     let policy = RetryPolicy {
@@ -141,7 +141,7 @@ fn every_fault_class_soaks_clean() {
 #[test]
 fn clean_chaos_spec_is_transparent_end_to_end() {
     // The control arm: a zero-fault proxy in the path changes nothing.
-    let server = LinkServer::bind("127.0.0.1:0").unwrap();
+    let server = EngineServer::bind("127.0.0.1:0").unwrap();
     let proxy = ChaosProxy::spawn(
         server.local_addr(),
         FaultClass::Clean.spec(0xC1EA0, INTENSITY),

@@ -4,7 +4,7 @@
 //! no gaps, no duplicates, no recompute drift.
 
 use mimonet_io::client::LinkClient;
-use mimonet_io::linkd::LinkServer;
+use mimonet_io::engine::EngineServer;
 use mimonet_io::session::{corrupted_frames, session_psdus};
 use mimonet_io::wire::{read_msg, write_msg, DecodedFrame, SessionConfig, WireMsg};
 use proptest::prelude::*;
@@ -96,7 +96,7 @@ proptest! {
     ) {
         let session = cfg(seed, n_frames);
         let cut = cut_raw % (n_frames + 1); // 0..=n_frames, all boundaries
-        let server = LinkServer::bind("127.0.0.1:0").unwrap();
+        let server = EngineServer::bind("127.0.0.1:0").unwrap();
         let addr = server.local_addr();
 
         let (token, head) = run_and_kill_after(addr, &session, cut);
