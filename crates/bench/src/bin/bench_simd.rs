@@ -30,7 +30,7 @@
 //! meaningless.
 //!
 //! ```sh
-//! cargo run --release -p mimonet-bench --features simd --bin bench_simd [--quick]
+//! cargo run --release -p mimonet-bench --bin bench_simd [--quick]
 //! ```
 //!
 //! Writes `results/BENCH_simd.json`. With `MIMONET_DETERMINISTIC=1`

@@ -12,7 +12,8 @@
 //! 6. **L-SIG**, then **HT-SIG** decode (legacy channel estimate + MRC).
 //! 7. **HT-LTF MIMO channel estimation** (P-matrix despreading).
 //! 8. Per data symbol: FFT, **pilot phase tracking**, **ZF/MMSE/ML
-//!    detection**, per-stream deinterleave, stream deparse.
+//!    detection** (four symbols per lane call), then per-stream
+//!    deinterleave and stream deparse as one table gather.
 //! 9. Depuncture → Viterbi (soft or hard) → descramble → PSDU.
 //!
 //! # Hot path & memory discipline
@@ -34,14 +35,19 @@
 //!   scans O(capture²) in copied bytes.
 //! * **Lazy chunked CFO correction.** The CFO-corrected buffers are
 //!   extended only as far as the pipeline actually reads. Chunking is
-//!   bit-exact because [`apply_cfo_raw`] threads the *raw accumulated
+//!   bit-exact because `rotate_antennas` threads the *raw accumulated
 //!   phase* across chunk boundaries — the identical sequence of `phase +=
-//!   step` additions the old whole-buffer pass performed.
+//!   step` additions the old whole-buffer pass performed — and it
+//!   computes each sample's phasor once for all antennas.
+//!
+//! Per-frame invariants are computed once, not per bit or per antenna:
+//! the interleaver permutation and stream deparser are one cached
+//! gather table per geometry (`rx_gather`), and each pilot-tracking
+//! correction is computed once per carrier and symbol.
 
 use crate::config::RxConfig;
 use crate::telemetry::{RxCaptureProfile, RxStage, StageClock, StageProfile};
-use crate::tx::{deparse_streams_soft_flat, DATA_POLARITY_OFFSET};
-use mimonet_channel::impairments::apply_cfo_raw;
+use crate::tx::DATA_POLARITY_OFFSET;
 use mimonet_detect::chanest::{
     estimate_mimo_htltf_into, estimate_siso_lltf_into, smooth_frequency_into, ChannelEstimate,
 };
@@ -166,6 +172,10 @@ pub struct ScanStats {
     pub fec_errors: usize,
 }
 
+/// An HT data-symbol geometry `(n_cbpss, n_bpsc, n_ss)`: the key of the
+/// workspace's gather cache.
+type Geometry = (usize, usize, usize);
+
 /// Reusable scratch memory for one receive chain.
 ///
 /// Holds every buffer the pipeline needs — the lazily CFO-corrected
@@ -196,17 +206,16 @@ pub struct RxWorkspace {
     chan: ChannelEstimate,
     chan_smooth: ChannelEstimate,
     prepared: Vec<Prepared>,
-    interleavers: Vec<Interleaver>,
+    /// Fused deinterleave + deparse gathers, one per geometry seen.
+    gathers: Vec<(Geometry, Vec<u32>)>,
     obs: Vec<(i32, Complex64, Complex64)>,
-    /// Stream-major per-symbol LLRs: `[s * n_cbpss + ci * n_bpsc + b]`.
-    stream_llrs: Vec<f64>,
-    /// Blocked-loop slabs (the `simd` build's 4-symbol data path): FFT
-    /// bins for 4 symbols × n_rx antennas, equalized symbols in original
-    /// push order, and 4 symbols' worth of stream-major LLRs.
+    /// The 4-symbol data path's slabs: FFT bins for 4 symbols × n_rx
+    /// antennas, equalized symbols in scalar push order, and 4 symbols'
+    /// worth of stream-major LLRs (`[lane][s * n_cbpss + ci * n_bpsc +
+    /// b]`). The scalar tail uses lane 0.
     bins4: Vec<[Complex64; FFT_LEN]>,
     sym_store: Vec<Complex64>,
-    stream_llrs4: Vec<f64>,
-    deinterleaved: Vec<f64>,
+    stream_llrs: Vec<f64>,
     all_llrs: Vec<f64>,
     full_llrs: Vec<f64>,
     syms: Vec<Symbol>,
@@ -236,13 +245,11 @@ impl RxWorkspace {
             chan: ChannelEstimate::empty(1, 1),
             chan_smooth: ChannelEstimate::empty(1, 1),
             prepared: Vec::new(),
-            interleavers: Vec::new(),
+            gathers: Vec::new(),
             obs: Vec::new(),
-            stream_llrs: Vec::new(),
             bins4: Vec::new(),
             sym_store: Vec::new(),
-            stream_llrs4: Vec::new(),
-            deinterleaved: Vec::new(),
+            stream_llrs: Vec::new(),
             all_llrs: Vec::new(),
             full_llrs: Vec::new(),
             syms: Vec::new(),
@@ -280,12 +287,15 @@ impl RxWorkspace {
             return;
         }
         let lo = self.corrected_len;
-        let mut carry = self.coarse_carry;
         for (b, a) in self.bufs.iter_mut().zip(rx) {
             b.extend_from_slice(&a[lo..n]);
-            carry = apply_cfo_raw(&mut b[lo..n], self.coarse_corr, self.coarse_carry);
         }
-        self.coarse_carry = carry;
+        self.coarse_carry = rotate_antennas(
+            &mut self.bufs[..rx.len()],
+            lo..n,
+            self.coarse_corr,
+            self.coarse_carry,
+        );
         self.corrected_len = n;
     }
 
@@ -315,14 +325,87 @@ impl RxWorkspace {
         if n <= self.fine_len {
             return;
         }
-        let lo = self.fine_len;
-        let mut carry = self.fine_carry;
-        for b in &mut self.bufs[..rx.len()] {
-            carry = apply_cfo_raw(&mut b[lo..n], self.fine_corr, self.fine_carry);
-        }
-        self.fine_carry = carry;
+        self.fine_carry = rotate_antennas(
+            &mut self.bufs[..rx.len()],
+            self.fine_len..n,
+            self.fine_corr,
+            self.fine_carry,
+        );
         self.fine_len = n;
     }
+}
+
+/// Rotates samples `range` of every antenna buffer by the CFO phasor
+/// chain of `corr` (subcarrier spacings), starting at the raw phase
+/// `carry`, and returns the raw phase after the last sample. The step
+/// expression and the `phase += step` chain are those of
+/// [`mimonet_channel::impairments::apply_cfo_raw`], so the samples are
+/// bit-identical to one `apply_cfo_raw` call per antenna; each sample's
+/// `cis` is computed once and shared by every antenna.
+fn rotate_antennas(
+    bufs: &mut [Vec<Complex64>],
+    range: std::ops::Range<usize>,
+    corr: f64,
+    carry: f64,
+) -> f64 {
+    let step = 2.0 * std::f64::consts::PI * corr / 64.0;
+    let mut phase = carry;
+    let mut phasors = [Complex64::ZERO; 64];
+    let mut at = range.start;
+    while at < range.end {
+        let m = (range.end - at).min(phasors.len());
+        for p in &mut phasors[..m] {
+            *p = Complex64::cis(phase);
+            phase += step;
+        }
+        for b in bufs.iter_mut() {
+            for (x, &p) in b[at..at + m].iter_mut().zip(&phasors[..m]) {
+                *x *= p;
+            }
+        }
+        at += m;
+    }
+    phase
+}
+
+/// The workspace's gather for one HT geometry ([`rx_gather`]), built on
+/// first use and kept for every later frame of that geometry, so a
+/// warmed receiver allocates nothing here.
+fn cached_gather(
+    gathers: &mut Vec<(Geometry, Vec<u32>)>,
+    n_cbpss: usize,
+    n_bpsc: usize,
+    n_ss: usize,
+) -> &[u32] {
+    let key = (n_cbpss, n_bpsc, n_ss);
+    let i = match gathers.iter().position(|(k, _)| *k == key) {
+        Some(i) => i,
+        None => {
+            gathers.push((key, rx_gather(n_cbpss, n_bpsc, n_ss)));
+            gathers.len() - 1
+        }
+    };
+    &gathers[i].1
+}
+
+/// The fused deinterleave + stream-deparse gather of one HT geometry:
+/// output LLR `o` of a data symbol is the stream-major detector LLR
+/// `idx[o]` (`s * n_cbpss + position`). Equal, value for value, to
+/// deinterleaving each stream with [`Interleaver::deinterleave_soft_into`]
+/// and merging them with the stream deparser.
+fn rx_gather(n_cbpss: usize, n_bpsc: usize, n_ss: usize) -> Vec<u32> {
+    let tables: Vec<Vec<u32>> = (0..n_ss)
+        .map(|s| Interleaver::ht(n_cbpss, n_bpsc, s, n_ss).table())
+        .collect();
+    let group = (n_bpsc / 2).max(1);
+    let mut idx = Vec::with_capacity(n_ss * n_cbpss);
+    for g in 0..n_cbpss / group {
+        for (s, t) in tables.iter().enumerate() {
+            let base = (s * n_cbpss) as u32;
+            idx.extend(t[g * group..(g + 1) * group].iter().map(|&j| base + j));
+        }
+    }
+    idx
 }
 
 impl Default for RxWorkspace {
@@ -1262,30 +1345,28 @@ impl Receiver {
         ws.ensure_fine(rx, data_start + n_sym * 80);
 
         let data_carriers = Layout::Ht.data_carriers();
+        let n_dc = data_carriers.len();
         let n_cbpss = mcs.n_cbpss();
         let n_bpsc = mcs.n_bpsc();
+        let sym_llrs = n_ss * n_cbpss;
         let RxWorkspace {
             bufs,
             chan,
             chan_smooth,
             prepared,
-            interleavers,
-            bins,
+            gathers,
             obs,
-            stream_llrs,
             bins4,
             sym_store,
-            stream_llrs4,
-            deinterleaved,
+            stream_llrs,
             all_llrs,
             full_llrs,
             ..
         } = &mut *ws;
         let chan: &ChannelEstimate = if smoothed { chan_smooth } else { chan };
         let bufs = &bufs[..n_rx];
+        let gather = cached_gather(gathers, n_cbpss, n_bpsc, n_ss);
 
-        interleavers.clear();
-        interleavers.extend((0..n_ss).map(|s| Interleaver::ht(n_cbpss, n_bpsc, s, n_ss)));
         // The channel is block-fading: hoist the per-carrier detector
         // preparation (matrix inversions, ML hypothesis predictions) out
         // of the per-symbol loop.
@@ -1301,164 +1382,122 @@ impl Receiver {
         let mut evm = EvmSnrEstimator::new();
         all_llrs.clear();
         all_llrs.reserve(n_sym * mcs.n_cbps());
+        bins4.clear();
+        bins4.resize(4 * n_rx, [Complex64::ZERO; FFT_LEN]);
+        sym_store.clear();
+        sym_store.resize(4 * n_dc * n_ss, Complex64::ZERO);
         stream_llrs.clear();
-        stream_llrs.resize(n_ss * n_cbpss, 0.0);
-        deinterleaved.clear();
-        deinterleaved.resize(n_ss * n_cbpss, 0.0);
+        stream_llrs.resize(4 * sym_llrs, 0.0);
 
-        let mut sym = 0usize;
-        // The `simd` build processes data symbols four at a time: the
-        // sequential stages (demod, pilot tracking) run per symbol in
-        // order, then each data carrier detects all four symbols through
-        // the lane demapper. Every per-symbol operation sequence —
-        // including the EVM accumulation order, replayed from `sym_store`
-        // — matches the scalar loop below exactly, so the two paths are
-        // bit-identical (`tests/simd_equivalence.rs`).
-        if cfg!(feature = "simd") {
-            let n_dc = data_carriers.len();
-            bins4.clear();
-            bins4.resize(4 * n_rx, [Complex64::ZERO; FFT_LEN]);
-            sym_store.clear();
-            sym_store.resize(4 * n_dc * n_ss, Complex64::ZERO);
-            stream_llrs4.clear();
-            stream_llrs4.resize(4 * n_ss * n_cbpss, 0.0);
-            while sym + 4 <= n_sym {
-                for lane in 0..4 {
-                    let s_idx = sym + lane;
-                    let base = data_start + s_idx * 80;
-                    let bl = &mut bins4[lane * n_rx..(lane + 1) * n_rx];
-                    for (slot, b) in bl.iter_mut().zip(bufs) {
-                        *slot = self.ofdm.demodulate(&b[base..base + 80], scale56);
-                    }
-                    if self.cfg.pilot_tracking {
-                        obs.clear();
-                        for (i, &k) in PILOT_CARRIERS.iter().enumerate() {
-                            if let Some(h) = chan.at(k) {
-                                for r in 0..n_rx {
-                                    let mut expected = Complex64::ZERO;
-                                    for s in 0..n_ss {
-                                        let p = ht_pilots(s, n_ss, s_idx, DATA_POLARITY_OFFSET)[i];
-                                        expected += h[(r, s)] * p;
-                                    }
-                                    obs.push((k, expected, bl[r][carrier_to_bin(k)]));
-                                }
-                            }
-                        }
-                        if let Some(est) = tracker.update(obs) {
-                            for b in bl.iter_mut() {
-                                for k in -28..=28i32 {
-                                    if k == 0 {
-                                        continue;
-                                    }
-                                    let bin = carrier_to_bin(k);
-                                    b[bin] *= est.correction(k);
-                                }
-                            }
-                        }
-                    }
-                }
-
-                for (ci, (det, &k)) in prepared.iter().zip(data_carriers).enumerate() {
-                    let bin = carrier_to_bin(k);
-                    let mut ys = [[Complex64::ZERO; CMat::MAX_DIM]; 4];
-                    for (lane, y) in ys.iter_mut().enumerate() {
-                        for (slot, b) in y.iter_mut().zip(bins4[lane * n_rx..].iter()) {
-                            *slot = b[bin];
-                        }
-                    }
-                    let mut sym4 = [[Complex64::ZERO; CMat::MAX_DIM]; 4];
-                    let mut llr4 = [[0.0f64; CMat::MAX_DIM * 6]; 4];
-                    {
-                        let [y0, y1, y2, y3] = &ys;
-                        let [s0, s1, s2, s3] = &mut sym4;
-                        let [l0, l1, l2, l3] = &mut llr4;
-                        det.apply_x4_into(
-                            [&y0[..n_rx], &y1[..n_rx], &y2[..n_rx], &y3[..n_rx]],
-                            [
-                                &mut s0[..n_ss],
-                                &mut s1[..n_ss],
-                                &mut s2[..n_ss],
-                                &mut s3[..n_ss],
-                            ],
-                            [
-                                &mut l0[..n_ss * n_bpsc],
-                                &mut l1[..n_ss * n_bpsc],
-                                &mut l2[..n_ss * n_bpsc],
-                                &mut l3[..n_ss * n_bpsc],
-                            ],
-                        );
-                    }
-                    for lane in 0..4 {
-                        for s in 0..n_ss {
-                            let dst = lane * n_ss * n_cbpss + s * n_cbpss + ci * n_bpsc;
-                            stream_llrs4[dst..dst + n_bpsc]
-                                .copy_from_slice(&llr4[lane][s * n_bpsc..(s + 1) * n_bpsc]);
-                            sym_store[lane * n_dc * n_ss + ci * n_ss + s] = sym4[lane][s];
-                        }
-                    }
-                }
-
-                // EVM accumulation replayed in the scalar loop's
-                // symbol-major (sym, ci, s) order.
-                for lane in 0..4 {
-                    for ci in 0..n_dc {
-                        for s in 0..n_ss {
-                            evm.push_decided(
-                                sym_store[lane * n_dc * n_ss + ci * n_ss + s],
-                                mcs.modulation,
-                            );
-                        }
-                    }
-                }
-
-                for lane in 0..4 {
-                    let sl = &stream_llrs4[lane * n_ss * n_cbpss..(lane + 1) * n_ss * n_cbpss];
-                    for (s, il) in interleavers.iter().enumerate() {
-                        il.deinterleave_soft_into(
-                            &sl[s * n_cbpss..(s + 1) * n_cbpss],
-                            &mut deinterleaved[s * n_cbpss..(s + 1) * n_cbpss],
-                        );
-                    }
-                    deparse_streams_soft_flat(deinterleaved, n_ss, n_bpsc, all_llrs);
-                }
-                sym += 4;
-            }
-        }
-        while sym < n_sym {
+        // FFT of data symbol `sym` on every antenna into `bins`, then
+        // pilot phase tracking: the phase is shared across antennas, so
+        // each carrier's correction is computed once and applied to all.
+        let mut demod = |sym: usize, bins: &mut [[Complex64; FFT_LEN]]| {
             let base = data_start + sym * 80;
-            bins.clear();
-            for b in bufs {
-                bins.push(self.ofdm.demodulate(&b[base..base + 80], scale56));
+            for (slot, b) in bins.iter_mut().zip(bufs) {
+                *slot = self.ofdm.demodulate(&b[base..base + 80], scale56);
             }
-
-            // Pilot tracking: shared phase across antennas.
-            if self.cfg.pilot_tracking {
-                obs.clear();
-                for (i, &k) in PILOT_CARRIERS.iter().enumerate() {
-                    if let Some(h) = chan.at(k) {
-                        for r in 0..n_rx {
-                            let mut expected = Complex64::ZERO;
-                            for s in 0..n_ss {
-                                let p = ht_pilots(s, n_ss, sym, DATA_POLARITY_OFFSET)[i];
-                                expected += h[(r, s)] * p;
-                            }
-                            obs.push((k, expected, bins[r][carrier_to_bin(k)]));
+            if !self.cfg.pilot_tracking {
+                return;
+            }
+            let mut pilots = [[0.0; 4]; CMat::MAX_DIM];
+            for (s, p) in pilots[..n_ss].iter_mut().enumerate() {
+                *p = ht_pilots(s, n_ss, sym, DATA_POLARITY_OFFSET);
+            }
+            obs.clear();
+            for (i, &k) in PILOT_CARRIERS.iter().enumerate() {
+                if let Some(h) = chan.at(k) {
+                    for (r, b) in bins.iter().enumerate() {
+                        let mut expected = Complex64::ZERO;
+                        for (s, p) in pilots[..n_ss].iter().enumerate() {
+                            expected += h[(r, s)] * p[i];
                         }
+                        obs.push((k, expected, b[carrier_to_bin(k)]));
                     }
                 }
-                if let Some(est) = tracker.update(obs) {
+            }
+            if let Some(est) = tracker.update(obs) {
+                for k in -28..=28i32 {
+                    if k == 0 {
+                        continue;
+                    }
+                    let bin = carrier_to_bin(k);
+                    let c = est.correction(k);
                     for b in bins.iter_mut() {
-                        for k in -28..=28i32 {
-                            if k == 0 {
-                                continue;
-                            }
-                            let bin = carrier_to_bin(k);
-                            b[bin] *= est.correction(k);
-                        }
+                        b[bin] *= c;
+                    }
+                }
+            }
+        };
+
+        // Data symbols four at a time: the sequential stages (demod,
+        // pilot tracking) run per symbol in order, then each data carrier
+        // detects all four symbols through the lane detector. Every
+        // per-symbol operation sequence — including the EVM accumulation
+        // order, replayed from `sym_store` — matches the scalar tail loop
+        // below, so the two are bit-identical (`tests/simd_equivalence.rs`).
+        let mut sym = 0usize;
+        while sym + 4 <= n_sym {
+            for (lane, bins) in bins4.chunks_exact_mut(n_rx).enumerate() {
+                demod(sym + lane, bins);
+            }
+            for (ci, (det, &k)) in prepared.iter().zip(data_carriers).enumerate() {
+                let bin = carrier_to_bin(k);
+                let mut ys = [[Complex64::ZERO; CMat::MAX_DIM]; 4];
+                for (y, bins) in ys.iter_mut().zip(bins4.chunks_exact(n_rx)) {
+                    for (slot, b) in y.iter_mut().zip(bins) {
+                        *slot = b[bin];
+                    }
+                }
+                let mut sym4 = [[Complex64::ZERO; CMat::MAX_DIM]; 4];
+                let mut llr4 = [[0.0f64; CMat::MAX_DIM * 6]; 4];
+                {
+                    let [y0, y1, y2, y3] = &ys;
+                    let [s0, s1, s2, s3] = &mut sym4;
+                    let [l0, l1, l2, l3] = &mut llr4;
+                    det.apply_x4_into(
+                        [&y0[..n_rx], &y1[..n_rx], &y2[..n_rx], &y3[..n_rx]],
+                        [
+                            &mut s0[..n_ss],
+                            &mut s1[..n_ss],
+                            &mut s2[..n_ss],
+                            &mut s3[..n_ss],
+                        ],
+                        [
+                            &mut l0[..n_ss * n_bpsc],
+                            &mut l1[..n_ss * n_bpsc],
+                            &mut l2[..n_ss * n_bpsc],
+                            &mut l3[..n_ss * n_bpsc],
+                        ],
+                    );
+                }
+                for lane in 0..4 {
+                    for s in 0..n_ss {
+                        let dst = lane * sym_llrs + s * n_cbpss + ci * n_bpsc;
+                        stream_llrs[dst..dst + n_bpsc]
+                            .copy_from_slice(&llr4[lane][s * n_bpsc..(s + 1) * n_bpsc]);
+                        sym_store[lane * n_dc * n_ss + ci * n_ss + s] = sym4[lane][s];
                     }
                 }
             }
 
+            // EVM accumulation replayed in the scalar loop's
+            // symbol-major (sym, ci, s) order.
+            for &x in sym_store.iter() {
+                evm.push_decided(x, mcs.modulation);
+            }
+
+            for sl in stream_llrs.chunks_exact(sym_llrs) {
+                all_llrs.extend(gather.iter().map(|&i| sl[i as usize]));
+            }
+            sym += 4;
+        }
+
+        // The last `n_sym mod 4` symbols, one at a time.
+        let bins = &mut bins4[..n_rx];
+        let sl = &mut stream_llrs[..sym_llrs];
+        while sym < n_sym {
+            demod(sym, bins);
             // Detect every data carrier with the prepared per-carrier
             // state, writing LLRs straight into the stream-major slab.
             for (ci, (det, &k)) in prepared.iter().zip(data_carriers).enumerate() {
@@ -1475,20 +1514,11 @@ impl Receiver {
                 );
                 for s in 0..n_ss {
                     let dst = s * n_cbpss + ci * n_bpsc;
-                    stream_llrs[dst..dst + n_bpsc]
-                        .copy_from_slice(&llr_tmp[s * n_bpsc..(s + 1) * n_bpsc]);
+                    sl[dst..dst + n_bpsc].copy_from_slice(&llr_tmp[s * n_bpsc..(s + 1) * n_bpsc]);
                     evm.push_decided(sym_tmp[s], mcs.modulation);
                 }
             }
-
-            // Per-stream deinterleave, then merge via the stream deparser.
-            for (s, il) in interleavers.iter().enumerate() {
-                il.deinterleave_soft_into(
-                    &stream_llrs[s * n_cbpss..(s + 1) * n_cbpss],
-                    &mut deinterleaved[s * n_cbpss..(s + 1) * n_cbpss],
-                );
-            }
-            deparse_streams_soft_flat(deinterleaved, n_ss, n_bpsc, all_llrs);
+            all_llrs.extend(gather.iter().map(|&i| sl[i as usize]));
             sym += 1;
         }
         clock.lap(profile, RxStage::Equalize);
@@ -1812,6 +1842,30 @@ mod tests {
             .filter(|(a, b)| a != b)
             .count();
         assert_eq!(errs, 0, "clean channel must have zero pre-FEC errors");
+    }
+
+    #[test]
+    fn fused_gather_equals_deinterleave_then_deparse_for_every_ht_mcs() {
+        use crate::tx::deparse_streams_soft_flat;
+        for index in 0..16u8 {
+            let mcs = Mcs::from_index(index).unwrap();
+            let (n_cbpss, n_bpsc, n_ss) = (mcs.n_cbpss(), mcs.n_bpsc(), mcs.n_streams);
+            // Distinct values per position, so any misrouted LLR shows.
+            let stream_llrs: Vec<f64> = (0..n_ss * n_cbpss).map(|i| i as f64 - 0.5).collect();
+            let mut deinterleaved = vec![0.0; n_ss * n_cbpss];
+            for s in 0..n_ss {
+                let band = s * n_cbpss..(s + 1) * n_cbpss;
+                Interleaver::ht(n_cbpss, n_bpsc, s, n_ss)
+                    .deinterleave_soft_into(&stream_llrs[band.clone()], &mut deinterleaved[band]);
+            }
+            let mut want = Vec::new();
+            deparse_streams_soft_flat(&deinterleaved, n_ss, n_bpsc, &mut want);
+            let got: Vec<f64> = rx_gather(n_cbpss, n_bpsc, n_ss)
+                .iter()
+                .map(|&i| stream_llrs[i as usize])
+                .collect();
+            assert_eq!(got, want, "MCS{index}");
+        }
     }
 
     #[test]

@@ -43,6 +43,9 @@ pub const PRE_HT_LEN: usize = 160 + 160 + 80 + 160;
 pub struct Transmitter {
     cfg: TxConfig,
     ofdm: Ofdm,
+    /// Per-stream HT interleaver permutations for the fixed MCS
+    /// ([`Interleaver::table`]).
+    interleave: Vec<Vec<u32>>,
 }
 
 /// Transmit-side errors.
@@ -68,9 +71,14 @@ impl std::error::Error for TxError {}
 impl Transmitter {
     /// Creates a transmitter.
     pub fn new(cfg: TxConfig) -> Self {
+        let mcs = cfg.mcs;
+        let interleave = (0..mcs.n_streams)
+            .map(|s| Interleaver::ht(mcs.n_cbpss(), mcs.n_bpsc(), s, mcs.n_streams).table())
+            .collect();
         Self {
             cfg,
             ofdm: Ofdm::new(),
+            interleave,
         }
     }
 
@@ -162,15 +170,14 @@ impl Transmitter {
         debug_assert_eq!(tx_bits.len() % mcs.n_cbps(), 0);
         let n_sym = tx_bits.len() / mcs.n_cbps();
 
-        let interleavers: Vec<Interleaver> = (0..n_tx)
-            .map(|s| Interleaver::ht(mcs.n_cbpss(), mcs.n_bpsc(), s, n_tx))
-            .collect();
-
+        let mut interleaved = vec![0u8; mcs.n_cbpss()];
         for sym in 0..n_sym {
             let sym_bits = &tx_bits[sym * mcs.n_cbps()..(sym + 1) * mcs.n_cbps()];
             let stream_bits = parse_streams(sym_bits, n_tx, mcs.n_bpsc());
             for (stream, s_bits) in stream_bits.iter().enumerate() {
-                let interleaved = interleavers[stream].interleave(s_bits);
+                for (&b, &t) in s_bits.iter().zip(&self.interleave[stream]) {
+                    interleaved[t as usize] = b;
+                }
                 let symbols = mcs.modulation.map(&interleaved);
                 let td = self.ht_data_symbol(&symbols, stream, n_tx, sym, mcs.modulation);
                 streams[stream].extend(td);
@@ -295,11 +302,11 @@ pub fn deparse_streams_soft(streams: &[Vec<f64>], n_bpsc: usize) -> Vec<f64> {
 
 /// [`deparse_streams_soft`] over a flat stream-major slab
 /// (`streams[st * per_stream + i]`, `per_stream = streams.len() /
-/// n_streams`), *appending* to `out` — the allocation-free path for the
-/// per-symbol RX loop, which accumulates every symbol's deparsed LLRs into
-/// one frame-long vector. Emits the same values in the same order as the
-/// nested variant.
-pub fn deparse_streams_soft_flat(
+/// n_streams`), *appending* to `out`. Emits the same values in the same
+/// order as the nested variant. Test-only: the receiver's fused gather
+/// table replaces it, and the gather's unit test uses it as the oracle.
+#[cfg(test)]
+pub(crate) fn deparse_streams_soft_flat(
     streams: &[f64],
     n_streams: usize,
     n_bpsc: usize,

@@ -48,21 +48,18 @@ pub fn normalized_cross_correlate(signal: &[Complex64], reference: &[Complex64])
 
 /// [`normalized_cross_correlate`] writing into a caller-owned vector
 /// (cleared first; capacity is reused) so warmed-up callers allocate
-/// nothing. Dispatches to the vectorized kernel under the `simd` feature;
-/// both paths produce bit-identical output (see `simd` module docs).
+/// nothing. Runs the lane kernel
+/// ([`normalized_cross_correlate_simd_into`]).
 pub fn normalized_cross_correlate_into(
     signal: &[Complex64],
     reference: &[Complex64],
     out: &mut Vec<f64>,
 ) {
-    #[cfg(feature = "simd")]
     normalized_cross_correlate_simd_into(signal, reference, out);
-    #[cfg(not(feature = "simd"))]
-    normalized_cross_correlate_scalar_into(signal, reference, out);
 }
 
 /// Scalar implementation of [`normalized_cross_correlate_into`] — the
-/// reference the vectorized path must match bit-for-bit.
+/// test oracle the lane kernel must match bit-for-bit.
 pub fn normalized_cross_correlate_scalar_into(
     signal: &[Complex64],
     reference: &[Complex64],

@@ -129,13 +129,6 @@ impl Fft {
         self.n == 0
     }
 
-    fn run(&self, buf: &mut [Complex64], dir: Direction) {
-        #[cfg(feature = "simd")]
-        self.run_simd(buf, dir);
-        #[cfg(not(feature = "simd"))]
-        self.run_scalar(buf, dir);
-    }
-
     fn prologue(&self, buf: &mut [Complex64]) {
         assert_eq!(
             buf.len(),
@@ -162,7 +155,8 @@ impl Fft {
         }
     }
 
-    /// Scalar in-place transform — the reference the vectorized path must
+    /// Scalar in-place transform — what [`Fft::forward`] and
+    /// [`Fft::inverse`] run, and the reference [`Fft::run_simd`] must
     /// match bit-for-bit.
     pub fn run_scalar(&self, buf: &mut [Complex64], dir: Direction) {
         self.prologue(buf);
@@ -206,6 +200,11 @@ impl Fft {
     /// (IEEE `x + (-y)` ≡ `x - y`, and addition commutes exactly), so
     /// the result is bit-identical to [`Fft::run_scalar`]. The `m == 1`
     /// stage and the scaling epilogue stay scalar.
+    ///
+    /// No production path calls this: at `n = 64` the lane butterflies
+    /// measured slower than the scalar ones (`results/BENCH_simd.json`,
+    /// row `fft64`), so the transforms stay scalar. It is kept only for
+    /// that benchmark row and its bit-identity tests.
     pub fn run_simd(&self, buf: &mut [Complex64], dir: Direction) {
         self.prologue(buf);
         let n = self.n;
@@ -252,16 +251,14 @@ impl Fft {
         self.epilogue(buf, dir);
     }
 
-    /// In-place forward transform (time → frequency, unscaled). Dispatches
-    /// to the vectorized butterflies under the `simd` feature; both paths
-    /// are bit-identical.
+    /// In-place forward transform (time → frequency, unscaled).
     pub fn forward(&self, buf: &mut [Complex64]) {
-        self.run(buf, Direction::Forward);
+        self.run_scalar(buf, Direction::Forward);
     }
 
     /// In-place inverse transform (frequency → time, scaled by `1/N`).
     pub fn inverse(&self, buf: &mut [Complex64]) {
-        self.run(buf, Direction::Inverse);
+        self.run_scalar(buf, Direction::Inverse);
     }
 }
 

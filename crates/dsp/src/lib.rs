@@ -10,15 +10,13 @@
 //! The crate is intentionally free of any protocol knowledge; 802.11n
 //! specifics live in `mimonet-frame` and above.
 //!
-//! ## The `simd` feature
+//! ## Lane kernels
 //!
-//! The hot kernels (sliding correlation, FFT butterflies) ship two
-//! always-compiled implementations: the scalar reference and a
-//! lane-per-output vectorized form built on [`simd::F64x4`]. Both are
-//! bit-identical (see `simd`'s module docs for the rule that makes this
-//! true); the `simd` cargo feature only flips which one the public entry
-//! points dispatch to. Downstream crates forward the feature so
-//! `mimonet/simd` turns the whole pipeline's fast paths on at once.
+//! The sliding correlation runs a lane-per-output vectorized form built
+//! on [`simd::F64x4`]; its scalar twin stays as the test oracle, and the
+//! two are bit-identical (see `simd`'s module docs for the rule that
+//! makes this true). The FFT stays on its scalar butterflies: at 64
+//! points the lane form ([`Fft::run_simd`]) measured slower.
 
 pub mod complex;
 pub mod correlate;

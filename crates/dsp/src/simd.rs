@@ -12,8 +12,8 @@
 //! never reduced against each other — no horizontal sums, no
 //! reassociated accumulators — so the SIMD path is bit-identical to the
 //! scalar path by construction, not by tolerance. `tests/simd_equivalence.rs`
-//! enforces this with proptests; the `simd` cargo feature only selects
-//! which of the two identical-result paths runs.
+//! enforces this with proptests against the scalar twins, which stay as
+//! test oracles.
 
 /// Four `f64` lanes, element-wise semantics throughout.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]

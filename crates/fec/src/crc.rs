@@ -5,25 +5,40 @@
 //! does. Parameters: polynomial 0x04C11DB7 (reflected 0xEDB88320), init
 //! 0xFFFFFFFF, reflected input/output, final XOR 0xFFFFFFFF.
 
-/// Byte-at-a-time lookup table for the reflected polynomial.
-fn table() -> &'static [u32; 256] {
-    use std::sync::OnceLock;
-    static TABLE: OnceLock<[u32; 256]> = OnceLock::new();
-    TABLE.get_or_init(|| {
-        let mut t = [0u32; 256];
-        for (i, slot) in t.iter_mut().enumerate() {
-            let mut c = i as u32;
-            for _ in 0..8 {
-                c = if c & 1 != 0 {
-                    0xEDB8_8320 ^ (c >> 1)
-                } else {
-                    c >> 1
-                };
-            }
-            *slot = c;
+/// Slicing-by-8 lookup tables for the reflected polynomial, built at
+/// compile time. `TABLES[0]` is the classic byte-at-a-time table;
+/// `TABLES[s][b]` is the CRC contribution of byte `b` followed by `s`
+/// zero bytes, so one step folds eight input bytes with eight lookups.
+static TABLES: [[u32; 256]; 8] = make_tables();
+
+const fn make_tables() -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            c = if c & 1 != 0 {
+                0xEDB8_8320 ^ (c >> 1)
+            } else {
+                c >> 1
+            };
+            bit += 1;
         }
-        t
-    })
+        t[0][i] = c;
+        i += 1;
+    }
+    let mut s = 1;
+    while s < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[s - 1][i];
+            t[s][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        s += 1;
+    }
+    t
 }
 
 /// Streaming CRC-32 accumulator.
@@ -44,12 +59,28 @@ impl Crc32 {
         Self { state: 0xFFFF_FFFF }
     }
 
-    /// Absorbs bytes.
+    /// Absorbs bytes, eight per step (slicing-by-8), the tail one at a
+    /// time.
     pub fn update(&mut self, data: &[u8]) {
-        let t = table();
-        for &b in data {
-            self.state = t[((self.state ^ b as u32) & 0xFF) as usize] ^ (self.state >> 8);
+        let t = &TABLES;
+        let mut crc = self.state;
+        let mut words = data.chunks_exact(8);
+        for w in &mut words {
+            let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+            let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+            crc = t[7][(lo & 0xFF) as usize]
+                ^ t[6][((lo >> 8) & 0xFF) as usize]
+                ^ t[5][((lo >> 16) & 0xFF) as usize]
+                ^ t[4][(lo >> 24) as usize]
+                ^ t[3][(hi & 0xFF) as usize]
+                ^ t[2][((hi >> 8) & 0xFF) as usize]
+                ^ t[1][((hi >> 16) & 0xFF) as usize]
+                ^ t[0][(hi >> 24) as usize];
         }
+        for &b in words.remainder() {
+            crc = t[0][((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
+        }
+        self.state = crc;
     }
 
     /// Finalizes and returns the CRC value.
@@ -109,6 +140,63 @@ mod tests {
         c.update(&data[..100]);
         c.update(&data[100..]);
         assert_eq!(c.finalize(), crc32(&data));
+    }
+
+    /// Bit-serial shift-register CRC-32: the definition the tables
+    /// must reproduce.
+    fn crc32_bitwise(data: &[u8]) -> u32 {
+        let mut c = 0xFFFF_FFFFu32;
+        for &b in data {
+            c ^= b as u32;
+            for _ in 0..8 {
+                c = if c & 1 != 0 {
+                    0xEDB8_8320 ^ (c >> 1)
+                } else {
+                    c >> 1
+                };
+            }
+        }
+        c ^ 0xFFFF_FFFF
+    }
+
+    fn random_bytes(len: usize, mut x: u64) -> Vec<u8> {
+        (0..len)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                (x >> 24) as u8
+            })
+            .collect()
+    }
+
+    #[test]
+    fn sliced_crc_matches_the_bitwise_reference() {
+        for len in 0..=64 {
+            for seed in 1..=4u64 {
+                let data = random_bytes(len, seed * 0x9E37_79B9 + len as u64);
+                assert_eq!(crc32(&data), crc32_bitwise(&data), "len {len}");
+            }
+        }
+        // One IqChunk-sized buffer (2 antennas x 4096 complex f64).
+        let big = random_bytes(131_072, 0xC0FFEE);
+        assert_eq!(crc32(&big), crc32_bitwise(&big));
+    }
+
+    #[test]
+    fn update_over_any_split_equals_oneshot() {
+        let data = random_bytes(300, 77);
+        let want = crc32(&data);
+        for a in 0..=data.len() {
+            for b in [a, a + 1, a + 7, a + 8, a + 9, a + 64] {
+                let b = b.min(data.len());
+                let mut c = Crc32::new();
+                c.update(&data[..a]);
+                c.update(&data[a..b]);
+                c.update(&data[b..]);
+                assert_eq!(c.finalize(), want, "splits at {a}, {b}");
+            }
+        }
     }
 
     #[test]

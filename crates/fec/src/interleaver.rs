@@ -87,6 +87,18 @@ impl Interleaver {
         false
     }
 
+    /// The whole permutation as a lookup table, computed once from the
+    /// closed form: `table[k]` is the interleaved position of input bit
+    /// `k`, so interleaving writes `out[table[k]] = bits[k]` and
+    /// deinterleaving reads `out[k] = bits[table[k]]`. Hot loops build
+    /// this once per geometry and index it instead of re-deriving every
+    /// position with integer divisions.
+    pub fn table(&self) -> Vec<u32> {
+        (0..self.n_cbpss)
+            .map(|k| self.map_index(k) as u32)
+            .collect()
+    }
+
     /// Maps input bit index `k` to its interleaved position.
     fn map_index(&self, k: usize) -> usize {
         let n = self.n_cbpss;
@@ -227,6 +239,29 @@ mod tests {
                     );
                     seen[m] = true;
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn tables_equal_the_closed_form_for_every_geometry() {
+        let mut geometries = Vec::new();
+        for n_bpsc in [1usize, 2, 4, 6] {
+            geometries.push(Interleaver::legacy(48 * n_bpsc, n_bpsc));
+            for n_ss in [1usize, 2] {
+                for stream in 0..n_ss {
+                    geometries.push(Interleaver::ht(52 * n_bpsc, n_bpsc, stream, n_ss));
+                }
+            }
+        }
+        for il in geometries {
+            let table = il.table();
+            assert_eq!(table.len(), il.len(), "{il:?}");
+            let mut seen = vec![false; il.len()];
+            for (k, &t) in table.iter().enumerate() {
+                assert_eq!(t as usize, il.map_index(k), "{il:?} bit {k}");
+                assert!(!seen[t as usize], "{il:?}: {t} hit twice");
+                seen[t as usize] = true;
             }
         }
     }

@@ -25,7 +25,7 @@ use mimonet::obs::TraceEventKind;
 // wire API surface.
 pub use mimonet::obs::TraceEvent;
 use mimonet_dsp::complex::Complex64;
-use mimonet_fec::crc::crc32;
+use mimonet_fec::crc::{crc32, Crc32};
 use std::io::{ErrorKind, Read, Write};
 
 /// Frame magic: "MIOW" (MImonet On Wire).
@@ -739,10 +739,10 @@ pub fn read_msg_opt<R: Read>(r: &mut R) -> Result<Option<WireMsg>, WireError> {
             WireError::from(e)
         }
     })?;
-    let mut crc_input = Vec::with_capacity(8 + len);
-    crc_input.extend_from_slice(&header[4..]);
-    crc_input.extend_from_slice(&rest[..len]);
-    let expected = crc32(&crc_input);
+    let mut crc = Crc32::new();
+    crc.update(&header[4..]);
+    crc.update(&rest[..len]);
+    let expected = crc.finalize();
     let got = u32::from_le_bytes(rest[len..].try_into().unwrap());
     if expected != got {
         return Err(WireError::BadCrc { expected, got });

@@ -6,10 +6,8 @@
 //! of a vectorized kernel owns one independent output (a butterfly, a
 //! lag, a symbol, a Viterbi frame) and performs the scalar operation
 //! sequence exactly, so outputs are compared with `to_bits`/`PartialEq`
-//! on raw `f64`s. The `simd` cargo feature only selects which of the two
-//! identical-result paths the receiver dispatches to — these tests pass
-//! under both `--features simd` and default builds because both paths
-//! are always compiled.
+//! on raw `f64`s. The receiver runs the lane kernels; the scalar twins
+//! stay compiled as the oracles these tests compare against.
 
 use mimonet::config::TxConfig;
 use mimonet::rx_reference::ReferenceReceiver;
