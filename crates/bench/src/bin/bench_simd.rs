@@ -1,28 +1,16 @@
-//! T5 — SIMD/batch kernels before/after: the five vectorized inner
-//! loops of the SIMD PR plus the multi-frame batch receive path, each
-//! measured against the scalar implementation kept in-tree as its
+//! T5 — lane kernels before/after: the three vectorized RX inner loops,
+//! each measured against the scalar implementation kept in-tree as its
 //! equivalence oracle:
 //!
-//! 1. **fft64** — four-butterfly-per-lane stages ([`Fft::run_simd`]) vs
-//!    the scalar butterflies ([`Fft::run_scalar`]).
-//! 2. **correlate** — four-lags-per-lane SoA correlation
+//! 1. **correlate** — four-lags-per-lane SoA correlation
 //!    ([`normalized_cross_correlate_simd_into`]) vs the scalar sliding
 //!    window ([`normalized_cross_correlate_scalar_into`]).
-//! 3. **demap** — four-symbols-per-lane soft demapping
+//! 2. **demap** — four-symbols-per-lane soft demapping
 //!    ([`Modulation::demap_soft_x4_into`]) vs four scalar
 //!    [`Modulation::demap_soft_into`] calls.
-//! 4. **viterbi_x4** — the four-frame lane decoder
-//!    ([`ViterbiDecoderX4`]) vs four one-frame
-//!    [`ViterbiDecoder::decode_soft_unterminated_into`] walks (which are
-//!    themselves vectorized across the 64 states).
-//! 5. **detect_x4** — four-observations-per-lane linear detection
+//! 3. **detect_x4** — four-observations-per-lane linear detection
 //!    ([`Prepared::apply_x4_into`]) vs four scalar
 //!    [`Prepared::apply_into`] calls.
-//!
-//! Then the frame-level payoff: **batchN** rows compare the per-frame
-//! cost of [`Receiver::receive_batch`] over N captures against N scalar
-//! [`Receiver::receive_into`] calls, for N in {1, 2, 4, 8, 16} — the
-//! batch-size curve. The N=8 row carries the acceptance target.
 //!
 //! Every pair is checked for *bit-identical* output before timing (the
 //! contract the `tests/simd_equivalence.rs` proptests enforce); a
@@ -39,18 +27,13 @@
 //! function of the seed — the property the CI job diffs against
 //! `results/golden/BENCH_simd.json`.
 
-use mimonet::{Receiver, RxBatch, RxConfig, RxFrame, RxWorkspace, Transmitter, TxConfig};
 use mimonet_bench::report::FigureReport;
 use mimonet_bench::{seeds, BenchOpts};
-use mimonet_channel::{ChannelConfig, ChannelSim};
 use mimonet_detect::{prepare, CMat, DetectorKind, Prepared};
 use mimonet_dsp::complex::Complex64;
 use mimonet_dsp::correlate::{
     normalized_cross_correlate_scalar_into, normalized_cross_correlate_simd_into,
 };
-use mimonet_dsp::fft::Direction;
-use mimonet_dsp::Fft;
-use mimonet_fec::{ConvEncoder, ViterbiDecoder, ViterbiDecoderX4};
 use mimonet_frame::Modulation;
 use serde::{Serialize, Value};
 use std::hint::black_box;
@@ -64,7 +47,7 @@ struct BenchRow {
     /// Whether the lane path is bit-identical to the scalar path.
     matches: bool,
     /// Best-of-reps mean per-call nanoseconds; `None` in deterministic
-    /// mode. For `batchN` rows these are *per-frame* nanoseconds.
+    /// mode.
     before_ns: Option<f64>,
     after_ns: Option<f64>,
 }
@@ -111,56 +94,6 @@ fn bits_eq(a: f64, b: f64) -> bool {
 
 fn complex_bits_eq(a: Complex64, b: Complex64) -> bool {
     bits_eq(a.re, b.re) && bits_eq(a.im, b.im)
-}
-
-fn bench_fft(det: bool, opts: &BenchOpts) -> BenchRow {
-    // A slab of 64 data-symbol-sized transforms per call, fresh input
-    // each time (an in-place transform re-run on its own output would
-    // drift numerically).
-    const N: usize = 64;
-    const SLAB: usize = 64;
-    let plan = Fft::new(N);
-    let src: Vec<Complex64> = (0..N * SLAB)
-        .map(|i| Complex64::cis(i as f64 * 0.61) * (1.0 + 0.05 * (i % 5) as f64))
-        .collect();
-
-    let mut a = src.clone();
-    let mut b = src.clone();
-    for k in 0..SLAB {
-        plan.run_scalar(&mut a[k * N..(k + 1) * N], Direction::Forward);
-        plan.run_simd(&mut b[k * N..(k + 1) * N], Direction::Forward);
-    }
-    let matches = a.iter().zip(&b).all(|(x, y)| complex_bits_eq(*x, *y));
-
-    let mut buf = vec![Complex64::ZERO; N * SLAB];
-    let (before_ns, after_ns) = if det {
-        (None, None)
-    } else {
-        let iters = opts.count(2000, 200);
-        (
-            Some(time_ns(3, iters, || {
-                buf.copy_from_slice(&src);
-                for k in 0..SLAB {
-                    plan.run_scalar(&mut buf[k * N..(k + 1) * N], Direction::Forward);
-                }
-                black_box(buf[0].re);
-            })),
-            Some(time_ns(3, iters, || {
-                buf.copy_from_slice(&src);
-                for k in 0..SLAB {
-                    plan.run_simd(&mut buf[k * N..(k + 1) * N], Direction::Forward);
-                }
-                black_box(buf[0].re);
-            })),
-        )
-    };
-    BenchRow {
-        name: "fft64",
-        work_items: (N * SLAB) as u64,
-        matches,
-        before_ns,
-        after_ns,
-    }
 }
 
 fn bench_correlate(det: bool, opts: &BenchOpts) -> BenchRow {
@@ -265,84 +198,6 @@ fn bench_demap(det: bool, opts: &BenchOpts) -> BenchRow {
     BenchRow {
         name: "demap",
         work_items: (QUADS * 4 * bp) as u64,
-        matches,
-        before_ns,
-        after_ns,
-    }
-}
-
-fn bench_viterbi_x4(det: bool, opts: &BenchOpts) -> BenchRow {
-    // Four equal-length coded streams, one per lane — the shape the
-    // batch FEC layer feeds the lane decoder.
-    let streams: Vec<Vec<f64>> = (0..4usize)
-        .map(|lane| {
-            let data: Vec<u8> = (0..1500)
-                .map(|i: usize| (((i + 311 * lane) * 1103515245 + 12345) >> 16 & 1) as u8)
-                .collect();
-            ConvEncoder::new()
-                .encode(&data)
-                .iter()
-                .enumerate()
-                .map(|(i, &b)| {
-                    let mag = 3.5 + 0.5 * ((i % 9) as f64 / 8.0);
-                    if b == 0 {
-                        mag
-                    } else {
-                        -mag
-                    }
-                })
-                .collect()
-        })
-        .collect();
-
-    let mut dec = ViterbiDecoder::new();
-    let mut want: Vec<Vec<u8>> = vec![Vec::new(); 4];
-    for lane in 0..4 {
-        dec.decode_soft_unterminated_into(&streams[lane], &mut want[lane])
-            .unwrap();
-    }
-    let mut x4 = ViterbiDecoderX4::new();
-    let mut got: Vec<Vec<u8>> = vec![Vec::new(); 4];
-    {
-        let [g0, g1, g2, g3] = &mut got[..] else {
-            unreachable!()
-        };
-        x4.decode_soft_unterminated_x4_into(
-            [&streams[0], &streams[1], &streams[2], &streams[3]],
-            [g0, g1, g2, g3],
-        )
-        .unwrap();
-    }
-    let matches = got == want;
-
-    let mut out = Vec::new();
-    let (before_ns, after_ns) = if det {
-        (None, None)
-    } else {
-        let iters = opts.count(30, 3);
-        (
-            Some(time_ns(3, iters, || {
-                for s in &streams {
-                    dec.decode_soft_unterminated_into(s, &mut out).unwrap();
-                }
-                black_box(out.len());
-            })),
-            Some(time_ns(3, iters, || {
-                let [g0, g1, g2, g3] = &mut got[..] else {
-                    unreachable!()
-                };
-                x4.decode_soft_unterminated_x4_into(
-                    [&streams[0], &streams[1], &streams[2], &streams[3]],
-                    [g0, g1, g2, g3],
-                )
-                .unwrap();
-                black_box(got[0].len());
-            })),
-        )
-    };
-    BenchRow {
-        name: "viterbi_x4",
-        work_items: streams.iter().map(|s| s.len() as u64).sum(),
         matches,
         before_ns,
         after_ns,
@@ -455,102 +310,24 @@ fn bench_detect_x4(det: bool, opts: &BenchOpts) -> BenchRow {
     }
 }
 
-/// One `batchN` row: per-frame cost of `receive_batch` over `n` captures
-/// vs `n` scalar `receive_into` calls on the same captures.
-fn bench_batch(n: usize, det: bool, opts: &BenchOpts) -> BenchRow {
-    let tx = Transmitter::new(TxConfig::new(9).unwrap());
-    let mut captures: Vec<Vec<Vec<Complex64>>> = Vec::new();
-    for k in 0..n {
-        let psdu: Vec<u8> = (0..300).map(|i| (i + 29 * k) as u8).collect();
-        let mut streams = tx.transmit(&psdu).unwrap();
-        for s in &mut streams {
-            let mut p = vec![Complex64::ZERO; 160];
-            p.extend_from_slice(s);
-            p.extend(vec![Complex64::ZERO; 400]);
-            *s = p;
-        }
-        let mut chan = ChannelSim::new(ChannelConfig::awgn(2, 2, 30.0), seeds::SIMD ^ k as u64);
-        let (noisy, _) = chan.apply(&streams);
-        captures.push(noisy);
-    }
-    let views: Vec<Vec<&[Complex64]>> = captures
-        .iter()
-        .map(|c| c.iter().map(|s| s.as_slice()).collect())
-        .collect();
-
-    let rx = Receiver::new(RxConfig::new(2));
-    let mut ws = RxWorkspace::new();
-    let mut frame = RxFrame::default();
-    let mut want: Vec<RxFrame> = Vec::new();
-    for v in &views {
-        rx.receive_into(v, &mut ws, &mut frame).expect("decodes");
-        want.push(frame.clone());
-    }
-    let mut batch = RxBatch::new();
-    rx.receive_batch(&captures, &mut ws, &mut batch);
-    let matches = (0..n).all(|i| batch.result(i).map(|f| f == &want[i]).unwrap_or(false));
-
-    let (before_ns, after_ns) = if det {
-        (None, None)
-    } else {
-        let iters = opts.count((160 / n).max(4), (16 / n).max(2));
-        (
-            Some(
-                time_ns(3, iters, || {
-                    for v in &views {
-                        rx.receive_into(v, &mut ws, &mut frame).unwrap();
-                        black_box(frame.psdu.len());
-                    }
-                }) / n as f64,
-            ),
-            Some(
-                time_ns(3, iters, || {
-                    rx.receive_batch(&captures, &mut ws, &mut batch);
-                    black_box(batch.len());
-                }) / n as f64,
-            ),
-        )
-    };
-    BenchRow {
-        name: match n {
-            1 => "batch1",
-            2 => "batch2",
-            4 => "batch4",
-            8 => "batch8",
-            16 => "batch16",
-            _ => unreachable!("unlisted batch size"),
-        },
-        work_items: n as u64,
-        matches,
-        before_ns,
-        after_ns,
-    }
-}
-
 fn main() {
     let opts = BenchOpts::from_args();
     let mut report = FigureReport::new(
         "BENCH_simd",
-        "SIMD/batch kernels before/after: lane FFT, SoA correlation, x4 demap/Viterbi/detect, multi-frame receive_batch",
+        "Lane kernels before/after: SoA correlation, x4 demap, x4 detect",
         "benchmark index",
         seeds::SIMD,
         &opts,
     );
     let det = report.is_deterministic();
 
-    let mut rows = vec![
-        bench_fft(det, &opts),
+    let rows = [
         bench_correlate(det, &opts),
         bench_demap(det, &opts),
-        bench_viterbi_x4(det, &opts),
         bench_detect_x4(det, &opts),
     ];
-    let kernel_rows = rows.len();
-    for n in [1usize, 2, 4, 8, 16] {
-        rows.push(bench_batch(n, det, &opts));
-    }
 
-    println!("# T5: SIMD/batch kernels before/after (best-of-3, release)");
+    println!("# T5: lane kernels before/after (best-of-3, release)");
     if det {
         println!("{:<10} {:>10} {:>10}", "bench", "items", "matches");
         for r in &rows {
@@ -571,12 +348,12 @@ fn main() {
                 r.speedup().unwrap()
             );
         }
-        let geomean = rows[..kernel_rows]
+        let geomean = rows
             .iter()
             .map(|r| r.speedup().unwrap().ln())
             .sum::<f64>()
             .exp()
-            .powf(1.0 / kernel_rows as f64);
+            .powf(1.0 / rows.len() as f64);
         println!("kernel speedup geomean: {geomean:.2}x");
         report.meta("kernel_geomean_speedup", geomean.serialize());
     }
@@ -597,10 +374,7 @@ fn main() {
     );
     report.meta(
         "targets",
-        Value::object([
-            ("kernel_min_geomean_speedup", 1.5f64.serialize()),
-            ("batch8_min_speedup", 1.15f64.serialize()),
-        ]),
+        Value::object([("kernel_min_geomean_speedup", 1.5f64.serialize())]),
     );
     report.finish();
 }

@@ -11,7 +11,7 @@
 
 use crate::config::{RxConfig, TxConfig};
 use crate::obs::{frame_trace_id, traced_receive_into, TraceCollector, TraceEventKind};
-use crate::rx::{Receiver, RxBatch, RxFrame, RxWorkspace};
+use crate::rx::{Receiver, RxFrame, RxWorkspace};
 use crate::telemetry::StageProfile;
 use crate::tx::Transmitter;
 use mimonet_channel::{ChannelConfig, ChannelSim};
@@ -226,26 +226,18 @@ pub struct RxBlock {
     rx: Receiver,
     burst_len: usize,
     tracer: Option<RxTracer>,
-    /// Recycled multi-burst state for the untraced path: each `work`
-    /// call drains every complete burst, decodes them as one
-    /// [`Receiver::receive_batch`] group (FEC amortized across frames),
-    /// and emits the results in burst order.
+    /// Decode scratch, recycled burst to burst on both paths.
     ws: RxWorkspace,
-    batch: RxBatch,
-    captures: Vec<Vec<Vec<Complex64>>>,
+    frame: RxFrame,
     tel: Option<std::sync::Arc<mimonet_runtime::BlockTelemetry>>,
 }
 
-/// Trace state for a traced [`RxBlock`]: the collector handle plus the
-/// preallocated workspace/profile/frame scratch that keeps the traced
-/// decode path on the same zero-allocation footing as
-/// `receive_profiled_into`.
+/// Trace state for a traced [`RxBlock`]: the collector handle, the
+/// burst counter trace ids derive from, and the stage-profile scratch.
 struct RxTracer {
     link: LinkTracer,
     frame: u32,
-    ws: RxWorkspace,
     profile: StageProfile,
-    scratch: RxFrame,
 }
 
 impl RxBlock {
@@ -257,8 +249,7 @@ impl RxBlock {
             burst_len,
             tracer: None,
             ws: RxWorkspace::new(),
-            batch: RxBatch::new(),
-            captures: Vec::new(),
+            frame: RxFrame::default(),
             tel: None,
         }
     }
@@ -270,9 +261,7 @@ impl RxBlock {
         b.tracer = Some(RxTracer {
             link: tracer,
             frame: 0,
-            ws: RxWorkspace::default(),
             profile: StageProfile::default(),
-            scratch: RxFrame::default(),
         });
         b
     }
@@ -294,79 +283,41 @@ impl Block for RxBlock {
         outputs: &mut [OutputBuffer],
         ctx: &mut BlockCtx<'_>,
     ) -> WorkStatus {
-        let mut progressed = false;
-        if self.tracer.is_none() {
-            // Untraced path: drain every complete burst, decode them as
-            // one multi-frame batch (FEC amortized across frames), then
-            // publish/emit per burst in arrival order — the exact
-            // messages and output bytes of the per-burst loop below.
-            let mut count = 0usize;
-            while inputs.iter().all(|i| i.available() >= self.burst_len) {
-                let bufs: Vec<Vec<Complex64>> = inputs
-                    .iter_mut()
-                    .map(|i| convert::to_complex(&i.take(self.burst_len)))
-                    .collect();
-                if self.captures.len() <= count {
-                    self.captures.push(bufs);
-                } else {
-                    self.captures[count] = bufs;
-                }
-                count += 1;
-            }
-            if count > 0 {
-                progressed = true;
-                self.rx
-                    .receive_batch(&self.captures[..count], &mut self.ws, &mut self.batch);
-                if let Some(tel) = &self.tel {
-                    tel.batch_frames.record(count as u64);
-                }
-                for i in 0..count {
-                    if let Ok(frame) = self.batch.result(i) {
-                        ctx.msgs.publish("mimonet.snr", Message::F64(frame.snr_db));
-                        ctx.msgs
-                            .publish("mimonet.frames", Message::Bytes(frame.psdu.clone()));
-                        outputs[0].add_tag(
-                            outputs[0].offset(),
-                            "frame_start",
-                            TagValue::U64(frame.psdu.len() as u64),
-                        );
-                        outputs[0].push_slice(&convert::from_bytes(&frame.psdu));
-                    }
-                }
-            }
-        }
+        let mut bursts = 0u64;
         while inputs.iter().all(|i| i.available() >= self.burst_len) {
             let bufs: Vec<Vec<Complex64>> = inputs
                 .iter_mut()
                 .map(|i| convert::to_complex(&i.take(self.burst_len)))
                 .collect();
-            let (decoded, trace_id) = match &mut self.tracer {
+            let views: Vec<&[Complex64]> = bufs.iter().map(Vec::as_slice).collect();
+            bursts += 1;
+            let decoded = match &mut self.tracer {
                 Some(tr) => {
-                    let views: Vec<&[Complex64]> = bufs.iter().map(Vec::as_slice).collect();
                     let trace_id = frame_trace_id(tr.link.root, tr.frame);
                     let res = traced_receive_into(
                         &self.rx,
                         &views,
-                        &mut tr.ws,
+                        &mut self.ws,
                         &mut tr.profile,
-                        &mut tr.scratch,
+                        &mut self.frame,
                         &tr.link.collector,
                         trace_id,
                         tr.frame,
                     );
                     tr.frame += 1;
-                    (res.ok().map(|()| tr.scratch.clone()), trace_id)
+                    if res.is_ok() {
+                        // Burst index != decode index under loss, so the
+                        // decoded frame's trace id travels with it (hex,
+                        // the hub has no u64 payload variant).
+                        ctx.msgs
+                            .publish("mimonet.trace", Message::Event(format!("{trace_id:#018x}")));
+                    }
+                    res
                 }
-                None => (self.rx.receive(&bufs).ok(), 0),
+                None => self.rx.receive_into(&views, &mut self.ws, &mut self.frame),
             };
-            if let Some(frame) = decoded {
-                if self.tracer.is_some() {
-                    // Burst index != decode index under loss, so the
-                    // decoded frame's trace id travels with it (hex, the
-                    // hub has no u64 payload variant).
-                    ctx.msgs
-                        .publish("mimonet.trace", Message::Event(format!("{trace_id:#018x}")));
-                }
+            if decoded.is_ok() {
+                let frame = &self.frame;
                 ctx.msgs.publish("mimonet.snr", Message::F64(frame.snr_db));
                 ctx.msgs
                     .publish("mimonet.frames", Message::Bytes(frame.psdu.clone()));
@@ -377,7 +328,14 @@ impl Block for RxBlock {
                 );
                 outputs[0].push_slice(&convert::from_bytes(&frame.psdu));
             }
-            progressed = true;
+        }
+        let progressed = bursts > 0;
+        // One `batch_frames` observation per untraced `work` call: the
+        // number of bursts it decoded.
+        if progressed && self.tracer.is_none() {
+            if let Some(tel) = &self.tel {
+                tel.batch_frames.record(bursts);
+            }
         }
         if progressed {
             WorkStatus::Progress

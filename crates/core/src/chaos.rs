@@ -9,8 +9,8 @@
 //! `fig_chaos` figure assert on.
 //!
 //! Everything is a pure function of `(config, seed)`: trial seeds derive
-//! with the sweep engine's [`mix`], so a chaos sweep is bit-identical at
-//! any `--threads` count.
+//! with the sweep engine's [`mix`](mimonet_dsp::seedtree::mix), so a
+//! chaos sweep is bit-identical at any `--threads` count.
 
 use crate::config::{RxConfig, TxConfig};
 use crate::link::LinkStats;

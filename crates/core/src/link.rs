@@ -4,10 +4,10 @@
 
 use crate::config::{RxConfig, TxConfig};
 use crate::metrics::{BerCounter, PerCounter, RecoveryCounter};
-use crate::rx::{Receiver, RxBatch, RxError, RxFrame};
+use crate::rx::{Receiver, RxError};
 use crate::telemetry::{FrameOutcomes, StageProfile};
 use crate::tx::Transmitter;
-use mimonet_channel::{ChannelConfig, ChannelSim, ChannelTruth};
+use mimonet_channel::{ChannelConfig, ChannelSim};
 use mimonet_dsp::complex::Complex64;
 use mimonet_dsp::stats::Running;
 use mimonet_frame::psdu::Mpdu;
@@ -122,8 +122,6 @@ pub struct LinkSim {
     chan: ChannelSim,
     rng: ChaCha8Rng,
     seq: u16,
-    /// Recycled multi-frame RX state for [`Self::run_batch`].
-    batch: RxBatch,
 }
 
 impl LinkSim {
@@ -148,7 +146,6 @@ impl LinkSim {
             chan,
             rng: ChaCha8Rng::seed_from_u64(seed),
             seq: 0,
-            batch: RxBatch::new(),
         }
     }
 
@@ -171,16 +168,6 @@ impl LinkSim {
     /// [`Self::run_frame`] with RX-stage timing spans recorded into
     /// `profile` (see [`crate::Receiver::receive_profiled`]).
     pub fn run_frame_profiled(&mut self, stats: &mut LinkStats, profile: &mut StageProfile) {
-        let (psdu, payload, rx_streams, truth) = self.next_tx_frame();
-        let res = self.rx.receive_profiled(&rx_streams, profile);
-        self.record_outcome(stats, &psdu, &payload, &truth, res.as_ref());
-    }
-
-    /// Draws the next frame from the seeded TX side: payload, PSDU,
-    /// channel-faded per-antenna captures and the channel's ground truth.
-    /// Consumes exactly the RNG draws [`Self::run_frame`] would.
-    #[allow(clippy::type_complexity)]
-    fn next_tx_frame(&mut self) -> (Vec<u8>, Vec<u8>, Vec<Vec<Complex64>>, ChannelTruth) {
         let payload: Vec<u8> = (0..self.cfg.payload_len).map(|_| self.rng.gen()).collect();
         let mpdu = Mpdu::data([0x02; 6], [0x04; 6], self.seq, payload.clone());
         self.seq = (self.seq + 1) & 0x0FFF;
@@ -194,21 +181,8 @@ impl LinkSim {
             *s = padded;
         }
         let (rx_streams, truth) = self.chan.apply(&streams);
-        (psdu, payload, rx_streams, truth)
-    }
 
-    /// Folds one frame's RX outcome into `stats` — shared verbatim
-    /// between the per-frame and batched paths, so the two produce
-    /// identical statistics for identical decode results.
-    fn record_outcome(
-        &self,
-        stats: &mut LinkStats,
-        psdu: &[u8],
-        payload: &[u8],
-        truth: &ChannelTruth,
-        res: Result<&RxFrame, &RxError>,
-    ) {
-        match res {
+        match self.rx.receive_profiled(&rx_streams, profile) {
             Ok(frame) => {
                 stats.snr_est_db.push(frame.snr_db);
                 if let Some(e) = frame.evm_snr_db {
@@ -224,8 +198,8 @@ impl LinkSim {
                 }
 
                 if frame.psdu.len() == psdu.len() {
-                    stats.payload_ber.compare_bytes(psdu, &frame.psdu);
-                    let reference = self.tx.coded_bits(psdu);
+                    stats.payload_ber.compare_bytes(&psdu, &frame.psdu);
+                    let reference = self.tx.coded_bits(&psdu);
                     if frame.coded_hard.len() == reference.len() {
                         stats.coded_ber.compare_bits(&reference, &frame.coded_hard);
                     }
@@ -247,7 +221,7 @@ impl LinkSim {
                 }
             }
             Err(e) => {
-                stats.outcomes.record_error(e);
+                stats.outcomes.record_error(&e);
                 match e {
                     // FEC failures keep their historical sync-class PER
                     // attribution (they used to surface as `SyncLost`);
@@ -268,49 +242,11 @@ impl LinkSim {
         }
     }
 
-    /// Runs `n` frames through the link as one batch, updating `stats`
-    /// exactly as `n` [`Self::run_frame`] calls would (same RNG draws,
-    /// same decode results, same accumulation order) while amortizing the
-    /// receiver's FEC stage across frames via
-    /// [`Receiver::receive_batch`].
-    pub fn run_batch(&mut self, n: usize, stats: &mut LinkStats) {
-        let mut psdus = Vec::with_capacity(n);
-        let mut payloads = Vec::with_capacity(n);
-        let mut captures = Vec::with_capacity(n);
-        let mut truths = Vec::with_capacity(n);
-        for _ in 0..n {
-            let (psdu, payload, rx_streams, truth) = self.next_tx_frame();
-            psdus.push(psdu);
-            payloads.push(payload);
-            captures.push(rx_streams);
-            truths.push(truth);
-        }
-        crate::rx::with_workspace(|ws| {
-            self.rx.receive_batch(&captures, ws, &mut self.batch);
-        });
-        for i in 0..n {
-            self.record_outcome(
-                stats,
-                &psdus[i],
-                &payloads[i],
-                &truths[i],
-                self.batch.result(i),
-            );
-        }
-    }
-
     /// Runs `n` frames and returns the aggregated statistics.
-    ///
-    /// Internally chunks through [`Self::run_batch`]; the statistics are
-    /// bit-identical to `n` sequential [`Self::run_frame`] calls.
     pub fn run(&mut self, n: usize) -> LinkStats {
-        const CHUNK: usize = 8;
         let mut stats = LinkStats::default();
-        let mut left = n;
-        while left > 0 {
-            let take = left.min(CHUNK);
-            self.run_batch(take, &mut stats);
-            left -= take;
+        for _ in 0..n {
+            self.run_frame(&mut stats);
         }
         stats
     }

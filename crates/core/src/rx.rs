@@ -57,7 +57,7 @@ use mimonet_dsp::complex::Complex64;
 use mimonet_dsp::stats::lin_to_db;
 use mimonet_fec::interleaver::Interleaver;
 use mimonet_fec::puncture::depuncture_soft_into;
-use mimonet_fec::{Symbol, ViterbiDecoder, ViterbiDecoderX4};
+use mimonet_fec::{Symbol, ViterbiDecoder};
 use mimonet_frame::carriers::{carrier_to_bin, FFT_LEN, PILOT_CARRIERS};
 use mimonet_frame::mcs::Mcs;
 use mimonet_frame::ofdm::Ofdm;
@@ -467,25 +467,7 @@ fn with_full_views<T: AsRef<[Complex64]>, R>(
     }
 }
 
-/// What `receive_front` hands to `fec_finish`: everything stage 10
-/// needs beyond the workspace's depunctured LLR slab.
-struct FrontInfo {
-    psdu_len: usize,
-}
-
-/// One deferred FEC decode inside an [`RxBatch`]:
-/// `llr_slab[off..off + len]` holds the mother-code LLR stream for the
-/// frame in slot `slot`.
-#[derive(Clone, Copy, Debug)]
-struct BatchJob {
-    slot: usize,
-    off: usize,
-    len: usize,
-    psdu_len: usize,
-}
-
-/// Per-frame outputs plus cross-frame FEC scratch for
-/// [`Receiver::receive_batch`].
+/// Per-capture outcomes of [`Receiver::receive_batch`].
 ///
 /// Like [`RxWorkspace`], everything is recycled between calls: after one
 /// warming batch of the same shape, `receive_batch` performs no heap
@@ -494,11 +476,6 @@ struct BatchJob {
 pub struct RxBatch {
     frames: Vec<RxFrame>,
     results: Vec<Option<RxError>>,
-    llr_slab: Vec<f64>,
-    jobs: Vec<BatchJob>,
-    order: Vec<usize>,
-    decoded4: [Vec<u8>; 4],
-    x4: ViterbiDecoderX4,
 }
 
 impl RxBatch {
@@ -543,57 +520,11 @@ impl RxBatch {
         self.results.iter().filter(|r| r.is_none()).count()
     }
 
-    /// Takes frame `i` out of the batch (leaving a default in its place),
-    /// panicking if that capture failed to decode.
-    pub fn take_frame(&mut self, i: usize) -> RxFrame {
-        assert!(
-            self.results[i].is_none(),
-            "capture {i} failed: {}",
-            self.results[i].as_ref().expect("just checked")
-        );
-        std::mem::take(&mut self.frames[i])
-    }
-
     /// Resets for a new batch of `n` captures, keeping capacity.
     fn reset(&mut self, n: usize) {
-        if self.frames.len() < n {
-            self.frames.resize_with(n, RxFrame::default);
-        }
-        self.frames.truncate(n);
+        self.frames.resize_with(n, RxFrame::default);
         self.results.clear();
         self.results.resize(n, None);
-        self.llr_slab.clear();
-        self.jobs.clear();
-        self.order.clear();
-    }
-}
-
-/// Per-capture cursor for [`Receiver::scan_batch`] — the loop state of
-/// one `scan_with` pass, suspended while the capture's next FEC decode
-/// waits for lane partners from the other captures.
-struct ScanState {
-    offset: usize,
-    len: usize,
-    done: bool,
-    out: Vec<(usize, RxFrame)>,
-    stats: ScanStats,
-    frame: RxFrame,
-    /// A deferred decode: `(slab_offset, llr_len, psdu_len)`.
-    job: Option<(usize, usize, usize)>,
-}
-
-/// Applies a deferred FEC outcome to a suspended scan cursor — the exact
-/// `Ok(())` / `Err(RxError::Fec)` arms of `scan_with`'s match.
-fn scan_resume(st: &mut ScanState, fec_ok: bool) {
-    const ERROR_STRIDE: usize = 400;
-    if fec_ok {
-        let end = st.frame.frame_end;
-        st.out.push((st.offset, std::mem::take(&mut st.frame)));
-        st.offset += end.max(ERROR_STRIDE);
-    } else {
-        st.stats.rescans += 1;
-        st.stats.fec_errors += 1;
-        st.offset += ERROR_STRIDE;
     }
 }
 
@@ -733,16 +664,10 @@ impl Receiver {
     }
 
     /// Decodes one frame from each of `captures` (each a slice of
-    /// per-antenna buffers), amortizing the FEC stage across frames.
-    ///
-    /// The front of the pipeline (detection through depuncturing) runs
-    /// per capture exactly as [`Self::receive_into`] would; with soft
-    /// decoding the Viterbi work is then deferred, grouped by coded
-    /// length, and run four frames at a time through the lane decoder
-    /// ([`ViterbiDecoderX4`]), which walks one trellis for four LLR
-    /// streams. Outcomes land in `batch` in capture order and are
-    /// **bit-identical** to per-capture [`Self::receive_into`] calls
-    /// (pinned by `tests/simd_equivalence.rs`).
+    /// per-antenna buffers) into `batch`, in capture order. It is a loop
+    /// of [`Self::receive_into`] calls over one workspace, so every slot
+    /// holds exactly what that call returns; the engine's decode plane
+    /// drains its queued captures through it.
     ///
     /// Like `receive_into`, allocation-free once `ws` and `batch` are
     /// warmed on a batch of the same shape.
@@ -755,264 +680,9 @@ impl Receiver {
         batch.reset(captures.len());
         for (slot, cap) in captures.iter().enumerate() {
             let frame = &mut batch.frames[slot];
-            let mut profile = StageProfile::default();
-            let mut clock = StageClock::start();
-            let res = with_full_views(cap.as_ref(), |views| {
-                self.receive_front(views, ws, &mut profile, &mut clock, frame)
-            });
-            match res {
-                Ok(front) => {
-                    if self.cfg.soft_decoding {
-                        let off = batch.llr_slab.len();
-                        batch.llr_slab.extend_from_slice(&ws.full_llrs);
-                        batch.jobs.push(BatchJob {
-                            slot,
-                            off,
-                            len: ws.full_llrs.len(),
-                            psdu_len: front.psdu_len,
-                        });
-                    } else if let Err(e) = self.fec_finish(ws, front.psdu_len, frame) {
-                        batch.results[slot] = Some(e);
-                    }
-                }
-                Err(e) => batch.results[slot] = Some(e),
-            }
+            let res = with_full_views(cap.as_ref(), |views| self.receive_into(views, ws, frame));
+            batch.results[slot] = res.err();
         }
-        self.flush_fec(ws, batch);
-    }
-
-    /// Drains an [`RxBatch`]'s deferred soft decodes: jobs are grouped by
-    /// coded length (the lane decoder requires equal-length streams) and
-    /// run four at a time; stragglers take the one-frame decoder.
-    fn flush_fec(&self, ws: &mut RxWorkspace, batch: &mut RxBatch) {
-        let RxBatch {
-            frames,
-            results,
-            llr_slab,
-            jobs,
-            order,
-            decoded4,
-            x4,
-        } = batch;
-        order.extend(0..jobs.len());
-        order.sort_unstable_by_key(|&i| (jobs[i].len, i));
-        let mut i = 0;
-        while i < order.len() {
-            let len = jobs[order[i]].len;
-            let mut j = i;
-            while j < order.len() && jobs[order[j]].len == len {
-                j += 1;
-            }
-            let mut k = i;
-            while k + 4 <= j {
-                let idx = [order[k], order[k + 1], order[k + 2], order[k + 3]];
-                let llrs = idx.map(|q| &llr_slab[jobs[q].off..jobs[q].off + len]);
-                let ok = {
-                    let [d0, d1, d2, d3] = &mut *decoded4;
-                    x4.decode_soft_unterminated_x4_into(llrs, [d0, d1, d2, d3])
-                        .is_ok()
-                };
-                for (lane, &q) in idx.iter().enumerate() {
-                    let job = jobs[q];
-                    let fec_ok = ok
-                        && descramble_data_bits_into(
-                            &decoded4[lane],
-                            job.psdu_len,
-                            &mut ws.descramble_scratch,
-                            &mut frames[job.slot].psdu,
-                        );
-                    if !fec_ok {
-                        results[job.slot] = Some(RxError::Fec);
-                    }
-                }
-                k += 4;
-            }
-            while k < j {
-                let job = jobs[order[k]];
-                let fec_ok = ws
-                    .viterbi
-                    .decode_soft_unterminated_into(
-                        &llr_slab[job.off..job.off + job.len],
-                        &mut ws.decoded,
-                    )
-                    .is_ok()
-                    && descramble_data_bits_into(
-                        &ws.decoded,
-                        job.psdu_len,
-                        &mut ws.descramble_scratch,
-                        &mut frames[job.slot].psdu,
-                    );
-                if !fec_ok {
-                    results[job.slot] = Some(RxError::Fec);
-                }
-                k += 1;
-            }
-            i = j;
-        }
-    }
-
-    /// Scans several multi-frame captures at once, producing per capture
-    /// exactly what [`Self::scan`] would — same frames, same offsets,
-    /// same [`ScanStats`] — while batching the FEC decodes *across*
-    /// captures through the lane Viterbi.
-    ///
-    /// Each capture's scan cursor advances sequentially (the offset after
-    /// a decode attempt depends on that attempt's FEC outcome, so decodes
-    /// within one capture cannot be reordered); whenever a cursor reaches
-    /// a deferred decode it suspends, and suspended decodes from
-    /// different captures are flushed together in lanes of four.
-    pub fn scan_batch<T: AsRef<[Complex64]>, C: AsRef<[T]>>(
-        &self,
-        captures: &[C],
-        ws: &mut RxWorkspace,
-    ) -> Vec<(Vec<(usize, RxFrame)>, ScanStats)> {
-        const ERROR_STRIDE: usize = 400;
-        let mut states: Vec<ScanState> = captures
-            .iter()
-            .map(|c| ScanState {
-                offset: 0,
-                len: c
-                    .as_ref()
-                    .iter()
-                    .map(|a| a.as_ref().len())
-                    .min()
-                    .unwrap_or(0),
-                done: false,
-                out: Vec::new(),
-                stats: ScanStats::default(),
-                frame: RxFrame::default(),
-                job: None,
-            })
-            .collect();
-        let mut slab: Vec<f64> = Vec::new();
-        let mut pending: Vec<usize> = Vec::new();
-        let mut x4 = ViterbiDecoderX4::new();
-        let mut decoded4: [Vec<u8>; 4] = Default::default();
-
-        loop {
-            slab.clear();
-            pending.clear();
-            for (ci, st) in states.iter_mut().enumerate() {
-                if st.done {
-                    continue;
-                }
-                let cap = captures[ci].as_ref();
-                // Advance this cursor until its next decode is deferred
-                // (soft FEC pending) or the capture is exhausted. Every
-                // arm below mirrors `scan_with`'s match verbatim.
-                loop {
-                    if st.offset + 640 >= st.len {
-                        st.done = true;
-                        break;
-                    }
-                    let hi = (st.offset + MAX_FRAME_SPAN).min(st.len);
-                    let mut profile = StageProfile::default();
-                    let mut clock = StageClock::start();
-                    let res = with_views(cap, st.offset, hi, |window| {
-                        self.receive_front(window, ws, &mut profile, &mut clock, &mut st.frame)
-                    });
-                    match res {
-                        Ok(front) => {
-                            if self.cfg.soft_decoding {
-                                let off = slab.len();
-                                slab.extend_from_slice(&ws.full_llrs);
-                                st.job = Some((off, ws.full_llrs.len(), front.psdu_len));
-                                pending.push(ci);
-                                break;
-                            }
-                            let fec_ok = self.fec_finish(ws, front.psdu_len, &mut st.frame).is_ok();
-                            scan_resume(st, fec_ok);
-                        }
-                        Err(RxError::NoPacket) => {
-                            if hi == st.len {
-                                st.done = true;
-                                break;
-                            }
-                            st.offset = hi - 640;
-                        }
-                        Err(RxError::AntennaMismatch { .. }) => {
-                            st.done = true;
-                            break;
-                        }
-                        Err(e) => {
-                            st.stats.rescans += 1;
-                            match e {
-                                RxError::LSig(_)
-                                | RxError::HtSig(_)
-                                | RxError::TooManyStreams { .. } => st.stats.header_errors += 1,
-                                RxError::Fec => st.stats.fec_errors += 1,
-                                _ => st.stats.sync_errors += 1,
-                            }
-                            st.offset += ERROR_STRIDE;
-                        }
-                    }
-                }
-            }
-            if pending.is_empty() {
-                break;
-            }
-            // Flush this round's suspended decodes: group by coded
-            // length, lane-decode quads, finish stragglers one at a time.
-            pending.sort_unstable_by_key(|&ci| (states[ci].job.expect("pending has job").1, ci));
-            let mut k = 0;
-            while k < pending.len() {
-                let len = states[pending[k]].job.expect("pending has job").1;
-                let mut j = k;
-                while j < pending.len() && states[pending[j]].job.expect("pending has job").1 == len
-                {
-                    j += 1;
-                }
-                while k + 4 <= j {
-                    let idx = [pending[k], pending[k + 1], pending[k + 2], pending[k + 3]];
-                    let llrs = idx.map(|ci| {
-                        let off = states[ci].job.expect("pending has job").0;
-                        &slab[off..off + len]
-                    });
-                    let ok = {
-                        let [d0, d1, d2, d3] = &mut decoded4;
-                        x4.decode_soft_unterminated_x4_into(llrs, [d0, d1, d2, d3])
-                            .is_ok()
-                    };
-                    for (lane, &ci) in idx.iter().enumerate() {
-                        let st = &mut states[ci];
-                        let (_, _, psdu_len) = st.job.take().expect("pending has job");
-                        let fec_ok = ok
-                            && descramble_data_bits_into(
-                                &decoded4[lane],
-                                psdu_len,
-                                &mut ws.descramble_scratch,
-                                &mut st.frame.psdu,
-                            );
-                        scan_resume(st, fec_ok);
-                    }
-                    k += 4;
-                }
-                while k < j {
-                    let st = &mut states[pending[k]];
-                    let (off, len, psdu_len) = st.job.take().expect("pending has job");
-                    let fec_ok = ws
-                        .viterbi
-                        .decode_soft_unterminated_into(&slab[off..off + len], &mut ws.decoded)
-                        .is_ok()
-                        && descramble_data_bits_into(
-                            &ws.decoded,
-                            psdu_len,
-                            &mut ws.descramble_scratch,
-                            &mut st.frame.psdu,
-                        );
-                    scan_resume(st, fec_ok);
-                    k += 1;
-                }
-            }
-        }
-        states
-            .into_iter()
-            .map(|st| {
-                let mut stats = st.stats;
-                stats.frames = st.out.len();
-                (st.out, stats)
-            })
-            .collect()
     }
 
     /// Attempts to detect and decode one frame from per-antenna buffers.
@@ -1083,6 +753,8 @@ impl Receiver {
         res
     }
 
+    /// The whole pipeline, stages 1–10, decoding one frame into `frame`;
+    /// `clock` laps each completed stage into `profile`.
     fn receive_inner(
         &self,
         rx: &[&[Complex64]],
@@ -1091,25 +763,6 @@ impl Receiver {
         clock: &mut StageClock,
         frame: &mut RxFrame,
     ) -> Result<(), RxError> {
-        let front = self.receive_front(rx, ws, profile, clock, frame)?;
-        self.fec_finish(ws, front.psdu_len, frame)?;
-        clock.lap(profile, RxStage::Fec);
-        Ok(())
-    }
-
-    /// Stages 1–9 plus depuncturing: everything up to (but excluding) the
-    /// Viterbi decode. On success `ws.full_llrs` holds the mother-code
-    /// LLR stream and every `frame` field except `psdu` is final — the
-    /// caller finishes with [`Self::fec_finish`] (or defers it, which is
-    /// how [`Receiver::receive_batch`] groups FEC work across frames).
-    fn receive_front(
-        &self,
-        rx: &[&[Complex64]],
-        ws: &mut RxWorkspace,
-        profile: &mut StageProfile,
-        clock: &mut StageClock,
-        frame: &mut RxFrame,
-    ) -> Result<FrontInfo, RxError> {
         let n_rx = self.cfg.n_rx;
         if rx.len() != n_rx {
             return Err(RxError::AntennaMismatch {
@@ -1361,6 +1014,10 @@ impl Receiver {
             stream_llrs,
             all_llrs,
             full_llrs,
+            hard_syms,
+            viterbi,
+            decoded,
+            descramble_scratch,
             ..
         } = &mut *ws;
         let chan: &ChannelEstimate = if smoothed { chan_smooth } else { chan };
@@ -1537,30 +1194,8 @@ impl Receiver {
         frame
             .coded_hard
             .extend(all_llrs.iter().map(|&l| if l > 0.0 { 0 } else { 1 }));
-        Ok(FrontInfo {
-            psdu_len: htsig.length as usize,
-        })
-    }
 
-    /// Stage 10b: Viterbi decode of `ws.full_llrs` plus descrambling into
-    /// `frame.psdu`. Separated from [`Self::receive_front`] so the batch
-    /// path can group several frames' decodes through the four-lane
-    /// Viterbi — this one-frame finisher and the lane decoder are
-    /// bit-identical.
-    fn fec_finish(
-        &self,
-        ws: &mut RxWorkspace,
-        psdu_len: usize,
-        frame: &mut RxFrame,
-    ) -> Result<(), RxError> {
-        let RxWorkspace {
-            full_llrs,
-            viterbi,
-            hard_syms,
-            decoded,
-            descramble_scratch,
-            ..
-        } = &mut *ws;
+        // --- 10b. Viterbi → descramble → PSDU ---
         if self.cfg.soft_decoding {
             viterbi
                 .decode_soft_unterminated_into(full_llrs, decoded)
@@ -1578,9 +1213,15 @@ impl Receiver {
                 .decode_hard_unterminated_into(hard_syms, decoded)
                 .map_err(|_| RxError::Fec)?;
         }
-        if !descramble_data_bits_into(decoded, psdu_len, descramble_scratch, &mut frame.psdu) {
+        if !descramble_data_bits_into(
+            decoded,
+            htsig.length as usize,
+            descramble_scratch,
+            &mut frame.psdu,
+        ) {
             return Err(RxError::Fec);
         }
+        clock.lap(profile, RxStage::Fec);
         Ok(())
     }
 

@@ -446,41 +446,6 @@ impl ScenarioSpec {
             final_mcs: link.mcs,
             ..LinkReport::default()
         };
-        if controller.is_none() {
-            // Fixed-rate links: every round is pure in (link, round), so
-            // rounds batch freely — build a chunk of captures, scan them
-            // together (grouping the FEC decodes through the lane
-            // Viterbi), then score in round order. Output-identical to
-            // the sequential loop below.
-            const CHUNK: usize = 8;
-            let tx = Transmitter::new(TxConfig::new(link.mcs).expect("validated MCS"));
-            let receiver = Receiver::new(RxConfig::new(tx.mcs().n_streams));
-            let mut round = 0;
-            while round < self.rounds {
-                let hi = (round + CHUNK).min(self.rounds);
-                let mut built = Vec::with_capacity(hi - round);
-                for r in round..hi {
-                    let round_seed = seedtree::trial_seed(link_seed, seedtree::ROUND_TAG, r);
-                    built.push(self.build_round(
-                        link,
-                        link.mcs,
-                        r,
-                        round_seed,
-                        &interferers,
-                        &mut report,
-                    ));
-                }
-                let captures: Vec<_> = built.iter().map(|b| &b.rx).collect();
-                let scans = crate::rx::with_workspace(|ws| receiver.scan_batch(&captures, ws));
-                for (b, (frames, scan)) in built.iter().zip(&scans) {
-                    self.score_round(link, b, frames, scan, &mut report);
-                    report.mcs_sum += link.mcs as u64;
-                    report.rounds += 1;
-                }
-                round = hi;
-            }
-            return report;
-        }
         for round in 0..self.rounds {
             let round_seed = seedtree::trial_seed(link_seed, seedtree::ROUND_TAG, round);
             let mcs = controller

@@ -487,17 +487,12 @@ impl<S> SweepResult<S> {
 }
 
 /// Standard shard body for link-level sweeps: a fresh seeded [`LinkSim`]
-/// per shard running `ctx.trials` frames into `stats` — in chunks of up
-/// to 8 through [`LinkSim::run_batch`], which amortizes the receiver's
-/// FEC stage across frames and is bit-identical to a per-frame loop.
+/// per shard running `ctx.trials` frames into `stats`, one
+/// [`LinkSim::run_frame`] each.
 pub fn link_shard(cfg: LinkConfig, ctx: &ShardCtx, stats: &mut LinkStats) {
-    const CHUNK: usize = 8;
     let mut sim = LinkSim::new(cfg, ctx.seed);
-    let mut left = ctx.trials;
-    while left > 0 {
-        let take = left.min(CHUNK);
-        sim.run_batch(take, stats);
-        left -= take;
+    for _ in 0..ctx.trials {
+        sim.run_frame(stats);
     }
 }
 

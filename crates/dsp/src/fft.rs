@@ -11,11 +11,10 @@
 //! `ifft(fft(x)) == x`.
 
 use crate::complex::Complex64;
-use crate::simd::F64x4;
 
 /// Transform direction.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Direction {
+enum Direction {
     /// Time → frequency, `exp(-i...)`, unscaled.
     Forward,
     /// Frequency → time, `exp(+i...)`, scaled by `1/N`.
@@ -43,12 +42,6 @@ pub struct Fft {
     // twiddles[s] holds the factors for stage with half-size m = 2^s.
     twiddles_fwd: Vec<Vec<Complex64>>,
     twiddles_inv: Vec<Vec<Complex64>>,
-    // The same factors pre-arranged for the pair-butterfly vector loop:
-    // per stage, `re_dup[2k] = re_dup[2k+1] = w[k].re` and
-    // `im_sgn[2k] = -w[k].im, im_sgn[2k+1] = w[k].im`, matching the
-    // interleaved (re, im, re, im) complex layout of the data.
-    twiddles_fwd_dup: Vec<(Vec<f64>, Vec<f64>)>,
-    twiddles_inv_dup: Vec<(Vec<f64>, Vec<f64>)>,
     bitrev: Vec<u32>,
 }
 
@@ -87,31 +80,11 @@ impl Fft {
             twiddles_fwd.push(tf);
             twiddles_inv.push(ti);
         }
-        let dup = |tables: &[Vec<Complex64>]| {
-            tables
-                .iter()
-                .map(|tw| {
-                    let mut re = Vec::with_capacity(tw.len() * 2);
-                    let mut im_sgn = Vec::with_capacity(tw.len() * 2);
-                    for w in tw {
-                        re.push(w.re);
-                        re.push(w.re);
-                        im_sgn.push(-w.im);
-                        im_sgn.push(w.im);
-                    }
-                    (re, im_sgn)
-                })
-                .collect()
-        };
-        let twiddles_fwd_dup = dup(&twiddles_fwd);
-        let twiddles_inv_dup = dup(&twiddles_inv);
 
         Self {
             n,
             twiddles_fwd,
             twiddles_inv,
-            twiddles_fwd_dup,
-            twiddles_inv_dup,
             bitrev,
         }
     }
@@ -129,7 +102,10 @@ impl Fft {
         self.n == 0
     }
 
-    fn prologue(&self, buf: &mut [Complex64]) {
+    /// The in-place transform behind [`Fft::forward`] and
+    /// [`Fft::inverse`]: bit-reversal permutation, scalar radix-2
+    /// butterflies, then the `1/N` scaling for the inverse.
+    fn run(&self, buf: &mut [Complex64], dir: Direction) {
         assert_eq!(
             buf.len(),
             self.n,
@@ -137,30 +113,13 @@ impl Fft {
             buf.len(),
             self.n
         );
-        // Bit-reversal permutation.
-        for i in 0..self.n {
+        let n = self.n;
+        for i in 0..n {
             let j = self.bitrev[i] as usize;
             if j > i {
                 buf.swap(i, j);
             }
         }
-    }
-
-    fn epilogue(&self, buf: &mut [Complex64], dir: Direction) {
-        if dir == Direction::Inverse {
-            let inv_n = 1.0 / self.n as f64;
-            for x in buf.iter_mut() {
-                *x = x.scale(inv_n);
-            }
-        }
-    }
-
-    /// Scalar in-place transform — what [`Fft::forward`] and
-    /// [`Fft::inverse`] run, and the reference [`Fft::run_simd`] must
-    /// match bit-for-bit.
-    pub fn run_scalar(&self, buf: &mut [Complex64], dir: Direction) {
-        self.prologue(buf);
-        let n = self.n;
         if n == 1 {
             return;
         }
@@ -169,7 +128,6 @@ impl Fft {
             Direction::Forward => &self.twiddles_fwd,
             Direction::Inverse => &self.twiddles_inv,
         };
-
         for (s, tw) in tables.iter().enumerate() {
             let m = 1usize << s; // half span
             let span = m << 1;
@@ -186,97 +144,23 @@ impl Fft {
             }
         }
 
-        self.epilogue(buf, dir);
-    }
-
-    /// Vectorized in-place transform: two adjacent *butterflies* per
-    /// [`F64x4`] (butterflies inside a stage are independent, so lanes
-    /// never reduce against each other) operating directly on the
-    /// interleaved `(re, im, re, im)` complex layout — no
-    /// gather/scatter shuffles. The twiddle product uses the
-    /// pre-duplicated tables: per complex lane pair the vector computes
-    /// `(br*wr + bi*(-wi), bi*wr + br*wi)`, which equals the scalar
-    /// `Complex64::mul`'s `(br*wr - bi*wi, br*wi + bi*wr)` bit for bit
-    /// (IEEE `x + (-y)` ≡ `x - y`, and addition commutes exactly), so
-    /// the result is bit-identical to [`Fft::run_scalar`]. The `m == 1`
-    /// stage and the scaling epilogue stay scalar.
-    ///
-    /// No production path calls this: at `n = 64` the lane butterflies
-    /// measured slower than the scalar ones (`results/BENCH_simd.json`,
-    /// row `fft64`), so the transforms stay scalar. It is kept only for
-    /// that benchmark row and its bit-identity tests.
-    pub fn run_simd(&self, buf: &mut [Complex64], dir: Direction) {
-        self.prologue(buf);
-        let n = self.n;
-        if n == 1 {
-            return;
-        }
-
-        let (tables, dup) = match dir {
-            Direction::Forward => (&self.twiddles_fwd, &self.twiddles_fwd_dup),
-            Direction::Inverse => (&self.twiddles_inv, &self.twiddles_inv_dup),
-        };
-
-        for (s, tw) in tables.iter().enumerate() {
-            let m = 1usize << s; // half span
-            let span = m << 1;
-            let (tw_re, tw_im_sgn) = &dup[s];
-            let mut base = 0;
-            while base < n {
-                if m < 2 {
-                    let w = tw[0];
-                    let a = buf[base];
-                    let b = buf[base + 1] * w;
-                    buf[base] = a + b;
-                    buf[base + 1] = a - b;
-                } else {
-                    // m is a power of two >= 2: no pair remainder.
-                    let mut k = 0;
-                    while k < m {
-                        let wr = F64x4::load(tw_re, 2 * k);
-                        let wi = F64x4::load(tw_im_sgn, 2 * k);
-                        let a = load_c2(buf, base + k);
-                        let b = load_c2(buf, base + k + m);
-                        let b_swap = F64x4([b.0[1], b.0[0], b.0[3], b.0[2]]);
-                        let t = b * wr + b_swap * wi;
-                        store_c2(buf, base + k, a + t);
-                        store_c2(buf, base + k + m, a - t);
-                        k += 2;
-                    }
-                }
-                base += span;
+        if dir == Direction::Inverse {
+            let inv_n = 1.0 / n as f64;
+            for x in buf.iter_mut() {
+                *x = x.scale(inv_n);
             }
         }
-
-        self.epilogue(buf, dir);
     }
 
     /// In-place forward transform (time → frequency, unscaled).
     pub fn forward(&self, buf: &mut [Complex64]) {
-        self.run_scalar(buf, Direction::Forward);
+        self.run(buf, Direction::Forward);
     }
 
     /// In-place inverse transform (frequency → time, scaled by `1/N`).
     pub fn inverse(&self, buf: &mut [Complex64]) {
-        self.run_scalar(buf, Direction::Inverse);
+        self.run(buf, Direction::Inverse);
     }
-}
-
-/// Loads two consecutive complex values in their natural interleaved
-/// layout: `(re0, im0, re1, im1)`.
-#[inline(always)]
-fn load_c2(buf: &[Complex64], at: usize) -> F64x4 {
-    let w = &buf[at..at + 2];
-    F64x4([w[0].re, w[0].im, w[1].re, w[1].im])
-}
-
-/// Stores `(re0, im0, re1, im1)` lanes back into two consecutive complex
-/// values.
-#[inline(always)]
-fn store_c2(buf: &mut [Complex64], at: usize, v: F64x4) {
-    let w = &mut buf[at..at + 2];
-    w[0] = Complex64::new(v.0[0], v.0[1]);
-    w[1] = Complex64::new(v.0[2], v.0[3]);
 }
 
 /// Runs `f` with a cached plan of size `n`, planning (and memoizing, per
@@ -440,23 +324,6 @@ mod tests {
         assert_eq!(ifftshift(&fftshift(&x)), x);
         // For even n, fftshift puts bin n/2 first.
         assert_eq!(fftshift(&x)[0], C64::from_re(4.0));
-    }
-
-    #[test]
-    fn simd_butterflies_match_scalar_bit_for_bit() {
-        for &n in &[1usize, 2, 4, 8, 16, 64, 128, 256] {
-            let plan = Fft::new(n);
-            let x: Vec<C64> = (0..n)
-                .map(|i| C64::new((i as f64 * 0.41).sin() * 2.0, (i as f64 * 0.13).cos()))
-                .collect();
-            for dir in [Direction::Forward, Direction::Inverse] {
-                let mut scalar = x.clone();
-                let mut simd = x.clone();
-                plan.run_scalar(&mut scalar, dir);
-                plan.run_simd(&mut simd, dir);
-                assert_eq!(scalar, simd, "n={n} dir={dir:?}");
-            }
-        }
     }
 
     #[test]

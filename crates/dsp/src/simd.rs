@@ -7,13 +7,13 @@
 //!
 //! **The bit-identity rule.** Every vectorized kernel in this workspace
 //! assigns one *independent output* per lane (a correlation lag, a
-//! butterfly, a demapped symbol, a Viterbi frame) and keeps each lane's
-//! operation sequence exactly equal to the scalar kernel's. Lanes are
-//! never reduced against each other — no horizontal sums, no
-//! reassociated accumulators — so the SIMD path is bit-identical to the
-//! scalar path by construction, not by tolerance. `tests/simd_equivalence.rs`
-//! enforces this with proptests against the scalar twins, which stay as
-//! test oracles.
+//! demapped symbol, a detected observation, a Viterbi next state) and
+//! keeps each lane's operation sequence exactly equal to the scalar
+//! kernel's. Lanes are never reduced against each other — no horizontal
+//! sums, no reassociated accumulators — so the SIMD path is
+//! bit-identical to the scalar path by construction, not by tolerance.
+//! `tests/simd_equivalence.rs` enforces this with proptests against the
+//! scalar twins, which stay as test oracles.
 
 /// Four `f64` lanes, element-wise semantics throughout.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -79,30 +79,6 @@ impl F64x4 {
             self.0[1].max(rhs.0[1]),
             self.0[2].max(rhs.0[2]),
             self.0[3].max(rhs.0[3]),
-        ])
-    }
-
-    /// Per-lane strict `self > rhs`. Combined with [`F64x4::select`] this
-    /// is the branchless form of `if a > b { a } else { b }` — ties keep
-    /// `rhs`, exactly like the scalar strict compare-select it replaces.
-    #[inline(always)]
-    pub fn gt(self, rhs: Self) -> [bool; 4] {
-        [
-            self.0[0] > rhs.0[0],
-            self.0[1] > rhs.0[1],
-            self.0[2] > rhs.0[2],
-            self.0[3] > rhs.0[3],
-        ]
-    }
-
-    /// Per-lane `if mask { a } else { b }`.
-    #[inline(always)]
-    pub fn select(mask: [bool; 4], a: Self, b: Self) -> Self {
-        Self([
-            if mask[0] { a.0[0] } else { b.0[0] },
-            if mask[1] { a.0[1] } else { b.0[1] },
-            if mask[2] { a.0[2] } else { b.0[2] },
-            if mask[3] { a.0[3] } else { b.0[3] },
         ])
     }
 }

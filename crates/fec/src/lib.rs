@@ -29,5 +29,5 @@ pub use puncture::{depuncture_hard, depuncture_soft, depuncture_soft_into, punct
 pub use scrambler::Scrambler;
 pub use viterbi::{
     decode_hard, decode_hard_unterminated, decode_soft, decode_soft_unterminated, Symbol,
-    ViterbiDecoder, ViterbiDecoderX4, ViterbiError,
+    ViterbiDecoder, ViterbiError,
 };

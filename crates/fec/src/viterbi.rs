@@ -22,7 +22,6 @@
 // (matrix/carrier indexing); silence the iterator-style suggestion.
 #![allow(clippy::needless_range_loop)]
 use crate::conv::{encode_step, NUM_STATES, TAIL_BITS};
-use mimonet_dsp::simd::F64x4;
 
 /// One received coded bit for hard-decision decoding.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -72,7 +71,7 @@ impl std::error::Error for ViterbiError {}
 /// `2(ns & 31) + 1`, both on input bit `ns >> 5`. Branch `k` of `ns`
 /// below is the one leaving `2(ns & 31) + k`: ascending (state, bit)
 /// order, the order a forward state sweep visits them, which fixes
-/// compare-select tie-breaking for the gather-formulated decoders.
+/// compare-select tie-breaking for the gather-formulated decoder.
 struct Trellis {
     // [state][input] -> index of the output pair (a, b) as (a << 1) | b.
     pair_idx: [[usize; 2]; NUM_STATES],
@@ -142,8 +141,9 @@ const NEG: f64 = f64::NEG_INFINITY;
 /// signs `sa, sb ∈ {+1, −1}` from the trellis), and keeps the better one
 /// through two strict compare-selects, `c0 > −inf` then `c1 > m0`. No
 /// lane branches on its data and lanes never mix, so the loop
-/// autovectorizes under the [`F64x4`] bit-identity rule. It is
-/// bit-identical to the naive forward scatter kept in [`reference`]:
+/// autovectorizes under the [`F64x4`](mimonet_dsp::simd::F64x4)
+/// bit-identity rule. It is bit-identical to the naive forward scatter
+/// kept in [`reference`](mod@reference):
 ///
 /// * `x·(±1)` is exact and the sum adds the same operands in the same
 ///   order as the scatter's `r(a) + r(b)`;
@@ -324,145 +324,6 @@ fn acs_step(
     }
 }
 
-/// A four-frame Viterbi decoder: one frame per SIMD lane.
-///
-/// The add-compare-select over the 64-state trellis is the dominant cost
-/// of the RX tail, and consecutive frames' decodes are fully independent —
-/// so this decoder walks the trellis *once* per step for four equal-length
-/// soft streams, with all metric arithmetic on [`F64x4`] lanes. Each
-/// lane runs the gather of the one-frame [`ViterbiDecoder`]:
-///
-/// * rewards come from a per-step table of the four `r(a) + r(b)` sums,
-///   equal to the one-frame decoder's `a0·sa + b0·sb` (NaN where it is
-///   NaN);
-/// * each next state takes its two branches in ascending (state, bit)
-///   order through the same strict compare-selects, so ties, `-inf` and
-///   NaN resolve alike;
-/// * the final-state argmax and the traceback are run per lane with the
-///   identical code.
-///
-/// It takes only full quads: `receive_batch` and `scan_batch` send every
-/// four equal-length decodes here, the rest through [`ViterbiDecoder`],
-/// and each lane's output equals a one-frame decode bit for bit.
-#[derive(Clone, Debug, Default)]
-pub struct ViterbiDecoderX4 {
-    metric: Vec<F64x4>,
-    next_metric: Vec<F64x4>,
-    // survivor[t][next_state][lane] = (prev_state << 1) | input bit
-    survivor: Vec<[[u8; 4]; NUM_STATES]>,
-}
-
-impl ViterbiDecoderX4 {
-    /// Creates a decoder with empty scratch buffers (they grow on first
-    /// use).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Soft unterminated decode of four equal-length LLR streams, one per
-    /// lane. Each output vector is cleared first (capacity reused) and
-    /// receives exactly what [`decode_soft_unterminated`] would produce
-    /// for its lane's stream, bit for bit.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the four streams' lengths differ (the batch layer groups
-    /// jobs by mother-code length before calling this).
-    pub fn decode_soft_unterminated_x4_into(
-        &mut self,
-        llrs: [&[f64]; 4],
-        outs: [&mut Vec<u8>; 4],
-    ) -> Result<(), ViterbiError> {
-        let n = llrs[0].len();
-        for l in &llrs {
-            assert_eq!(l.len(), n, "x4 decode requires equal-length streams");
-        }
-        for out in &outs {
-            debug_assert!(out.capacity() >= out.len());
-        }
-        let mut outs = outs;
-        for out in outs.iter_mut() {
-            out.clear();
-        }
-        if !n.is_multiple_of(2) {
-            return Err(ViterbiError::OddLength(n));
-        }
-        let num_steps = n / 2;
-        if num_steps == 0 {
-            return Ok(());
-        }
-
-        let tr = trellis();
-        self.metric.clear();
-        self.metric.resize(NUM_STATES, F64x4::splat(NEG));
-        self.metric[0] = F64x4::ZERO; // encoder starts in the zero state
-        self.next_metric.clear();
-        self.next_metric.resize(NUM_STATES, F64x4::splat(NEG));
-        self.survivor.clear();
-        self.survivor.reserve(num_steps);
-
-        let neg = F64x4::splat(NEG);
-        for t in 0..num_steps {
-            // Per-lane reward table: the same `r(a) + r(b)` sums, in the
-            // same order, as the naive search in `reference`.
-            let mut pair = [F64x4::ZERO; 4];
-            for lane in 0..4 {
-                let a0 = 0.5 * llrs[lane][2 * t];
-                let a1 = -0.5 * llrs[lane][2 * t];
-                let b0 = 0.5 * llrs[lane][2 * t + 1];
-                let b1 = -0.5 * llrs[lane][2 * t + 1];
-                pair[0].0[lane] = a0 + b0;
-                pair[1].0[lane] = a0 + b1;
-                pair[2].0[lane] = a1 + b0;
-                pair[3].0[lane] = a1 + b1;
-            }
-            // The one-frame gather: next state `ns` takes its branches
-            // from states `2(ns & 31)` and `2(ns & 31) + 1` (input bit
-            // `ns >> 5`), in that order, through strict branchless
-            // compare-selects.
-            let mut surv = [[0u8; 4]; NUM_STATES];
-            for ns in 0..NUM_STATES {
-                let (p0, bit) = (2 * (ns & 31), ns >> 5);
-                let (code0, code1) = (tr.code[ns], tr.code[ns] | 2);
-                let c0 = self.metric[p0] + pair[tr.pair_idx[p0][bit]];
-                let c1 = self.metric[p0 + 1] + pair[tr.pair_idx[p0 + 1][bit]];
-                let g0 = c0.gt(neg);
-                let m0 = F64x4::select(g0, c0, neg);
-                let g1 = c1.gt(m0);
-                self.next_metric[ns] = F64x4::select(g1, c1, m0);
-                let sv = &mut surv[ns];
-                for lane in 0..4 {
-                    let s0 = if g0[lane] { code0 } else { 0 };
-                    sv[lane] = if g1[lane] { code1 } else { s0 };
-                }
-            }
-            self.survivor.push(surv);
-            std::mem::swap(&mut self.metric, &mut self.next_metric);
-        }
-
-        for (lane, out) in outs.iter_mut().enumerate() {
-            // Identical argmax (last max wins on ties, like the one-frame
-            // decoder's `max_by`) and traceback, run on this lane's
-            // metrics.
-            let mut state = self
-                .metric
-                .iter()
-                .map(|m| m.lane(lane))
-                .enumerate()
-                .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap())
-                .map(|(i, _)| i)
-                .unwrap_or(0);
-            out.resize(num_steps, 0);
-            for t in (0..num_steps).rev() {
-                let code = self.survivor[t][state][lane];
-                out[t] = code & 1;
-                state = (code >> 1) as usize;
-            }
-        }
-        Ok(())
-    }
-}
-
 /// Runs `f` with a per-thread shared [`ViterbiDecoder`], so the free
 /// `decode_*` functions reuse metric/survivor buffers across calls.
 fn with_decoder<R>(f: impl FnOnce(&mut ViterbiDecoder) -> R) -> R {
@@ -517,10 +378,9 @@ pub fn decode_soft(llrs: &[f64]) -> Result<Vec<u8>, ViterbiError> {
 }
 
 /// The pre-optimization closure-driven forward scatter, kept as the
-/// equivalence oracle for [`ViterbiDecoder`] and [`ViterbiDecoderX4`]
-/// (unit tests here, proptests in `tests/`) and as the "before" side of
-/// the hot-path benchmark. Allocates fresh metric and
-/// survivor buffers and invokes the reward closure twice per branch —
+/// equivalence oracle for [`ViterbiDecoder`] (unit tests here,
+/// proptests in `tests/`) and as the "before" side of the hot-path
+/// benchmark. Allocates fresh metric and survivor buffers and invokes the reward closure twice per branch —
 /// 256 calls per trellis step.
 pub mod reference {
     use super::*;
@@ -884,55 +744,6 @@ mod tests {
     }
 
     #[test]
-    fn x4_matches_four_scalar_decodes_bit_for_bit() {
-        let mut x4 = ViterbiDecoderX4::new();
-        let mut scalar = ViterbiDecoder::new();
-        for round in 0..12u64 {
-            let len = 2 * (TAIL_BITS + 1 + (round as usize * 13) % 100);
-            let streams: Vec<Vec<f64>> = (0..4)
-                .map(|lane| {
-                    let mut l = llr_pattern(len, round.wrapping_mul(0xA5A5).wrapping_add(lane + 1));
-                    // Zero LLRs (depunctured erasures) provoke metric ties —
-                    // the case where survivor tie-breaking must agree.
-                    for i in (lane as usize % 3..len).step_by(4) {
-                        l[i] = 0.0;
-                    }
-                    l
-                })
-                .collect();
-            let mut outs: [Vec<u8>; 4] = Default::default();
-            let [o0, o1, o2, o3] = &mut outs;
-            x4.decode_soft_unterminated_x4_into(
-                [&streams[0], &streams[1], &streams[2], &streams[3]],
-                [o0, o1, o2, o3],
-            )
-            .unwrap();
-            for lane in 0..4 {
-                let mut want = Vec::new();
-                scalar
-                    .decode_soft_unterminated_into(&streams[lane], &mut want)
-                    .unwrap();
-                assert_eq!(outs[lane], want, "round {round} lane {lane}");
-            }
-        }
-    }
-
-    #[test]
-    fn x4_error_and_empty_cases() {
-        let mut x4 = ViterbiDecoderX4::new();
-        let mut outs: [Vec<u8>; 4] = Default::default();
-        let [o0, o1, o2, o3] = &mut outs;
-        assert_eq!(
-            x4.decode_soft_unterminated_x4_into([&[0.0; 3]; 4], [o0, o1, o2, o3]),
-            Err(ViterbiError::OddLength(3))
-        );
-        let [o0, o1, o2, o3] = &mut outs;
-        x4.decode_soft_unterminated_x4_into([&[]; 4], [o0, o1, o2, o3])
-            .unwrap();
-        assert!(outs.iter().all(|o| o.is_empty()));
-    }
-
-    #[test]
     fn all_erased_still_terminates() {
         // With no channel information the decoder must still return *some*
         // path ending in state 0 (all-zero data is such a path).
@@ -1038,31 +849,6 @@ mod tests {
                     reference::decode_hard_unterminated(&syms),
                     "unterminated hard, len {len}, every {every}"
                 );
-            }
-        }
-    }
-
-    #[test]
-    fn hostile_soft_inputs_x4_matches_four_production_decodes() {
-        let mut x4 = ViterbiDecoderX4::new();
-        let mut dec = ViterbiDecoder::new();
-        for len in HOSTILE_LENS {
-            for every in [1u64, 3, 17, 200] {
-                let streams: Vec<Vec<f64>> = (0..4)
-                    .map(|lane| hostile_llrs(len, 41 * len as u64 + 7 * every + lane, every))
-                    .collect();
-                let mut outs: [Vec<u8>; 4] = Default::default();
-                let [o0, o1, o2, o3] = &mut outs;
-                let got = x4.decode_soft_unterminated_x4_into(
-                    [&streams[0], &streams[1], &streams[2], &streams[3]],
-                    [o0, o1, o2, o3],
-                );
-                for lane in 0..4 {
-                    let mut want = Vec::new();
-                    let res = dec.decode_soft_unterminated_into(&streams[lane], &mut want);
-                    assert_eq!(got, res, "len {len}, every {every}, lane {lane}");
-                    assert_eq!(outs[lane], want, "len {len}, every {every}, lane {lane}");
-                }
             }
         }
     }

@@ -1,5 +1,6 @@
 //! The engine's compute plane: a fixed worker pool that executes
-//! admitted sessions and batches FEC work **across sessions**.
+//! admitted sessions and drains their decode jobs in batches drawn
+//! **across sessions**.
 //!
 //! A session's DSP is a pure per-frame pipeline (the flowgraph proves
 //! it): PSDU → `Transmitter::transmit` → lead-in/out framing →
@@ -11,12 +12,13 @@
 //!   transmit + channel, both cheap — and enqueues one decode job per
 //!   burst; the task then goes to the back of the generation queue, so
 //!   active sessions round-robin and their bursts interleave;
-//! * a **decode turn** drains up to a lane-multiple of decode jobs from
-//!   the shared queue — *regardless of which session they came from* —
-//!   and runs them through one [`Receiver::receive_batch`] call, whose
-//!   deferred-FEC path walks four frames at a time through
-//!   [`ViterbiDecoderX4`]. Batch grouping never changes decode results
-//!   (pinned bit-identical by `tests/simd_equivalence.rs`), so the
+//! * a **decode turn** drains up to `BATCH_MAX` decode jobs from the
+//!   shared queue — *regardless of which session they came from* — and
+//!   runs each stream-count group through one
+//!   [`Receiver::receive_batch`] call, a loop of one-frame decodes over
+//!   one workspace. Draining several jobs per turn saves queue pops;
+//!   every frame still decodes on its own, so grouping never changes a
+//!   decoded byte (pinned by `tests/simd_equivalence.rs`), and the
 //!   engine's per-session output is byte-identical to the session
 //!   flowgraph ([`crate::session::run_session`]) no matter how sessions
 //!   interleave.
@@ -27,8 +29,6 @@
 //! scheduler-agreement test pins that path byte-identical to the
 //! threaded scheduler too, and the worker pool keeps the engine's thread
 //! count constant either way.
-//!
-//! [`ViterbiDecoderX4`]: mimonet_fec::ViterbiDecoderX4
 
 use super::{EngineShared, ShardHandle, TRACE_RING_CAPACITY};
 use crate::queue::{BoundedQueue, OverflowPolicy};
@@ -53,12 +53,12 @@ use std::time::Duration;
 
 /// Frames a generation turn advances one session by. Small enough that
 /// many admitted sessions interleave in the decode queue (that is what
-/// makes the FEC batches cross-session), large enough to amortize the
+/// makes the decode batches cross-session), large enough to amortize the
 /// queue traffic.
 const GEN_WINDOW: u32 = 8;
 
-/// Most decode jobs drained into one `receive_batch` call: two full
-/// `ViterbiDecoderX4` lane groups.
+/// Most decode jobs one decode turn drains from the queue; each
+/// stream-count group of them is one `receive_batch` call.
 const BATCH_MAX: usize = 8;
 
 /// Decode queue depth — bounds in-flight burst memory. Must comfortably
@@ -240,7 +240,7 @@ fn worker_loop(
     let mut rx_by_streams: HashMap<usize, (Receiver, RxWorkspace, RxBatch)> = HashMap::new();
     let mut jobs: Vec<DecodeJob> = Vec::with_capacity(BATCH_MAX);
     loop {
-        // Decode-first: keep the FEC lanes fed before generating more.
+        // Decode-first: drain queued bursts before generating more.
         jobs.clear();
         while jobs.len() < BATCH_MAX {
             match decode.try_pop() {
@@ -313,7 +313,7 @@ fn generation_turn(
 }
 
 /// Decodes a drained batch of jobs — grouped by antenna count, each
-/// group one `receive_batch` call, FEC lanes shared across sessions.
+/// group one `receive_batch` call over frames from any session.
 fn decode_jobs(
     jobs: &mut Vec<DecodeJob>,
     rx_by_streams: &mut HashMap<usize, (Receiver, RxWorkspace, RxBatch)>,

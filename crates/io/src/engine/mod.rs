@@ -20,7 +20,7 @@
 //!                                    ┌───────────────────┴──┴──┐
 //!                                    │ compute workers 0..M     │
 //!                                    │ gen queue ─▶ decode queue│
-//!                                    │ cross-session FEC batches│
+//!                                    │ cross-session decodes    │
 //!                                    └──────────────────────────┘
 //! ```
 //!
@@ -34,8 +34,8 @@
 //! * **Compute plane** ([`compute`]): admitted sessions round-robin
 //!   through a generation queue; their bursts interleave in a decode
 //!   queue drained in cross-session batches through
-//!   `Receiver::receive_batch`, so the `ViterbiDecoderX4` FEC lanes fill
-//!   regardless of which session each frame came from.
+//!   `Receiver::receive_batch`, which decodes each frame on its own, so
+//!   a decode turn serves whichever sessions have bursts waiting.
 //! * **Admission + shedding**: a hard session cap answers
 //!   `give-up-overload`; above the shed threshold data frames are
 //!   withheld (control always flows); per-session token budgets meter

@@ -95,20 +95,9 @@ impl QueueStats {
     pub fn timeouts(&self) -> u64 {
         self.timeouts.load(Ordering::Relaxed)
     }
-    /// Highest occupancy observed since construction or the last
-    /// [`QueueStats::reset_highwater`].
+    /// Highest occupancy observed since construction.
     pub fn highwater(&self) -> u64 {
         self.highwater.load(Ordering::Relaxed)
-    }
-
-    /// Resets the high-water mark to the current instant's floor (zero;
-    /// the next push re-seeds it with the live occupancy). Scoped
-    /// gauges — per linkd session, per transport reconnect — call this
-    /// so one busy epoch's peak doesn't leak into the next epoch's
-    /// metrics. Cumulative counters (pushed/popped/dropped/timeouts)
-    /// are never reset.
-    pub fn reset_highwater(&self) {
-        self.highwater.store(0, Ordering::Relaxed);
     }
 }
 
@@ -289,16 +278,6 @@ impl<T> BoundedQueue<T> {
         let g = self.inner.lock().unwrap();
         g.closed && g.items.is_empty()
     }
-
-    /// Resets the high-water mark and immediately re-seeds it with the
-    /// current occupancy, so the gauge reflects this epoch only. See
-    /// [`QueueStats::reset_highwater`].
-    pub fn reset_highwater(&self) {
-        let g = self.inner.lock().unwrap();
-        self.stats
-            .highwater
-            .store(g.items.len() as u64, Ordering::Relaxed);
-    }
 }
 
 #[cfg(test)]
@@ -420,24 +399,5 @@ mod tests {
         assert!(!q.is_terminated());
         assert_eq!(q.pop_timeout(Duration::from_millis(1)), Some(1));
         assert!(q.is_terminated());
-    }
-
-    #[test]
-    fn highwater_resets_per_epoch_but_counters_persist() {
-        let q = BoundedQueue::new(8, OverflowPolicy::DropNewest);
-        for i in 0..5 {
-            q.push(i);
-        }
-        while q.try_pop().is_some() {}
-        assert_eq!(q.stats().highwater(), 5, "epoch 1 peak");
-        q.reset_highwater();
-        assert_eq!(q.stats().highwater(), 0, "empty queue re-seeds to 0");
-        q.push(90);
-        q.push(91);
-        assert_eq!(q.stats().highwater(), 2, "epoch 2 peak, not max-of-epochs");
-        assert_eq!(q.stats().pushed(), 7, "cumulative counters never reset");
-        // Reset with items still queued re-seeds to live occupancy.
-        q.reset_highwater();
-        assert_eq!(q.stats().highwater(), 2);
     }
 }

@@ -227,9 +227,9 @@ pub struct BlockTelemetry {
     /// Per-call `work` latency histogram, ns.
     pub work_ns_hist: LogHistogram,
     /// Frames-per-batch histogram for blocks that drain their input in
-    /// multi-frame groups (the receiver's `receive_batch` path records
-    /// one observation per group). Counts, not wall clock — deterministic
-    /// under the single-threaded scheduler.
+    /// multi-frame groups (the untraced receiver block records the
+    /// bursts it decoded per `work` call). Counts, not wall clock —
+    /// deterministic under the single-threaded scheduler.
     pub batch_frames: LogHistogram,
 }
 

@@ -1,27 +1,23 @@
 //! SIMD/batch equivalence proptests: every vectorized kernel against its
-//! scalar implementation, and the multi-frame batch receive paths
+//! scalar implementation, and the multi-frame batch receive path
 //! against per-frame decoding.
 //!
 //! The contract is *bit identity*, not approximate agreement: each lane
-//! of a vectorized kernel owns one independent output (a butterfly, a
-//! lag, a symbol, a Viterbi frame) and performs the scalar operation
-//! sequence exactly, so outputs are compared with `to_bits`/`PartialEq`
-//! on raw `f64`s. The receiver runs the lane kernels; the scalar twins
+//! of a vectorized kernel owns one independent output (a lag, a symbol,
+//! an observation) and performs the scalar operation sequence exactly,
+//! so outputs are compared with `to_bits`/`PartialEq` on raw `f64`s. The receiver runs the lane kernels; the scalar twins
 //! stay compiled as the oracles these tests compare against.
 
 use mimonet::config::TxConfig;
 use mimonet::rx_reference::ReferenceReceiver;
 use mimonet::tx::Transmitter;
-use mimonet::{with_workspace, Receiver, RxBatch, RxConfig, RxFrame, RxWorkspace};
+use mimonet::{Receiver, RxBatch, RxConfig, RxFrame, RxWorkspace};
 use mimonet_channel::{ChannelConfig, ChannelSim};
 use mimonet_detect::{prepare, CMat, DetectorKind};
 use mimonet_dsp::complex::Complex64;
 use mimonet_dsp::correlate::{
     normalized_cross_correlate_scalar_into, normalized_cross_correlate_simd_into,
 };
-use mimonet_dsp::fft::Direction;
-use mimonet_dsp::Fft;
-use mimonet_fec::{ViterbiDecoder, ViterbiDecoderX4};
 use mimonet_frame::Modulation;
 use proptest::prelude::*;
 
@@ -65,32 +61,6 @@ fn padded_frame(mcs: u8, psdu: &[u8], lead: usize) -> Vec<Vec<Complex64>> {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
-
-    /// FFT: the pair-butterfly vector path against the scalar
-    /// butterflies, across every planned size the transmit chain uses
-    /// (including the tiny sizes whose stages are partly scalar) and
-    /// both directions.
-    #[test]
-    fn fft_simd_matches_scalar(
-        log_n in 0u32..10,
-        dir_inv in any::<bool>(),
-        seed in any::<u64>(),
-    ) {
-        let n = 1usize << log_n;
-        let plan = Fft::new(n);
-        let dir = if dir_inv { Direction::Inverse } else { Direction::Forward };
-        let mut state = seed | 1;
-        let mut next = move || {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            (state >> 11) as f64 / (1u64 << 53) as f64 - 0.5
-        };
-        let src: Vec<Complex64> = (0..n).map(|_| Complex64::new(next(), next())).collect();
-        let mut a = src.clone();
-        let mut b = src;
-        plan.run_scalar(&mut a, dir);
-        plan.run_simd(&mut b, dir);
-        prop_assert!(a.iter().zip(&b).all(|(x, y)| complex_bits_eq(*x, *y)));
-    }
 
     /// Correlation: the four-lags-per-lane SoA kernel against the scalar
     /// sliding window, across lengths that leave 0..=7 remainder lags
@@ -151,52 +121,6 @@ proptest! {
             let _ = m.demap_soft_x4_into(ys, nv, [o0, o1, o2, o3]);
         }
         prop_assert!(want.iter().zip(&got).all(|(x, y)| bits_eq(*x, *y)));
-    }
-
-    /// Lane Viterbi: four equal-length noisy LLR streams decoded by one
-    /// trellis walk against four scalar decodes — including zero LLRs
-    /// (depunctured erasures) and near-tie metrics that would expose any
-    /// compare-select or tie-break divergence.
-    #[test]
-    fn viterbi_x4_matches_scalar(
-        steps in 1usize..80,
-        seed in any::<u64>(),
-    ) {
-        let mut state = seed | 1;
-        let mut next = move || {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            state
-        };
-        let streams: Vec<Vec<f64>> = (0..4)
-            .map(|_| {
-                (0..2 * steps)
-                    .map(|_| {
-                        let r = next();
-                        if r % 7 == 0 {
-                            0.0 // erasure
-                        } else {
-                            ((r >> 11) as f64 / (1u64 << 53) as f64 - 0.5) * 8.0
-                        }
-                    })
-                    .collect()
-            })
-            .collect();
-        let mut dec = ViterbiDecoder::new();
-        let mut want: Vec<Vec<u8>> = vec![Vec::new(); 4];
-        for lane in 0..4 {
-            dec.decode_soft_unterminated_into(&streams[lane], &mut want[lane]).unwrap();
-        }
-        let mut x4 = ViterbiDecoderX4::new();
-        let mut got: Vec<Vec<u8>> = vec![Vec::new(); 4];
-        {
-            let [g0, g1, g2, g3] = &mut got[..] else { unreachable!() };
-            x4.decode_soft_unterminated_x4_into(
-                [&streams[0], &streams[1], &streams[2], &streams[3]],
-                [g0, g1, g2, g3],
-            )
-            .unwrap();
-        }
-        prop_assert_eq!(got, want);
     }
 
     /// Lane detection: four observations at once against four scalar
@@ -265,10 +189,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// `receive_batch` against per-frame `receive_into` *and* the
-    /// pre-optimization reference receiver, across batch sizes 1..=16
-    /// (every lane-quad/straggler split), mixed MCS (distinct coded
-    /// lengths exercise the equal-length grouping), detector kinds, and
-    /// SNRs low enough to produce mixed Ok/Err slots.
+    /// pre-optimization reference receiver, across batch sizes 1..=16,
+    /// mixed MCS (distinct coded lengths in one batch), detector kinds,
+    /// and SNRs low enough to produce mixed Ok/Err slots.
     #[test]
     fn receive_batch_matches_per_frame(
         n in 1usize..17,
@@ -323,48 +246,6 @@ proptest! {
         prop_assert_eq!(oks, expect);
     }
 
-    /// `scan_batch` against per-capture `scan`: identical frame lists
-    /// (offsets + exact frames) and identical statistics for every
-    /// capture, across capture counts (lane quads + stragglers in the
-    /// cross-capture FEC rounds), frames per capture, and SNR.
-    #[test]
-    fn scan_batch_matches_scan(
-        n_caps in 1usize..7,
-        n_frames in 1usize..3,
-        gap in 150usize..300,
-        mcs in 8u8..13,
-        snr_centi in 900u32..3000,
-        seed in any::<u64>(),
-    ) {
-        let snr = f64::from(snr_centi) / 100.0;
-        let mut captures: Vec<Vec<Vec<Complex64>>> = Vec::new();
-        for c in 0..n_caps {
-            let mut capture: Vec<Vec<Complex64>> = vec![vec![Complex64::ZERO; 150]; 2];
-            for k in 0..n_frames {
-                let psdu: Vec<u8> = (0..40 + 9 * k + 5 * c).map(|i| i as u8).collect();
-                let streams = padded_frame(mcs, &psdu, 0);
-                for (cap, s) in capture.iter_mut().zip(&streams) {
-                    cap.extend_from_slice(s);
-                    cap.extend(vec![Complex64::ZERO; gap]);
-                }
-            }
-            let mut sim = ChannelSim::new(
-                ChannelConfig::awgn(2, 2, snr),
-                seed.wrapping_add(1000 + c as u64),
-            );
-            let (noisy, _) = sim.apply(&capture);
-            captures.push(noisy);
-        }
-
-        let rx = Receiver::new(RxConfig::new(2));
-        let got = with_workspace(|ws| rx.scan_batch(&captures, ws));
-        prop_assert_eq!(got.len(), n_caps);
-        for (c, (got_frames, got_stats)) in got.into_iter().enumerate() {
-            let (want_frames, want_stats) = rx.scan(&captures[c]);
-            prop_assert_eq!(got_frames, want_frames, "capture {} frames disagree", c);
-            prop_assert_eq!(got_stats, want_stats, "capture {} stats disagree", c);
-        }
-    }
 }
 
 /// Hard-decoding batches defer nothing to the lane decoder; the batch
