@@ -10,6 +10,12 @@
 //!   decisions, by searching on the bits as ±1 LLRs (see
 //!   [`ViterbiDecoder`] for why the decisions are identical).
 //!
+//! Both run one branchless search, a butterfly add-compare-select over
+//! the 64 trellis states that LLVM autovectorizes (see
+//! [`ViterbiDecoder`]). Its survivors and decoded bits are identical to
+//! the naive forward scatter kept in [`reference`](mod@reference) as the
+//! oracle.
+//!
 //! Punctured positions are passed as *erasures*: [`Symbol::Erased`] for hard
 //! input, LLR 0.0 for soft input — both contribute nothing to any branch
 //! metric, which is exactly the ML treatment of depunctured bits.
@@ -64,27 +70,42 @@ impl std::fmt::Display for ViterbiError {
 
 impl std::error::Error for ViterbiError {}
 
+/// Number of butterflies per trellis step: butterfly `j` joins
+/// predecessors `2j`, `2j + 1` to next states `j`, `j + 32`.
+const HALF: usize = NUM_STATES / 2;
+
+/// Survivor words per trellis step: one byte per state, eight states per
+/// `u64`.
+const SURV_WORDS: usize = NUM_STATES / 8;
+
 /// Precomputed trellis, built once lazily (64 states is tiny).
 ///
 /// The encoder shifts each input bit into the state's top bit, so next
 /// state `ns` is entered from exactly two states, `2(ns & 31)` and
-/// `2(ns & 31) + 1`, both on input bit `ns >> 5`. Branch `k` of `ns`
-/// below is the one leaving `2(ns & 31) + k`: ascending (state, bit)
-/// order, the order a forward state sweep visits them, which fixes
-/// compare-select tie-breaking for the gather-formulated decoder.
+/// `2(ns & 31) + 1`, both on input bit `ns >> 5`. Branch `k` of `ns` is
+/// the one leaving `2(ns & 31) + k`: ascending (state, bit) order, the
+/// order a forward state sweep visits them, which fixes the decoder's
+/// compare-select tie-breaking.
+///
+/// Both generators (133₈, 171₈) tap the input bit and the oldest state
+/// bit, so flipping either flips both coded bits. Butterfly `j` (branches
+/// from `2j`, `2j + 1` into `j`, `j + 32`) therefore codes `(a, b)`,
+/// `(ā, b̄)`, `(ā, b̄)`, `(a, b)`: its soft rewards are `R, −R, −R, R`,
+/// where `R`, the reward of `2j → j`, is one of `p = a0 + b0`,
+/// `q = a0 − b0`, `−q` or `−p`. Two bitmasks per butterfly pick it.
 struct Trellis {
     // [state][input] -> index of the output pair (a, b) as (a << 1) | b.
     pair_idx: [[usize; 2]; NUM_STATES],
     // [state][input] -> next state.
     next: [[u8; 2]; NUM_STATES],
-    // [k][ns] -> sign of branch k's coded bit A (resp. B): +1.0 for a
-    // hypothesized 0, -1.0 for a 1, so its soft reward is
-    // `(0.5 * llr_a) * sign_a + (0.5 * llr_b) * sign_b`.
-    sign_a: [[f64; NUM_STATES]; 2],
-    sign_b: [[f64; NUM_STATES]; 2],
-    // [ns] -> branch 0's survivor byte, (prev_state << 1) | input bit;
-    // branch 1's is `code[ns] | 2`.
-    code: [u8; NUM_STATES],
+    // [j] -> all ones where butterfly j's R is ±q (a ≠ b), else 0.
+    use_q: [u64; HALF],
+    // [j] -> the f64 sign bit where butterfly j's R is −p or −q (a = 1).
+    negate: [u64; HALF],
+    // −∞, read from memory: against a literal −∞ the optimizer rewrites
+    // `c > floor` into an inequality-and-ordered test, while a runtime
+    // floor keeps each compare-select a single `max`.
+    floor: f64,
 }
 
 impl Trellis {
@@ -98,27 +119,24 @@ impl Trellis {
                 next[s][bit] = ns;
             }
         }
-        let sign = |x: u8| if x == 0 { 1.0 } else { -1.0 };
-        let mut sign_a = [[0.0; NUM_STATES]; 2];
-        let mut sign_b = [[0.0; NUM_STATES]; 2];
-        let mut code = [0u8; NUM_STATES];
-        for ns in 0..NUM_STATES {
-            let bit = (ns >> 5) as u8;
-            for k in 0..2 {
-                let prev = (2 * (ns & 31) + k) as u8;
-                let (a, b, to) = encode_step(prev, bit);
-                debug_assert_eq!(to as usize, ns);
-                sign_a[k][ns] = sign(a);
-                sign_b[k][ns] = sign(b);
-            }
-            code[ns] = (((ns & 31) << 2) as u8) | bit;
+        let mut use_q = [0u64; HALF];
+        let mut negate = [0u64; HALF];
+        for j in 0..HALF {
+            let lo = (2 * j) as u8;
+            let (a, b, ns) = encode_step(lo, 0);
+            debug_assert_eq!(ns as usize, j);
+            debug_assert_eq!(encode_step(lo + 1, 0), (a ^ 1, b ^ 1, j as u8));
+            debug_assert_eq!(encode_step(lo, 1), (a ^ 1, b ^ 1, (j + HALF) as u8));
+            debug_assert_eq!(encode_step(lo + 1, 1), (a, b, (j + HALF) as u8));
+            use_q[j] = if a != b { u64::MAX } else { 0 };
+            negate[j] = if a == 1 { 1 << 63 } else { 0 };
         }
         Self {
             pair_idx,
             next,
-            sign_a,
-            sign_b,
-            code,
+            use_q,
+            negate,
+            floor: NEG,
         }
     }
 }
@@ -134,27 +152,36 @@ const NEG: f64 = f64::NEG_INFINITY;
 /// A reusable Viterbi decoder: one state-parallel search serves hard and
 /// soft decoding.
 ///
-/// Each trellis step is a *gather*: lane `ns` of fixed-size 64-entry
-/// arrays computes the two candidates entering next state `ns`, from
-/// states `2(ns & 31)` and `2(ns & 31) + 1`, with reward
-/// `a0·sa + b0·sb` (`a0 = 0.5·llr[2t]`, `b0 = 0.5·llr[2t+1]`, per-branch
-/// signs `sa, sb ∈ {+1, −1}` from the trellis), and keeps the better one
-/// through two strict compare-selects, `c0 > −inf` then `c1 > m0`. No
-/// lane branches on its data and lanes never mix, so the loop
-/// autovectorizes under the [`F64x4`](mimonet_dsp::simd::F64x4)
-/// bit-identity rule. It is bit-identical to the naive forward scatter
-/// kept in [`reference`](mod@reference):
+/// Each trellis step runs 32 butterflies over fixed-size 64-entry
+/// arrays. Butterfly `j` reads the metrics of states `2j` and `2j + 1`,
+/// picks its reward `R` from `p = a0 + b0` and `q = a0 − b0`
+/// (`a0 = 0.5·llr[2t]`, `b0 = 0.5·llr[2t+1]`, computed once per step)
+/// with two bitmasks, and forms the four candidates `m[2j] + R`,
+/// `m[2j+1] − R` (into `j`) and `m[2j] − R`, `m[2j+1] + R` (into
+/// `j + 32`). Each next state keeps the better candidate through two
+/// strict compare-selects, `c0 > floor` then `c1 > m0`, where the floor
+/// is −∞: each is one `max`. No lane branches on its data and lanes
+/// never mix, so the loop autovectorizes under the
+/// [`F64x4`](mimonet_dsp::simd::F64x4) bit-identity rule. The survivors
+/// and decoded bits are identical to the naive forward scatter kept in
+/// [`reference`](mod@reference):
 ///
-/// * `x·(±1)` is exact and the sum adds the same operands in the same
-///   order as the scatter's `r(a) + r(b)`;
+/// * the scatter's reward `r(a) + r(b)` is `a0·sa + b0·sb` with signs
+///   `sa, sb ∈ {+1, −1}`, and `±a0 ± b0` equals it exactly except, at
+///   most, for the sign of an exact zero (`x + (−x)` is `+0` while
+///   `−(x + (−x))` is `−0`); a zero's sign changes no compare and no
+///   sum with a non-zero operand, so the two searches take the same
+///   decisions and their metrics differ at most in the sign of zeros;
 /// * the scatter skips `-inf` states, and visits the two branches of a
 ///   next state in ascending (state, bit) order, updating on a strict
 ///   `>`; the selects compute `-inf + r` (`-inf` or NaN) unconditionally,
 ///   which never wins a strict compare, and take the branches in that
 ///   same order, so ties, `-inf` and NaN resolve exactly alike — and a
 ///   NaN never becomes a metric;
-/// * survivors are `(prev << 1) | bit` bytes, 0 (as in the scatter's
-///   untouched `(0, 0)`) where no candidate won.
+/// * each state's survivor byte keeps the decision `g1` (branch 1 won)
+///   and `valid` (the new metric is above −∞); traceback rebuilds
+///   `prev = 2(s & 31) + g1` and `bit = s >> 5`, and `(0, 0)` (the
+///   scatter's untouched entry) where `valid` is clear.
 ///
 /// Hard symbols run through the same search as LLRs `Bit(0) → +1.0`,
 /// `Bit(1) → −1.0`, anything else `→ 0.0`. A Hamming branch reward (1
@@ -163,12 +190,15 @@ const NEG: f64 = f64::NEG_INFINITY;
 /// metric stays a multiple of ½ far below 2^52, so every compare, the
 /// survivors and the final argmax come out as under Hamming metrics.
 ///
-/// Buffers grow to the largest block seen and are then reused; decoding a
-/// warmed decoder into a warmed output vector performs no heap allocation.
+/// Buffers grow to the largest block seen and are then reused; the
+/// survivor rows a block needs are overwritten, never cleared. Decoding a
+/// warmed decoder into a warmed output vector performs no heap
+/// allocation.
 #[derive(Clone, Debug, Default)]
 pub struct ViterbiDecoder {
-    // survivor[t][next_state] = (prev_state << 1) | input bit
-    survivor: Vec<[u8; NUM_STATES]>,
+    // survivor[t][s % 8] byte s / 8 = g1 | valid << 1 for state s; only
+    // grows, and rows past the current block are stale.
+    survivor: Vec<[u64; SURV_WORDS]>,
     // Hard symbols staged as ±1/0 LLRs.
     hard_llrs: Vec<f64>,
 }
@@ -184,7 +214,7 @@ impl ViterbiDecoder {
     /// (cleared first): all steps when unterminated, the data bits
     /// without the tail when terminated.
     fn decode_into(
-        survivor: &mut Vec<[u8; NUM_STATES]>,
+        survivor: &mut Vec<[u64; SURV_WORDS]>,
         llrs: &[f64],
         terminated: bool,
         out: &mut Vec<u8>,
@@ -201,8 +231,11 @@ impl ViterbiDecoder {
         let mut metric = &mut [NEG; NUM_STATES];
         metric[0] = 0.0; // encoder starts in the zero state
         let mut next = &mut [NEG; NUM_STATES];
-        survivor.clear();
-        survivor.resize(steps, [0; NUM_STATES]);
+        // Every word of the first `steps` rows is overwritten below.
+        if survivor.len() < steps {
+            survivor.resize(steps, [0; SURV_WORDS]);
+        }
+        let survivor = &mut survivor[..steps];
         for (pair, surv) in llrs.chunks_exact(2).zip(survivor.iter_mut()) {
             acs_step(tr, metric, 0.5 * pair[0], 0.5 * pair[1], next, surv);
             std::mem::swap(&mut metric, &mut next);
@@ -225,9 +258,11 @@ impl ViterbiDecoder {
         };
         out.resize(steps, 0);
         for (bit, surv) in out.iter_mut().zip(survivor.iter()).rev() {
-            let code = surv[state];
-            *bit = code & 1;
-            state = (code >> 1) as usize;
+            let byte = (surv[state % SURV_WORDS] >> (8 * (state / SURV_WORDS))) as usize;
+            // All ones if `valid`; else the path goes through (0, 0).
+            let keep = ((byte >> 1) & 1).wrapping_neg();
+            *bit = ((state >> 5) & keep) as u8;
+            state = (2 * (state & 31) + (byte & 1)) & keep;
         }
         if terminated {
             out.truncate(steps - TAIL_BITS);
@@ -292,9 +327,9 @@ impl ViterbiDecoder {
     }
 }
 
-/// One add-compare-select step of [`ViterbiDecoder`]'s search: lane `ns`
-/// gathers the two candidates entering next state `ns`, writes the
-/// winner's metric to `next[ns]` and its survivor byte to `surv[ns]`.
+/// One add-compare-select step of [`ViterbiDecoder`]'s search: 32
+/// butterflies, each writing two next-state metrics to `next` and their
+/// survivor bytes to `surv`.
 #[inline]
 fn acs_step(
     tr: &Trellis,
@@ -302,26 +337,47 @@ fn acs_step(
     a0: f64,
     b0: f64,
     next: &mut [f64; NUM_STATES],
-    surv: &mut [u8; NUM_STATES],
+    surv: &mut [u64; SURV_WORDS],
 ) {
-    const HALF: usize = NUM_STATES / 2;
-    // Next states j and j + 32 share predecessors 2j and 2j + 1; two
-    // half sweeps keep every array access contiguous in `j`.
-    for h in 0..2 {
-        for j in 0..HALF {
-            let ns = h * HALF + j;
-            let c0 = metric[2 * j] + (a0 * tr.sign_a[0][ns] + b0 * tr.sign_b[0][ns]);
-            let c1 = metric[2 * j + 1] + (a0 * tr.sign_a[1][ns] + b0 * tr.sign_b[1][ns]);
-            let g0 = c0 > NEG;
-            let m0 = if g0 { c0 } else { NEG };
-            let g1 = c1 > m0;
-            next[ns] = if g1 { c1 } else { m0 };
-            // Branch 0's code if either branch won, | 2 for branch 1; 0
-            // if neither. Mask arithmetic, not a branch, so the byte
-            // store vectorizes with the rest of the lane.
-            surv[ns] = (tr.code[ns] & ((g0 | g1) as u8).wrapping_neg()) | ((g1 as u8) << 1);
+    let p = (a0 + b0).to_bits();
+    let pq = p ^ (a0 - b0).to_bits();
+    let floor = tr.floor;
+    let (lo, hi) = next.split_at_mut(HALF);
+    // State s's survivor byte is byte s / 8 of word s % 8: row k of
+    // eight butterflies fills byte k (next states j) and byte k + 4
+    // (next states j + 32) of every word, one word per lane, so the
+    // packing needs no shuffles.
+    const ROWS: usize = HALF / SURV_WORDS;
+    let mut words = [0u64; SURV_WORDS];
+    for k in 0..ROWS {
+        for w in 0..SURV_WORDS {
+            let j = SURV_WORDS * k + w;
+            // R = ±p or ±q: the use_q mask swaps in q's bits, the negate
+            // mask flips the sign bit.
+            let r = f64::from_bits(p ^ (pq & tr.use_q[j]) ^ tr.negate[j]);
+            let (m0, m1) = (metric[2 * j], metric[2 * j + 1]);
+            let (n, d) = compare_select(m0 + r, m1 - r, floor);
+            lo[j] = n;
+            words[w] |= d << (8 * k);
+            let (n, d) = compare_select(m0 - r, m1 + r, floor);
+            hi[j] = n;
+            words[w] |= d << (8 * (k + ROWS));
         }
     }
+    *surv = words;
+}
+
+/// Keeps the better of one next state's two candidates, branch 0 first,
+/// through strict compare-selects against `floor` (−∞). Each select is
+/// one `max`: it takes its second operand when the first is not greater,
+/// NaN included. Returns the metric and the survivor byte
+/// `g1 | valid << 1`.
+#[inline(always)]
+fn compare_select(c0: f64, c1: f64, floor: f64) -> (f64, u64) {
+    let m0 = if c0 > floor { c0 } else { floor };
+    let g1 = c1 > m0;
+    let m = if g1 { c1 } else { m0 };
+    (m, g1 as u64 | ((m > floor) as u64) << 1)
 }
 
 /// Runs `f` with a per-thread shared [`ViterbiDecoder`], so the free
@@ -380,8 +436,8 @@ pub fn decode_soft(llrs: &[f64]) -> Result<Vec<u8>, ViterbiError> {
 /// The pre-optimization closure-driven forward scatter, kept as the
 /// equivalence oracle for [`ViterbiDecoder`] (unit tests here,
 /// proptests in `tests/`) and as the "before" side of the hot-path
-/// benchmark. Allocates fresh metric and survivor buffers and invokes the reward closure twice per branch —
-/// 256 calls per trellis step.
+/// benchmark. Allocates fresh metric and survivor buffers and invokes
+/// the reward closure twice per branch — 256 calls per trellis step.
 pub mod reference {
     use super::*;
 

@@ -1,5 +1,7 @@
 //! Property-based tests of the FEC pipeline: every stage must be exactly
-//! invertible on a clean channel, for arbitrary data and all code rates.
+//! invertible on a clean channel, for arbitrary data and all code rates,
+//! and the Viterbi decoder must match its `viterbi::reference` oracle on
+//! any stream, hostile ones included.
 
 use mimonet_fec::bits::{bits_to_bytes, bytes_to_bits};
 use mimonet_fec::conv::encode_terminated;
@@ -7,9 +9,12 @@ use mimonet_fec::crc::{append_fcs, check_fcs};
 use mimonet_fec::interleaver::Interleaver;
 use mimonet_fec::puncture::{depuncture_hard, depuncture_soft, puncture, CodeRate};
 use mimonet_fec::scrambler::Scrambler;
-use mimonet_fec::viterbi::{decode_hard, decode_hard_unterminated, decode_soft, Symbol};
+use mimonet_fec::viterbi::{
+    decode_hard, decode_hard_unterminated, decode_soft, reference, Symbol, ViterbiDecoder,
+};
 use mimonet_fec::ConvEncoder;
 use proptest::prelude::*;
+use std::cell::RefCell;
 
 fn bits(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<u8>> {
     prop::collection::vec(0u8..2, len)
@@ -126,6 +131,122 @@ proptest! {
         let rx = depuncture_soft(&llrs, r, coded.len());
         let decoded = mimonet_fec::viterbi::decode_soft(&rx).unwrap();
         prop_assert_eq!(decoded, data);
+    }
+}
+
+/// LLRs that break ordinary arithmetic: signed zeros, infinities, NaN,
+/// the largest finite values (metrics overflow within two steps) and
+/// subnormals.
+fn hostile_llr() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        Just(0.0),
+        Just(-0.0),
+        Just(f64::INFINITY),
+        Just(f64::NEG_INFINITY),
+        Just(f64::NAN),
+        Just(f64::MAX),
+        Just(-f64::MAX),
+        Just(5e-324),
+        Just(-5e-324),
+        Just(f64::MIN_POSITIVE / 3.0),
+    ]
+}
+
+/// An LLR stream of length 0..600, odd and shorter than a terminated
+/// block included. Values are finite in [-8, 8] or half-integers (exact
+/// metric ties), with a per-stream share of hostile values (none, 1 in
+/// 64, 1 in 8 or 1 in 2). Some coded pairs have equal magnitudes,
+/// `b = ±a`, so one of the branch rewards `a0 ± b0` is an exact zero.
+fn llr_stream() -> impl Strategy<Value = Vec<f64>> {
+    (0usize..600, 0usize..4).prop_flat_map(|(len, share)| {
+        let cut = [0u32, 1, 8, 32][share];
+        let llr = (
+            0u32..64,
+            -8.0..8.0f64,
+            -16i32..17,
+            any::<bool>(),
+            hostile_llr(),
+        )
+            .prop_map(move |(roll, x, k, half, hostile)| {
+                if roll < cut {
+                    hostile
+                } else if half {
+                    k as f64 * 0.5
+                } else {
+                    x
+                }
+            });
+        // 0: independent, 1: b = a, 2: b = -a (applied to odd positions).
+        prop::collection::vec((llr, 0u8..3), len).prop_map(|draws| {
+            let mut llrs: Vec<f64> = draws.iter().map(|&(x, _)| x).collect();
+            for i in (1..llrs.len()).step_by(2) {
+                match draws[i].1 {
+                    1 => llrs[i] = llrs[i - 1],
+                    2 => llrs[i] = -llrs[i - 1],
+                    _ => {}
+                }
+            }
+            llrs
+        })
+    })
+}
+
+/// A hard stream of length 0..600: `Bit(0)`, `Bit(1)`, `Erased` and
+/// out-of-range `Bit(b ≥ 2)`.
+fn symbol_stream() -> impl Strategy<Value = Vec<Symbol>> {
+    let symbol = prop_oneof![
+        Just(Symbol::Bit(0)),
+        Just(Symbol::Bit(0)),
+        Just(Symbol::Bit(1)),
+        Just(Symbol::Bit(1)),
+        Just(Symbol::Erased),
+        (2u16..256).prop_map(|b| Symbol::Bit(b as u8)),
+    ];
+    prop::collection::vec(symbol, 0..600)
+}
+
+thread_local! {
+    /// One decoder for every case of a property, so its grow-only
+    /// survivor buffer sees blocks that shrink and grow.
+    static DECODER: RefCell<(ViterbiDecoder, Vec<u8>)> =
+        RefCell::new((ViterbiDecoder::new(), Vec::new()));
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn soft_decoder_matches_reference(llrs in llr_stream()) {
+        DECODER.with(|d| {
+            let (dec, out) = &mut *d.borrow_mut();
+            let got = dec.decode_soft_into(&llrs, out).map(|()| out.clone());
+            prop_assert_eq!(got, reference::decode_soft(&llrs), "terminated, {:?}", llrs);
+            let got = dec.decode_soft_unterminated_into(&llrs, out).map(|()| out.clone());
+            prop_assert_eq!(
+                got,
+                reference::decode_soft_unterminated(&llrs),
+                "unterminated, {:?}",
+                llrs
+            );
+            Ok(())
+        })?;
+    }
+
+    #[test]
+    fn hard_decoder_matches_reference(syms in symbol_stream()) {
+        DECODER.with(|d| {
+            let (dec, out) = &mut *d.borrow_mut();
+            let got = dec.decode_hard_into(&syms, out).map(|()| out.clone());
+            prop_assert_eq!(got, reference::decode_hard(&syms), "terminated, {:?}", syms);
+            let got = dec.decode_hard_unterminated_into(&syms, out).map(|()| out.clone());
+            prop_assert_eq!(
+                got,
+                reference::decode_hard_unterminated(&syms),
+                "unterminated, {:?}",
+                syms
+            );
+            Ok(())
+        })?;
     }
 }
 

@@ -228,7 +228,7 @@ impl TcpChunkSink {
     /// `give-up-retry-budget` error when the jittered-backoff budget is
     /// exhausted.
     ///
-    /// Unlike [`ensure_connected`](Self::ensure_connected) this never
+    /// Unlike the blocking `ensure_connected` this never
     /// sleeps: the backoff schedule is kept as a deadline instead of a
     /// `thread::sleep`, so an event-driven caller (one engine shard
     /// multiplexing many links) can poll a dead peer's sink without

@@ -428,7 +428,7 @@ impl DirectionEngine {
 
 /// A deterministic TCP man-in-the-middle: accepts on a local port,
 /// dials `upstream` per connection, and forwards both directions
-/// through a [`DirectionEngine`] each. Flow indices are assigned in
+/// through a fault engine each (`DirectionEngine`). Flow indices are assigned in
 /// accept order, so a sequential client sees a reproducible fault
 /// schedule across its connection attempts.
 pub struct ChaosProxy {

@@ -205,7 +205,7 @@ proptest! {
         let mut captures: Vec<Vec<Vec<Complex64>>> = Vec::new();
         for k in 0..n {
             // Mixed batches alternate MCS (different coded lengths);
-            // uniform batches exercise the 4-lane grouping fully.
+            // uniform batches repeat one MCS, so one coded length.
             let mcs = if mixed { 8 + ((mcs_base - 8 + k as u8) % 6) } else { mcs_base };
             let psdu: Vec<u8> = (0..30 + 7 * k).map(|i| (i as u8).wrapping_mul(29)).collect();
             let streams = padded_frame(mcs, &psdu, 60);
@@ -248,8 +248,8 @@ proptest! {
 
 }
 
-/// Hard-decoding batches defer nothing to the lane decoder; the batch
-/// path must still agree slot-for-slot with per-frame receives.
+/// Hard-decoding batches take the same per-capture path as soft ones;
+/// the batch path must still agree slot-for-slot with per-frame receives.
 #[test]
 fn receive_batch_matches_hard_decoding() {
     let mut captures: Vec<Vec<Vec<Complex64>>> = Vec::new();
