@@ -4,11 +4,11 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use mimonet_dsp::complex::C64;
 use mimonet_dsp::correlate::{
-    normalized_cross_correlate, normalized_cross_correlate_into,
-    normalized_cross_correlate_reference, SlidingAutocorrelator,
+    normalized_cross_correlate, normalized_cross_correlate_into, SlidingAutocorrelator,
 };
 use mimonet_dsp::fft::Fft;
 use mimonet_dsp::resample::resample;
+use mimonet_oracle::correlate::normalized_cross_correlate_reference;
 
 fn signal(n: usize) -> Vec<C64> {
     (0..n)

@@ -4,8 +4,9 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use mimonet_fec::interleaver::Interleaver;
 use mimonet_fec::puncture::{depuncture_soft, puncture, CodeRate};
-use mimonet_fec::viterbi::{decode_soft_unterminated, reference, ViterbiDecoder};
+use mimonet_fec::viterbi::{decode_soft_unterminated, ViterbiDecoder};
 use mimonet_fec::{ConvEncoder, Scrambler};
+use mimonet_oracle::viterbi as reference;
 
 fn bits(n: usize) -> Vec<u8> {
     (0..n)

@@ -3,9 +3,10 @@
 //! (experiment T3's headline row).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use mimonet::{Receiver, ReferenceReceiver, RxConfig, RxFrame, RxWorkspace, Transmitter, TxConfig};
+use mimonet::{Receiver, RxConfig, RxFrame, RxWorkspace, Transmitter, TxConfig};
 use mimonet_channel::{ChannelConfig, ChannelSim};
 use mimonet_dsp::complex::Complex64;
+use mimonet_oracle::ReferenceReceiver;
 
 fn padded_frame(tx: &Transmitter, psdu: &[u8]) -> Vec<Vec<Complex64>> {
     let mut streams = tx.transmit(psdu).expect("valid PSDU");

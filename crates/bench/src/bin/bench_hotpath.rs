@@ -1,6 +1,7 @@
 //! T3b — RX hot-path before/after: the four optimizations of the
-//! zero-copy receiver PR, each measured against the reference
-//! implementation kept in-tree as its equivalence oracle:
+//! zero-copy receiver PR, each measured against the pre-optimization
+//! implementation kept as its equivalence oracle in the `mimonet-oracle`
+//! crate (the "before" side of every row):
 //!
 //! 1. **scan** — view-based multi-frame scan ([`Receiver::scan`]) vs the
 //!    copy-based [`ReferenceReceiver::scan`], which clones an
@@ -10,10 +11,10 @@
 //!    CFO) vs [`ReferenceReceiver::receive`] (fresh allocations,
 //!    whole-buffer CFO passes).
 //! 3. **viterbi** — state-parallel [`ViterbiDecoder`] with buffer reuse
-//!    vs the closure-per-transition `viterbi::reference` decoder.
+//!    vs the closure-per-transition [`mimonet_oracle::viterbi`] decoder.
 //! 4. **correlate** — O(1)-per-lag sliding window energy in
 //!    [`normalized_cross_correlate_into`] vs the O(L)-per-lag
-//!    `normalized_cross_correlate_reference`.
+//!    [`normalized_cross_correlate_reference`].
 //!
 //! Every pair is checked for equivalence before timing — a speedup over
 //! an implementation that computes something else is meaningless. The
@@ -34,16 +35,17 @@
 //! function of the seed — the property the CI job diffs against
 //! `results/golden/BENCH_hotpath.json`.
 
-use mimonet::{Receiver, ReferenceReceiver, RxConfig, RxFrame, RxWorkspace, Transmitter, TxConfig};
+use mimonet::{Receiver, RxConfig, RxFrame, RxWorkspace, Transmitter, TxConfig};
 use mimonet_bench::report::FigureReport;
 use mimonet_bench::{seeds, BenchOpts};
 use mimonet_channel::{ChannelConfig, ChannelSim};
 use mimonet_dsp::complex::Complex64;
-use mimonet_dsp::correlate::{
-    normalized_cross_correlate_into, normalized_cross_correlate_reference,
-};
-use mimonet_fec::viterbi::{reference as viterbi_reference, ViterbiDecoder};
+use mimonet_dsp::correlate::normalized_cross_correlate_into;
+use mimonet_fec::viterbi::ViterbiDecoder;
 use mimonet_fec::ConvEncoder;
+use mimonet_oracle::correlate::normalized_cross_correlate_reference;
+use mimonet_oracle::viterbi as viterbi_reference;
+use mimonet_oracle::ReferenceReceiver;
 use serde::{Serialize, Value};
 use std::hint::black_box;
 use std::time::Instant;

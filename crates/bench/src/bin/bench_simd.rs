@@ -1,16 +1,19 @@
 //! T5 — lane kernels before/after: the three vectorized RX inner loops,
-//! each measured against the scalar implementation kept in-tree as its
-//! equivalence oracle:
+//! each measured against its scalar form:
 //!
 //! 1. **correlate** — four-lags-per-lane SoA correlation
-//!    ([`normalized_cross_correlate_simd_into`]) vs the scalar sliding
-//!    window ([`normalized_cross_correlate_scalar_into`]).
+//!    ([`normalized_cross_correlate_into`]) vs the scalar sliding window
+//!    ([`normalized_cross_correlate_scalar_into`], an oracle from the
+//!    `mimonet-oracle` crate).
 //! 2. **demap** — four-symbols-per-lane soft demapping
 //!    ([`Modulation::demap_soft_x4_into`]) vs four scalar
 //!    [`Modulation::demap_soft_into`] calls.
 //! 3. **detect_x4** — four-observations-per-lane linear detection
 //!    ([`Prepared::apply_x4_into`]) vs four scalar
 //!    [`Prepared::apply_into`] calls.
+//!
+//! The scalar demapper and detector are library code: the receiver runs
+//! them on the last `n_sym mod 4` symbols of a frame.
 //!
 //! Every pair is checked for *bit-identical* output before timing (the
 //! contract the `tests/simd_equivalence.rs` proptests enforce); a
@@ -31,10 +34,9 @@ use mimonet_bench::report::FigureReport;
 use mimonet_bench::{seeds, BenchOpts};
 use mimonet_detect::{prepare, CMat, DetectorKind, Prepared};
 use mimonet_dsp::complex::Complex64;
-use mimonet_dsp::correlate::{
-    normalized_cross_correlate_scalar_into, normalized_cross_correlate_simd_into,
-};
+use mimonet_dsp::correlate::normalized_cross_correlate_into;
 use mimonet_frame::Modulation;
+use mimonet_oracle::correlate::normalized_cross_correlate_scalar_into;
 use serde::{Serialize, Value};
 use std::hint::black_box;
 use std::time::Instant;
@@ -107,7 +109,7 @@ fn bench_correlate(det: bool, opts: &BenchOpts) -> BenchRow {
     let mut a = Vec::new();
     let mut b = Vec::new();
     normalized_cross_correlate_scalar_into(&sig, &pat, &mut a);
-    normalized_cross_correlate_simd_into(&sig, &pat, &mut b);
+    normalized_cross_correlate_into(&sig, &pat, &mut b);
     let matches = a.len() == b.len() && a.iter().zip(&b).all(|(x, y)| bits_eq(*x, *y));
 
     let mut out = Vec::new();
@@ -121,7 +123,7 @@ fn bench_correlate(det: bool, opts: &BenchOpts) -> BenchRow {
                 black_box(out.len());
             })),
             Some(time_ns(3, iters, || {
-                normalized_cross_correlate_simd_into(&sig, &pat, &mut out);
+                normalized_cross_correlate_into(&sig, &pat, &mut out);
                 black_box(out.len());
             })),
         )

@@ -39,7 +39,6 @@ pub mod metrics;
 pub mod netfault;
 pub mod obs;
 pub mod rx;
-pub mod rx_reference;
 pub mod scenario;
 pub mod sweep;
 pub mod telemetry;
@@ -63,10 +62,7 @@ pub use obs::{
     MetricSample, SloCounts, SloReport, SloSpec, TraceCollector, TraceEvent, TraceEventKind,
     TraceProcess, VirtualLatency,
 };
-pub use rx::{
-    with_workspace, Receiver, RxBatch, RxError, RxFrame, RxWorkspace, ScanStats, MAX_FRAME_SPAN,
-};
-pub use rx_reference::ReferenceReceiver;
+pub use rx::{Receiver, RxBatch, RxError, RxFrame, RxWorkspace, ScanStats, MAX_FRAME_SPAN};
 pub use sweep::{run_link, run_link_until_errors, Merge, ShardCtx, SweepResult, SweepSpec};
 pub use telemetry::{
     FrameOutcomes, RxCaptureProfile, RxStage, StageClock, StageProfile, STAGE_COUNT,

@@ -25,9 +25,17 @@
 //! by `tests/alloc_regression.rs`; the ML detector is the one documented
 //! exception — its hypothesis table scales with the constellation).
 //!
+//! Each capability has one entry point. [`Receiver::scan`] and
+//! [`Receiver::receive`], and their `_profiled` forms, take one buffer
+//! per antenna, owned or borrowed (`&[T]` with `T: AsRef<[Complex64]>`),
+//! and run on a thread-local workspace. [`Receiver::receive_into`],
+//! [`Receiver::receive_profiled_into`] and [`Receiver::receive_batch`]
+//! run on a caller-owned one.
+//!
 //! Two structural changes make this possible without changing a single
-//! output bit (the reference implementation in [`crate::rx_reference`]
-//! is the oracle):
+//! output bit (the pre-optimization receiver, kept in the dev-only
+//! `mimonet-oracle` crate, is the oracle `tests/equivalence.rs` checks
+//! this one against):
 //!
 //! * **View-based scanning.** [`Receiver::scan`] hands each decode
 //!   attempt a window of sub-slices instead of copying up to
@@ -419,9 +427,9 @@ thread_local! {
 }
 
 /// Runs `f` with this thread's shared receive workspace — the backing
-/// store for the owned-buffer convenience APIs ([`Receiver::receive`],
+/// store for the convenience APIs ([`Receiver::receive`],
 /// [`Receiver::scan`], …), mirroring the FEC crate's thread-local decoder.
-pub fn with_workspace<R>(f: impl FnOnce(&mut RxWorkspace) -> R) -> R {
+fn with_workspace<R>(f: impl FnOnce(&mut RxWorkspace) -> R) -> R {
     WORKSPACE.with(|w| f(&mut w.borrow_mut()))
 }
 
@@ -549,19 +557,17 @@ impl Receiver {
         &self.cfg
     }
 
-    /// Scans a long multi-frame capture, decoding every frame it finds.
+    /// Scans a long multi-frame capture, decoding every frame it finds,
+    /// and returns the frames with per-capture robustness statistics
+    /// (`scan(rx).0` is the frames alone). `rx` holds one buffer per
+    /// antenna, owned (`Vec<Complex64>`) or borrowed (`&[Complex64]`).
     ///
-    /// Returns `(offset, frame)` pairs where `offset` is the start of the
-    /// slice in which the frame was decoded (its `timing`/`frame_end`
-    /// fields are relative to that offset). Decode failures after a
-    /// detection advance the scan by a fixed stride so one broken frame
-    /// cannot stall the stream; the scan ends at the first stretch with no
-    /// detectable packet.
-    pub fn receive_all(&self, rx: &[Vec<Complex64>]) -> Vec<(usize, RxFrame)> {
-        self.scan(rx).0
-    }
-
-    /// [`Self::receive_all`] plus per-capture robustness statistics.
+    /// The frames are `(offset, frame)` pairs where `offset` is the start
+    /// of the slice in which the frame was decoded (its
+    /// `timing`/`frame_end` fields are relative to that offset). Decode
+    /// failures after a detection advance the scan by a fixed stride so
+    /// one broken frame cannot stall the stream; the scan ends at the
+    /// first stretch with no detectable packet.
     ///
     /// Hardening over a naive scan loop, all reachable under injected
     /// faults:
@@ -577,13 +583,8 @@ impl Receiver {
     ///   re-scans instead of aborting the capture, and a persistent
     ///   [`RxError::AntennaMismatch`] (a config error, not a channel
     ///   condition) stops the scan instead of looping on it.
-    pub fn scan(&self, rx: &[Vec<Complex64>]) -> (Vec<(usize, RxFrame)>, ScanStats) {
+    pub fn scan<T: AsRef<[Complex64]>>(&self, rx: &[T]) -> (Vec<(usize, RxFrame)>, ScanStats) {
         self.scan_profiled(rx, &mut RxCaptureProfile::default())
-    }
-
-    /// [`Self::scan`] over borrowed per-antenna views.
-    pub fn scan_views(&self, rx: &[&[Complex64]]) -> (Vec<(usize, RxFrame)>, ScanStats) {
-        self.scan_views_profiled(rx, &mut RxCaptureProfile::default())
     }
 
     /// [`Self::scan`] that additionally records telemetry into `cap`:
@@ -591,22 +592,14 @@ impl Receiver {
     /// per failed decode attempt (scan order, offsets absolute in the
     /// capture) — the raw material for attributing every lost frame to a
     /// named pipeline stage.
-    pub fn scan_profiled(
+    pub fn scan_profiled<T: AsRef<[Complex64]>>(
         &self,
-        rx: &[Vec<Complex64>],
+        rx: &[T],
         cap: &mut RxCaptureProfile,
     ) -> (Vec<(usize, RxFrame)>, ScanStats) {
-        with_full_views(rx, |views| self.scan_views_profiled(views, cap))
-    }
-
-    /// [`Self::scan_profiled`] over borrowed per-antenna views, using the
-    /// thread-local workspace.
-    pub fn scan_views_profiled(
-        &self,
-        rx: &[&[Complex64]],
-        cap: &mut RxCaptureProfile,
-    ) -> (Vec<(usize, RxFrame)>, ScanStats) {
-        with_workspace(|ws| self.scan_with(rx, ws, cap))
+        with_full_views(rx, |views| {
+            with_workspace(|ws| self.scan_with(views, ws, cap))
+        })
     }
 
     fn scan_with(
@@ -685,15 +678,11 @@ impl Receiver {
         }
     }
 
-    /// Attempts to detect and decode one frame from per-antenna buffers.
-    pub fn receive(&self, rx: &[Vec<Complex64>]) -> Result<RxFrame, RxError> {
-        with_full_views(rx, |views| self.receive_views(views))
-    }
-
-    /// [`Self::receive`] over borrowed per-antenna views, using the
+    /// Attempts to detect and decode one frame from per-antenna buffers,
+    /// owned (`Vec<Complex64>`) or borrowed (`&[Complex64]`), using the
     /// thread-local workspace.
-    pub fn receive_views(&self, rx: &[&[Complex64]]) -> Result<RxFrame, RxError> {
-        self.receive_profiled_views(rx, &mut StageProfile::default())
+    pub fn receive<T: AsRef<[Complex64]>>(&self, rx: &[T]) -> Result<RxFrame, RxError> {
+        self.receive_profiled(rx, &mut StageProfile::default())
     }
 
     /// The allocation-free receive path: decodes one frame from borrowed
@@ -715,24 +704,17 @@ impl Receiver {
     /// is fully accounted whether frames decode or not. The stage *call*
     /// counts are a pure function of the input; only the nanosecond spans
     /// are wall-clock (and stripped from deterministic renderings).
-    pub fn receive_profiled(
+    pub fn receive_profiled<T: AsRef<[Complex64]>>(
         &self,
-        rx: &[Vec<Complex64>],
+        rx: &[T],
         profile: &mut StageProfile,
     ) -> Result<RxFrame, RxError> {
-        with_full_views(rx, |views| self.receive_profiled_views(views, profile))
-    }
-
-    /// [`Self::receive_profiled`] over borrowed per-antenna views.
-    pub fn receive_profiled_views(
-        &self,
-        rx: &[&[Complex64]],
-        profile: &mut StageProfile,
-    ) -> Result<RxFrame, RxError> {
-        with_workspace(|ws| {
-            let mut frame = RxFrame::default();
-            self.receive_profiled_into(rx, ws, profile, &mut frame)?;
-            Ok(frame)
+        with_full_views(rx, |views| {
+            with_workspace(|ws| {
+                let mut frame = RxFrame::default();
+                self.receive_profiled_into(views, ws, profile, &mut frame)?;
+                Ok(frame)
+            })
         })
     }
 
@@ -1446,7 +1428,7 @@ mod tests {
         }
         let mut sim = ChannelSim::new(ChannelConfig::awgn(2, 2, 30.0), 9);
         let (noisy, _) = sim.apply(&capture);
-        let frames = rx.receive_all(&noisy);
+        let frames = rx.scan(&noisy).0;
         assert_eq!(frames.len(), 3, "found {} frames", frames.len());
         for ((off, frame), want) in frames.iter().zip(&psdus) {
             assert_eq!(&frame.psdu, want, "frame at offset {off}");
@@ -1458,8 +1440,8 @@ mod tests {
     #[test]
     fn receive_all_empty_capture() {
         let rx = Receiver::new(RxConfig::new(1));
-        assert!(rx.receive_all(&[vec![Complex64::ZERO; 5000]]).is_empty());
-        assert!(rx.receive_all(&[vec![]]).is_empty());
+        assert!(rx.scan(&[vec![Complex64::ZERO; 5000]]).0.is_empty());
+        assert!(rx.scan(&[vec![]]).0.is_empty());
     }
 
     #[test]

@@ -8,6 +8,13 @@
 //! * **Lagged autocorrelation** of a signal with a delayed copy of itself —
 //!   the core of Schmidl–Cox-style detectors and the Van de Beek metric;
 //!   [`SlidingAutocorrelator`] maintains the running sums in O(1) per sample.
+//!
+//! The normalized cross-correlation has one implementation, the lane
+//! kernel behind [`normalized_cross_correlate_into`]. Its two oracles —
+//! the per-lag form it replaced and a scalar twin it must match bit for
+//! bit — live in the dev-only `mimonet-oracle` crate
+//! (`mimonet_oracle::correlate`), which this crate's integration tests
+//! compare it against.
 
 use crate::complex::{dot_conj, split_complex, Complex64};
 use crate::simd::F64x4;
@@ -38,60 +45,12 @@ pub fn cross_correlate(signal: &[Complex64], reference: &[Complex64]) -> Vec<Com
 /// lag, mirroring [`SlidingAutocorrelator`] — instead of being recomputed
 /// from scratch at every offset. The running update reassociates the
 /// floating-point summation, so individual values can differ from the
-/// per-window reference ([`normalized_cross_correlate_reference`]) by
-/// rounding noise; peak positions and threshold decisions are unaffected.
+/// per-window form (the per-lag test oracle in `mimonet_oracle::correlate`)
+/// by rounding noise; peak positions and threshold decisions are unaffected.
 pub fn normalized_cross_correlate(signal: &[Complex64], reference: &[Complex64]) -> Vec<f64> {
     let mut out = Vec::new();
     normalized_cross_correlate_into(signal, reference, &mut out);
     out
-}
-
-/// [`normalized_cross_correlate`] writing into a caller-owned vector
-/// (cleared first; capacity is reused) so warmed-up callers allocate
-/// nothing. Runs the lane kernel
-/// ([`normalized_cross_correlate_simd_into`]).
-pub fn normalized_cross_correlate_into(
-    signal: &[Complex64],
-    reference: &[Complex64],
-    out: &mut Vec<f64>,
-) {
-    normalized_cross_correlate_simd_into(signal, reference, out);
-}
-
-/// Scalar implementation of [`normalized_cross_correlate_into`] — the
-/// test oracle the lane kernel must match bit-for-bit.
-pub fn normalized_cross_correlate_scalar_into(
-    signal: &[Complex64],
-    reference: &[Complex64],
-    out: &mut Vec<f64>,
-) {
-    out.clear();
-    if reference.is_empty() || reference.len() > signal.len() {
-        return;
-    }
-    let l = reference.len();
-    let n = signal.len() - l + 1;
-    let r_energy: f64 = reference.iter().map(|x| x.norm_sqr()).sum();
-    if r_energy <= f64::EPSILON {
-        out.resize(n, 0.0);
-        return;
-    }
-    // Prime the window energy, then slide: add the entering sample, drop
-    // the leaving one. Clamp at zero — the running difference can dip to a
-    // tiny negative value once the true energy is ~0.
-    let mut s_energy: f64 = signal[..l].iter().map(|x| x.norm_sqr()).sum();
-    for d in 0..n {
-        let win = &signal[d..d + l];
-        let e = s_energy.max(0.0);
-        out.push(if e <= f64::EPSILON {
-            0.0
-        } else {
-            dot_conj(win, reference).abs() / (e * r_energy).sqrt()
-        });
-        if d + 1 < n {
-            s_energy += signal[d + l].norm_sqr() - signal[d].norm_sqr();
-        }
-    }
 }
 
 thread_local! {
@@ -102,15 +61,20 @@ thread_local! {
         const { RefCell::new((Vec::new(), Vec::new(), Vec::new())) };
 }
 
-/// Vectorized implementation of [`normalized_cross_correlate_into`]:
-/// four adjacent *lags* per [`F64x4`] lane over a flat split-re/im (SoA)
-/// copy of the signal. Each `k` step broadcasts `reference[k]` and loads
-/// four contiguous signal samples, and every lane accumulates its own
-/// lag's correlation in the scalar `k` order — so each lane reproduces
-/// the scalar [`dot_conj`] fold exactly and the output is bit-identical
-/// to [`normalized_cross_correlate_scalar_into`]. The window-energy
-/// slide stays scalar (it is O(1) per lag and sequential by design).
-pub fn normalized_cross_correlate_simd_into(
+/// [`normalized_cross_correlate`] writing into a caller-owned vector
+/// (cleared first; capacity is reused) so warmed-up callers allocate
+/// nothing.
+///
+/// Vectorized: four adjacent *lags* per [`F64x4`] lane over a flat
+/// split-re/im (SoA) copy of the signal. Each `k` step broadcasts
+/// `reference[k]` and loads four contiguous signal samples, and every
+/// lane accumulates its own lag's correlation in the scalar `k` order —
+/// so each lane reproduces the scalar [`dot_conj`] fold exactly and the
+/// output is bit-identical to a one-lag-at-a-time sliding correlator
+/// (the scalar test oracle in `mimonet_oracle::correlate`).
+/// The window-energy slide stays scalar (it is O(1) per lag and
+/// sequential by design).
+pub fn normalized_cross_correlate_into(
     signal: &[Complex64],
     reference: &[Complex64],
     out: &mut Vec<f64>,
@@ -130,8 +94,8 @@ pub fn normalized_cross_correlate_simd_into(
         let mut scratch = scratch.borrow_mut();
         let (s_re, s_im, energies) = &mut *scratch;
         split_complex(signal, s_re, s_im);
-        // The same running energy slide as the scalar path, recorded per
-        // lag so the blocked main loop can consume it out of step.
+        // The one-lag-at-a-time running energy slide, recorded per lag
+        // so the blocked main loop can consume it out of step.
         energies.clear();
         energies.reserve(n);
         let mut s_energy: f64 = signal[..l].iter().map(|x| x.norm_sqr()).sum();
@@ -208,35 +172,6 @@ pub fn normalized_cross_correlate_simd_into(
             push_lag(d, dot_conj(&signal[d..d + l], reference).abs());
         }
     });
-}
-
-/// Reference implementation of [`normalized_cross_correlate`] that
-/// recomputes the window energy from scratch at every lag — O(len(r)) per
-/// lag. Kept as the equivalence oracle for tests and as the "before" side
-/// of the hot-path benchmark.
-pub fn normalized_cross_correlate_reference(
-    signal: &[Complex64],
-    reference: &[Complex64],
-) -> Vec<f64> {
-    if reference.is_empty() || reference.len() > signal.len() {
-        return Vec::new();
-    }
-    let r_energy: f64 = reference.iter().map(|x| x.norm_sqr()).sum();
-    if r_energy <= f64::EPSILON {
-        return vec![0.0; signal.len() - reference.len() + 1];
-    }
-    let n = signal.len() - reference.len() + 1;
-    (0..n)
-        .map(|d| {
-            let win = &signal[d..d + reference.len()];
-            let s_energy: f64 = win.iter().map(|x| x.norm_sqr()).sum();
-            if s_energy <= f64::EPSILON {
-                0.0
-            } else {
-                dot_conj(win, reference).abs() / (s_energy * r_energy).sqrt()
-            }
-        })
-        .collect()
 }
 
 /// Index of the maximum value in a real slice; `None` for empty input.
@@ -428,24 +363,6 @@ mod tests {
     }
 
     #[test]
-    fn sliding_energy_matches_reference() {
-        // Mixed signal: silence, a tone, impulses — exercises both the
-        // zero-energy clamp and the running update.
-        let mut signal = vec![C64::ZERO; 30];
-        signal.extend((0..80).map(|i| C64::cis(i as f64 * 0.4) * (0.5 + (i % 7) as f64)));
-        signal.extend(vec![C64::ZERO; 20]);
-        signal.push(C64::new(3.0, -2.0));
-        signal.extend(vec![C64::ZERO; 30]);
-        let reference: Vec<C64> = (0..16).map(|i| C64::cis(i as f64 * 1.3)).collect();
-        let fast = normalized_cross_correlate(&signal, &reference);
-        let slow = normalized_cross_correlate_reference(&signal, &reference);
-        assert_eq!(fast.len(), slow.len());
-        for (d, (f, s)) in fast.iter().zip(&slow).enumerate() {
-            assert!((f - s).abs() < 1e-9, "lag {d}: {f} vs {s}");
-        }
-    }
-
-    #[test]
     fn into_variant_reuses_buffer_and_clears() {
         let signal: Vec<C64> = (0..40).map(|i| C64::cis(i as f64 * 0.2)).collect();
         let reference: Vec<C64> = (0..8).map(|i| C64::cis(i as f64)).collect();
@@ -455,28 +372,6 @@ mod tests {
         // Degenerate input leaves the buffer empty, not stale.
         normalized_cross_correlate_into(&[], &reference, &mut out);
         assert!(out.is_empty());
-    }
-
-    #[test]
-    fn simd_lags_match_scalar_bit_for_bit() {
-        // Lengths straddling lane boundaries (n % 4 ∈ {0,1,2,3}) plus a
-        // signal with silence so the zero-energy clamp fires in both.
-        for (sig_len, ref_len) in [(64usize, 16usize), (61, 7), (40, 13), (23, 23), (9, 4)] {
-            let mut signal: Vec<C64> = (0..sig_len)
-                .map(|i| C64::new((i as f64 * 0.37).sin() * 1.5, (i as f64 * 0.61).cos()))
-                .collect();
-            for s in signal.iter_mut().take(6) {
-                *s = C64::ZERO;
-            }
-            let reference: Vec<C64> = (0..ref_len)
-                .map(|i| C64::cis(i as f64 * 1.17) * (0.4 + 0.2 * i as f64))
-                .collect();
-            let mut scalar = Vec::new();
-            let mut simd = Vec::new();
-            normalized_cross_correlate_scalar_into(&signal, &reference, &mut scalar);
-            normalized_cross_correlate_simd_into(&signal, &reference, &mut simd);
-            assert_eq!(scalar, simd, "sig={sig_len} ref={ref_len}");
-        }
     }
 
     #[test]

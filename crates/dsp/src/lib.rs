@@ -12,11 +12,12 @@
 //!
 //! ## Lane kernels
 //!
-//! The sliding correlation runs a lane-per-output vectorized form built
-//! on [`simd::F64x4`]; its scalar twin stays as the test oracle, and the
-//! two are bit-identical (see `simd`'s module docs for the rule that
-//! makes this true). The FFT has scalar butterflies only: a lane form
-//! measured 0.77× the scalar speed at 64 points and was removed.
+//! The sliding correlation has one implementation, a lane-per-output
+//! vectorized form built on [`simd::F64x4`]. Its scalar twin lives in
+//! the dev-only `mimonet-oracle` crate as the test oracle, and the two
+//! are bit-identical (see `simd`'s module docs for the rule that makes
+//! this true). The FFT has scalar butterflies only: a lane form measured
+//! 0.77× the scalar speed at 64 points and was removed.
 
 pub mod complex;
 pub mod correlate;

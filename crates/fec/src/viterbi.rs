@@ -13,8 +13,9 @@
 //! Both run one branchless search, a butterfly add-compare-select over
 //! the 64 trellis states that LLVM autovectorizes (see
 //! [`ViterbiDecoder`]). Its survivors and decoded bits are identical to
-//! the naive forward scatter kept in [`reference`](mod@reference) as the
-//! oracle.
+//! the naive forward scatter kept as the oracle in the dev-only
+//! `mimonet-oracle` crate (`mimonet_oracle::viterbi`), which this
+//! crate's integration tests and proptests compare it against.
 //!
 //! Punctured positions are passed as *erasures*: [`Symbol::Erased`] for hard
 //! input, LLR 0.0 for soft input — both contribute nothing to any branch
@@ -94,10 +95,6 @@ const SURV_WORDS: usize = NUM_STATES / 8;
 /// where `R`, the reward of `2j → j`, is one of `p = a0 + b0`,
 /// `q = a0 − b0`, `−q` or `−p`. Two bitmasks per butterfly pick it.
 struct Trellis {
-    // [state][input] -> index of the output pair (a, b) as (a << 1) | b.
-    pair_idx: [[usize; 2]; NUM_STATES],
-    // [state][input] -> next state.
-    next: [[u8; 2]; NUM_STATES],
     // [j] -> all ones where butterfly j's R is ±q (a ≠ b), else 0.
     use_q: [u64; HALF],
     // [j] -> the f64 sign bit where butterfly j's R is −p or −q (a = 1).
@@ -110,15 +107,6 @@ struct Trellis {
 
 impl Trellis {
     fn new() -> Self {
-        let mut pair_idx = [[0usize; 2]; NUM_STATES];
-        let mut next = [[0u8; 2]; NUM_STATES];
-        for s in 0..NUM_STATES {
-            for bit in 0..2usize {
-                let (a, b, ns) = encode_step(s as u8, bit as u8);
-                pair_idx[s][bit] = ((a as usize) << 1) | b as usize;
-                next[s][bit] = ns;
-            }
-        }
         let mut use_q = [0u64; HALF];
         let mut negate = [0u64; HALF];
         for j in 0..HALF {
@@ -132,8 +120,6 @@ impl Trellis {
             negate[j] = if a == 1 { 1 << 63 } else { 0 };
         }
         Self {
-            pair_idx,
-            next,
             use_q,
             negate,
             floor: NEG,
@@ -163,8 +149,8 @@ const NEG: f64 = f64::NEG_INFINITY;
 /// is −∞: each is one `max`. No lane branches on its data and lanes
 /// never mix, so the loop autovectorizes under the
 /// [`F64x4`](mimonet_dsp::simd::F64x4) bit-identity rule. The survivors
-/// and decoded bits are identical to the naive forward scatter kept in
-/// [`reference`](mod@reference):
+/// and decoded bits are identical to the naive forward scatter kept as
+/// the oracle `mimonet_oracle::viterbi`:
 ///
 /// * the scatter's reward `r(a) + r(b)` is `a0·sa + b0·sb` with signs
 ///   `sa, sb ∈ {+1, −1}`, and `±a0 ± b0` equals it exactly except, at
@@ -433,144 +419,6 @@ pub fn decode_soft(llrs: &[f64]) -> Result<Vec<u8>, ViterbiError> {
     Ok(out)
 }
 
-/// The pre-optimization closure-driven forward scatter, kept as the
-/// equivalence oracle for [`ViterbiDecoder`] (unit tests here,
-/// proptests in `tests/`) and as the "before" side of the hot-path
-/// benchmark. Allocates fresh metric and survivor buffers and invokes
-/// the reward closure twice per branch — 256 calls per trellis step.
-pub mod reference {
-    use super::*;
-
-    fn search(
-        num_steps: usize,
-        bit_reward: impl Fn(usize, u8) -> f64,
-        terminated: bool,
-    ) -> Vec<u8> {
-        let tr = trellis();
-        let mut metric = vec![NEG; NUM_STATES];
-        metric[0] = 0.0;
-        let mut survivor: Vec<[(u8, u8); NUM_STATES]> = Vec::with_capacity(num_steps);
-
-        let mut next_metric = vec![NEG; NUM_STATES];
-        for t in 0..num_steps {
-            next_metric.fill(NEG);
-            let mut surv = [(0u8, 0u8); NUM_STATES];
-            for s in 0..NUM_STATES {
-                let m = metric[s];
-                if m == NEG {
-                    continue;
-                }
-                for bit in 0..2usize {
-                    let pair = tr.pair_idx[s][bit];
-                    let (a, b) = ((pair >> 1) as u8, (pair & 1) as u8);
-                    let ns = tr.next[s][bit] as usize;
-                    let r = bit_reward(2 * t, a) + bit_reward(2 * t + 1, b);
-                    let cand = m + r;
-                    if cand > next_metric[ns] {
-                        next_metric[ns] = cand;
-                        surv[ns] = (s as u8, bit as u8);
-                    }
-                }
-            }
-            survivor.push(surv);
-            std::mem::swap(&mut metric, &mut next_metric);
-        }
-
-        let mut state = if terminated {
-            0usize
-        } else {
-            metric
-                .iter()
-                .enumerate()
-                .max_by(|a, b| a.1.partial_cmp(b.1).unwrap())
-                .map(|(i, _)| i)
-                .unwrap_or(0)
-        };
-
-        let mut bits = vec![0u8; num_steps];
-        for t in (0..num_steps).rev() {
-            let (prev, bit) = survivor[t][state];
-            bits[t] = bit;
-            state = prev as usize;
-        }
-        bits
-    }
-
-    fn hard_reward(coded: &[Symbol]) -> impl Fn(usize, u8) -> f64 + '_ {
-        |idx, hyp| match coded[idx] {
-            Symbol::Erased => 0.0,
-            Symbol::Bit(rx) => {
-                if rx == hyp {
-                    1.0
-                } else {
-                    0.0
-                }
-            }
-        }
-    }
-
-    fn soft_reward(llrs: &[f64]) -> impl Fn(usize, u8) -> f64 + '_ {
-        |idx, hyp| {
-            let l = llrs[idx];
-            if hyp == 0 {
-                0.5 * l
-            } else {
-                -0.5 * l
-            }
-        }
-    }
-
-    /// Reference counterpart of [`super::decode_hard`].
-    pub fn decode_hard(coded: &[Symbol]) -> Result<Vec<u8>, ViterbiError> {
-        if !coded.len().is_multiple_of(2) {
-            return Err(ViterbiError::OddLength(coded.len()));
-        }
-        let steps = coded.len() / 2;
-        if steps < TAIL_BITS {
-            return Err(ViterbiError::TooShort(coded.len()));
-        }
-        let bits = search(steps, hard_reward(coded), true);
-        Ok(bits[..steps - TAIL_BITS].to_vec())
-    }
-
-    /// Reference counterpart of [`super::decode_hard_unterminated`].
-    pub fn decode_hard_unterminated(coded: &[Symbol]) -> Result<Vec<u8>, ViterbiError> {
-        if !coded.len().is_multiple_of(2) {
-            return Err(ViterbiError::OddLength(coded.len()));
-        }
-        let steps = coded.len() / 2;
-        if steps == 0 {
-            return Ok(Vec::new());
-        }
-        Ok(search(steps, hard_reward(coded), false))
-    }
-
-    /// Reference counterpart of [`super::decode_soft_unterminated`].
-    pub fn decode_soft_unterminated(llrs: &[f64]) -> Result<Vec<u8>, ViterbiError> {
-        if !llrs.len().is_multiple_of(2) {
-            return Err(ViterbiError::OddLength(llrs.len()));
-        }
-        let steps = llrs.len() / 2;
-        if steps == 0 {
-            return Ok(Vec::new());
-        }
-        Ok(search(steps, soft_reward(llrs), false))
-    }
-
-    /// Reference counterpart of [`super::decode_soft`].
-    pub fn decode_soft(llrs: &[f64]) -> Result<Vec<u8>, ViterbiError> {
-        if !llrs.len().is_multiple_of(2) {
-            return Err(ViterbiError::OddLength(llrs.len()));
-        }
-        let steps = llrs.len() / 2;
-        if steps < TAIL_BITS {
-            return Err(ViterbiError::TooShort(llrs.len()));
-        }
-        let bits = search(steps, soft_reward(llrs), true);
-        Ok(bits[..steps - TAIL_BITS].to_vec())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -591,64 +439,6 @@ mod tests {
                 (x & 1) as u8
             })
             .collect()
-    }
-
-    /// Deterministic f64 in [-4, 4] for LLR fuzzing.
-    fn llr_pattern(len: usize, seed: u64) -> Vec<f64> {
-        let mut x = seed | 1;
-        (0..len)
-            .map(|_| {
-                x ^= x << 13;
-                x ^= x >> 7;
-                x ^= x << 17;
-                ((x & 0xFFFF) as f64 / 65535.0 - 0.5) * 8.0
-            })
-            .collect()
-    }
-
-    #[test]
-    fn table_driven_matches_reference_hard_random_with_erasures() {
-        for seed in 0..20u64 {
-            let len = 2 * (TAIL_BITS + 4 + (seed as usize * 7) % 90);
-            let bits = pattern(len, seed.wrapping_mul(0x9E37).wrapping_add(1));
-            let mut syms = to_symbols(&bits);
-            // Scatter erasures (including adjacent pairs) over the stream.
-            for i in (seed as usize % 5..len).step_by(5 + (seed as usize % 3)) {
-                syms[i] = Symbol::Erased;
-            }
-            assert_eq!(
-                decode_hard(&syms).unwrap(),
-                reference::decode_hard(&syms).unwrap(),
-                "terminated hard, seed {seed}"
-            );
-            assert_eq!(
-                decode_hard_unterminated(&syms).unwrap(),
-                reference::decode_hard_unterminated(&syms).unwrap(),
-                "unterminated hard, seed {seed}"
-            );
-        }
-    }
-
-    #[test]
-    fn table_driven_matches_reference_soft_random() {
-        for seed in 0..20u64 {
-            let len = 2 * (TAIL_BITS + 2 + (seed as usize * 11) % 120);
-            let mut llrs = llr_pattern(len, seed.wrapping_mul(0xC2B2).wrapping_add(3));
-            // Zero LLRs model depunctured erasures.
-            for i in (seed as usize % 4..len).step_by(6) {
-                llrs[i] = 0.0;
-            }
-            assert_eq!(
-                decode_soft(&llrs).unwrap(),
-                reference::decode_soft(&llrs).unwrap(),
-                "terminated soft, seed {seed}"
-            );
-            assert_eq!(
-                decode_soft_unterminated(&llrs).unwrap(),
-                reference::decode_soft_unterminated(&llrs).unwrap(),
-                "unterminated soft, seed {seed}"
-            );
-        }
     }
 
     #[test]
@@ -806,106 +596,5 @@ mod tests {
         let syms = vec![Symbol::Erased; 2 * (20 + TAIL_BITS)];
         let out = decode_hard(&syms).unwrap();
         assert_eq!(out.len(), 20);
-    }
-
-    /// Stream lengths for the hostile-input checks: empty, odd, too short
-    /// for a terminated block (< 12), exactly the tail, and long.
-    const HOSTILE_LENS: [usize; 16] = [
-        0, 1, 2, 3, 10, 11, 12, 13, 14, 97, 98, 500, 1001, 2048, 2999, 3000,
-    ];
-
-    /// Deterministic soft stream: finite LLRs in [-4, 4], with one value in
-    /// `every` (on average) replaced by ±0.0, ±inf, NaN, ±1e300, ±f64::MAX
-    /// (metrics overflow to ±inf within two steps) or a subnormal.
-    fn hostile_llrs(len: usize, seed: u64, every: u64) -> Vec<f64> {
-        const SPECIAL: [f64; 14] = [
-            0.0,
-            -0.0,
-            f64::INFINITY,
-            f64::NEG_INFINITY,
-            f64::NAN,
-            -f64::NAN,
-            1e300,
-            -1e300,
-            f64::MAX,
-            -f64::MAX,
-            5e-324,
-            -5e-324,
-            f64::MIN_POSITIVE / 3.0,
-            -1e-310,
-        ];
-        let mut x = seed.wrapping_mul(0x9E37_79B9) | 1;
-        llr_pattern(len, seed)
-            .into_iter()
-            .map(|l| {
-                x ^= x << 13;
-                x ^= x >> 7;
-                x ^= x << 17;
-                if x.is_multiple_of(every) {
-                    SPECIAL[(x >> 16) as usize % SPECIAL.len()]
-                } else {
-                    l
-                }
-            })
-            .collect()
-    }
-
-    /// Deterministic hard stream: one symbol in `every` (on average) is
-    /// `Erased` or an out-of-range `Bit(b)`, `b ≥ 2`.
-    fn hostile_symbols(len: usize, seed: u64, every: u64) -> Vec<Symbol> {
-        let mut x = seed.wrapping_mul(0xC2B2_AE35) | 1;
-        pattern(len, seed)
-            .into_iter()
-            .map(|b| {
-                x ^= x << 13;
-                x ^= x >> 7;
-                x ^= x << 17;
-                match (x.is_multiple_of(every), (x >> 16) % 4) {
-                    (true, 0) => Symbol::Erased,
-                    (true, 1) => Symbol::Bit(2),
-                    (true, 2) => Symbol::Bit(0x80 | b),
-                    (true, _) => Symbol::Bit(u8::MAX),
-                    (false, _) => Symbol::Bit(b),
-                }
-            })
-            .collect()
-    }
-
-    #[test]
-    fn hostile_soft_inputs_match_reference() {
-        for len in HOSTILE_LENS {
-            for (k, every) in [1u64, 3, 17, 200].into_iter().enumerate() {
-                let llrs = hostile_llrs(len, 31 * len as u64 + k as u64, every);
-                assert_eq!(
-                    decode_soft(&llrs),
-                    reference::decode_soft(&llrs),
-                    "terminated soft, len {len}, every {every}"
-                );
-                assert_eq!(
-                    decode_soft_unterminated(&llrs),
-                    reference::decode_soft_unterminated(&llrs),
-                    "unterminated soft, len {len}, every {every}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn hostile_hard_inputs_match_reference() {
-        for len in HOSTILE_LENS {
-            for (k, every) in [1u64, 3, 17, 200].into_iter().enumerate() {
-                let syms = hostile_symbols(len, 37 * len as u64 + k as u64, every);
-                assert_eq!(
-                    decode_hard(&syms),
-                    reference::decode_hard(&syms),
-                    "terminated hard, len {len}, every {every}"
-                );
-                assert_eq!(
-                    decode_hard_unterminated(&syms),
-                    reference::decode_hard_unterminated(&syms),
-                    "unterminated hard, len {len}, every {every}"
-                );
-            }
-        }
     }
 }

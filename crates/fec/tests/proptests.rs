@@ -1,7 +1,7 @@
 //! Property-based tests of the FEC pipeline: every stage must be exactly
 //! invertible on a clean channel, for arbitrary data and all code rates,
-//! and the Viterbi decoder must match its `viterbi::reference` oracle on
-//! any stream, hostile ones included.
+//! and the Viterbi decoder must match its oracle, the forward scatter in
+//! `mimonet_oracle::viterbi`, on any stream, hostile ones included.
 
 use mimonet_fec::bits::{bits_to_bytes, bytes_to_bits};
 use mimonet_fec::conv::encode_terminated;
@@ -10,9 +10,10 @@ use mimonet_fec::interleaver::Interleaver;
 use mimonet_fec::puncture::{depuncture_hard, depuncture_soft, puncture, CodeRate};
 use mimonet_fec::scrambler::Scrambler;
 use mimonet_fec::viterbi::{
-    decode_hard, decode_hard_unterminated, decode_soft, reference, Symbol, ViterbiDecoder,
+    decode_hard, decode_hard_unterminated, decode_soft, Symbol, ViterbiDecoder,
 };
 use mimonet_fec::ConvEncoder;
+use mimonet_oracle::viterbi;
 use proptest::prelude::*;
 use std::cell::RefCell;
 
@@ -220,11 +221,11 @@ proptest! {
         DECODER.with(|d| {
             let (dec, out) = &mut *d.borrow_mut();
             let got = dec.decode_soft_into(&llrs, out).map(|()| out.clone());
-            prop_assert_eq!(got, reference::decode_soft(&llrs), "terminated, {:?}", llrs);
+            prop_assert_eq!(got, viterbi::decode_soft(&llrs), "terminated, {:?}", llrs);
             let got = dec.decode_soft_unterminated_into(&llrs, out).map(|()| out.clone());
             prop_assert_eq!(
                 got,
-                reference::decode_soft_unterminated(&llrs),
+                viterbi::decode_soft_unterminated(&llrs),
                 "unterminated, {:?}",
                 llrs
             );
@@ -237,11 +238,11 @@ proptest! {
         DECODER.with(|d| {
             let (dec, out) = &mut *d.borrow_mut();
             let got = dec.decode_hard_into(&syms, out).map(|()| out.clone());
-            prop_assert_eq!(got, reference::decode_hard(&syms), "terminated, {:?}", syms);
+            prop_assert_eq!(got, viterbi::decode_hard(&syms), "terminated, {:?}", syms);
             let got = dec.decode_hard_unterminated_into(&syms, out).map(|()| out.clone());
             prop_assert_eq!(
                 got,
-                reference::decode_hard_unterminated(&syms),
+                viterbi::decode_hard_unterminated(&syms),
                 "unterminated, {:?}",
                 syms
             );

@@ -16,12 +16,23 @@
 //!   shared queue — *regardless of which session they came from* — and
 //!   runs each stream-count group through one
 //!   [`Receiver::receive_batch`] call, a loop of one-frame decodes over
-//!   one workspace. Draining several jobs per turn saves queue pops;
-//!   every frame still decodes on its own, so grouping never changes a
-//!   decoded byte (pinned by `tests/simd_equivalence.rs`), and the
-//!   engine's per-session output is byte-identical to the session
+//!   one workspace. Every frame decodes on its own, so grouping never
+//!   changes a decoded byte (pinned by `tests/simd_equivalence.rs`), and
+//!   the engine's per-session output is byte-identical to the session
 //!   flowgraph ([`crate::session::run_session`]) no matter how sessions
 //!   interleave.
+//!
+//! The decode queue is what lets one session use two workers: an idle
+//! worker decodes a session's queued bursts while another is still
+//! generating that session's next window. A one-queue plane (a turn
+//! generates a window, requeues the session, then decodes the window in
+//! one `receive_batch` call) is 82 lines shorter and was measured
+//! against it on `bench_e2e`. `bulk_mimo` throughput stayed flat (617 →
+//! 619 frames/s, median of 4 alternating 25 s pairs), but `setup_s`,
+//! which times warm-up sessions run one at a time, rose 0.082 → 0.111 s
+//! (1.35×, worse in 4 of 4 pairs), past the benchmark's 25% bound.
+//! One-frame windows did not recover it (0.065 → 0.070 s, medians of
+//! five 6 s runs). So the two queues stay.
 //!
 //! Sessions that need the observability plane (`trace != 0` or
 //! `telemetry_every > 0`) fall back to the full flowgraph on the
@@ -52,9 +63,8 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// Frames a generation turn advances one session by. Small enough that
-/// many admitted sessions interleave in the decode queue (that is what
-/// makes the decode batches cross-session), large enough to amortize the
-/// queue traffic.
+/// another worker decodes a window's bursts while this session's next
+/// window is generated, large enough to amortize the queue traffic.
 const GEN_WINDOW: u32 = 8;
 
 /// Most decode jobs one decode turn drains from the queue; each
@@ -174,7 +184,7 @@ impl ComputePlane {
             Arc::new(BoundedQueue::new(GEN_QUEUE_DEPTH, OverflowPolicy::Block));
         let decode: Arc<BoundedQueue<DecodeJob>> =
             Arc::new(BoundedQueue::new(DECODE_QUEUE_DEPTH, OverflowPolicy::Block));
-        let workers = (0..n_workers.max(1))
+        let workers = (0..n_workers)
             .map(|_| {
                 let gen = gen.clone();
                 let decode = decode.clone();

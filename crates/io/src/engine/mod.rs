@@ -93,9 +93,10 @@ pub struct EngineConfig {
     pub resume_capacity: usize,
     /// Wall-clock budget per connection; `None` = unbounded.
     pub connection_deadline: Option<Duration>,
-    /// I/O shards (each one thread multiplexing its connections).
+    /// I/O shards (each one thread multiplexing its connections); 0 runs
+    /// as 1.
     pub shards: usize,
-    /// Compute workers draining the session/decode queues.
+    /// Compute workers draining the session/decode queues; 0 runs as 1.
     pub compute_workers: usize,
 }
 
@@ -375,13 +376,17 @@ impl EngineServer {
     }
 
     /// Binds `addr` under `config` and starts the engine's thread set.
-    pub fn bind_with(addr: &str, config: EngineConfig) -> std::io::Result<Self> {
+    /// At least one shard and one compute worker always run: zero counts
+    /// are raised to 1 before the config is stored, so the metrics report
+    /// the threads that actually serve.
+    pub fn bind_with(addr: &str, mut config: EngineConfig) -> std::io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
         listener.set_nonblocking(true)?;
         let stop = Arc::new(AtomicBool::new(false));
-        let n_shards = config.shards.max(1);
-        let n_workers = config.compute_workers.max(1);
+        config.shards = config.shards.max(1);
+        config.compute_workers = config.compute_workers.max(1);
+        let (n_shards, n_workers) = (config.shards, config.compute_workers);
         let shared = Arc::new(EngineShared {
             config,
             stats: Arc::new(EngineStats::default()),

@@ -1,0 +1,25 @@
+//! # mimonet-oracle
+//!
+//! The reference implementations MIMONet-rs checks its optimized code
+//! against, kept out of the library crates so each of those has one
+//! implementation per behaviour. Nothing here is fast or reusable on
+//! purpose: each oracle is the straightforward form its production
+//! counterpart replaced, and its value is that it does not change.
+//!
+//! * [`ReferenceReceiver`] — the allocate-per-stage receiver that
+//!   `mimonet::Receiver` must match bit for bit (`tests/equivalence.rs`);
+//! * [`viterbi`] — the closure-driven forward-scatter Viterbi decoder
+//!   that `mimonet_fec::ViterbiDecoder` must match bit for bit;
+//! * [`correlate`] — the per-lag and scalar sliding correlators that
+//!   `mimonet_dsp`'s lane correlator is checked against.
+//!
+//! The library crates use it only as a dev-dependency, from their
+//! integration tests. `mimonet-bench` links it as the "before" side of
+//! `bench_hotpath` and `bench_simd`, whose golden reports pin the
+//! oracle-vs-production `matches` rows.
+
+pub mod correlate;
+pub mod receiver;
+pub mod viterbi;
+
+pub use receiver::ReferenceReceiver;

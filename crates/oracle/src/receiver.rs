@@ -1,7 +1,7 @@
 //! The pre-optimization receiver, kept verbatim.
 //!
 //! [`ReferenceReceiver`] is the straightforward allocate-per-stage
-//! implementation the zero-copy [`crate::rx::Receiver`] replaced: it
+//! implementation the zero-copy [`mimonet::rx::Receiver`] replaced: it
 //! copies the capture window per scan attempt, CFO-corrects whole buffers
 //! eagerly, and allocates fresh vectors in every stage. It exists for two
 //! reasons:
@@ -14,9 +14,9 @@
 //!
 //! Do not "improve" this module; its value is that it does not change.
 
-use crate::config::RxConfig;
-use crate::rx::{RxError, RxFrame, ScanStats, MAX_FRAME_SPAN};
-use crate::tx::{deparse_streams_soft, DATA_POLARITY_OFFSET};
+use mimonet::config::RxConfig;
+use mimonet::rx::{RxError, RxFrame, ScanStats, MAX_FRAME_SPAN};
+use mimonet::tx::{deparse_streams_soft, DATA_POLARITY_OFFSET};
 use mimonet_detect::chanest::ChannelEstimate;
 use mimonet_detect::snr::snr_from_ltf_repetitions;
 use mimonet_detect::{
@@ -39,7 +39,7 @@ use mimonet_frame::Layout;
 use mimonet_sync::{fine_timing, DetectorConfig, PacketDetector, VanDeBeek};
 
 /// The pre-optimization receiver. Same configuration, same outputs as
-/// [`crate::rx::Receiver`] — different (allocation-heavy) mechanics.
+/// [`mimonet::rx::Receiver`] — different (allocation-heavy) mechanics.
 #[derive(Clone, Debug)]
 pub struct ReferenceReceiver {
     cfg: RxConfig,
@@ -56,7 +56,7 @@ impl ReferenceReceiver {
     }
 
     /// Scans a long multi-frame capture, decoding every frame it finds —
-    /// the copy-per-window implementation [`crate::rx::Receiver::scan`]
+    /// the copy-per-window implementation [`mimonet::rx::Receiver::scan`]
     /// replaced.
     pub fn scan(&self, rx: &[Vec<Complex64>]) -> (Vec<(usize, RxFrame)>, ScanStats) {
         const ERROR_STRIDE: usize = 400;

@@ -1,5 +1,6 @@
 //! Equivalence proptests: the zero-copy receiver against the verbatim
-//! pre-optimization implementation in `mimonet::rx_reference`.
+//! pre-optimization implementation, `mimonet_oracle::ReferenceReceiver`
+//! (the dev-only `mimonet-oracle` crate keeps it out of the library).
 //!
 //! The optimization contract is *bit identity*, not approximate
 //! agreement: every floating-point operation in the hot path was kept in
@@ -9,12 +10,12 @@
 //! random MCS, payloads, channels, impairments and receiver ablations.
 
 use mimonet::config::TxConfig;
-use mimonet::rx_reference::ReferenceReceiver;
 use mimonet::tx::Transmitter;
 use mimonet::{Receiver, RxConfig};
 use mimonet_channel::{ChannelConfig, ChannelSim, Fading};
 use mimonet_detect::DetectorKind;
 use mimonet_dsp::complex::Complex64;
+use mimonet_oracle::ReferenceReceiver;
 use proptest::prelude::*;
 
 /// Transmit one frame and pad it with lead-in/out silence.

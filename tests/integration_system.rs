@@ -119,7 +119,7 @@ fn rate_adaptation_tracks_snr_steps() {
 #[test]
 fn streaming_receiver_handles_mixed_quality_capture() {
     // Three frames; the middle one is buried in a deep fade (simulated by
-    // zeroing it out) — receive_all must still deliver the other two.
+    // zeroing it out) — the scan must still deliver the other two.
     let tx = Transmitter::new(TxConfig::new(8).unwrap());
     let rx = Receiver::new(RxConfig::new(2));
     let psdus: Vec<Vec<u8>> = (1..=3u8).map(|k| vec![k * 17; 80]).collect();
@@ -138,7 +138,7 @@ fn streaming_receiver_handles_mixed_quality_capture() {
     }
     let mut sim = ChannelSim::new(ChannelConfig::awgn(2, 2, 28.0), 33);
     let (noisy, _) = sim.apply(&capture);
-    let frames = rx.receive_all(&noisy);
+    let frames = rx.scan(&noisy).0;
     let payloads: Vec<&Vec<u8>> = frames.iter().map(|(_, f)| &f.psdu).collect();
     assert_eq!(payloads.len(), 2, "got {} frames", payloads.len());
     assert_eq!(payloads[0], &psdus[0]);

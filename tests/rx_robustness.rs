@@ -1,4 +1,4 @@
-//! Receiver robustness: `receive_all` / `scan` must never panic on
+//! Receiver robustness: `scan` must never panic on
 //! arbitrary garbage captures — noise, DC, tones, zero-length and
 //! single-sample inputs, unequal antenna lengths — and must return in
 //! time proportional to the capture size (no header-driven blow-ups, no
@@ -64,7 +64,7 @@ proptest! {
         // instead of bailing on AntennaMismatch.
         let receiver = Receiver::new(RxConfig::new(rx.len()));
         let start = Instant::now();
-        let frames = receiver.receive_all(&rx);
+        let frames = receiver.scan(&rx).0;
         let elapsed = start.elapsed();
         prop_assert!(
             elapsed < time_bound(total),
@@ -105,13 +105,13 @@ fn degenerate_captures_do_not_panic() {
         vec![vec![Complex64::new(f64::NAN, f64::NAN); 64]],
     ];
     for rx in &cases {
-        let frames = receiver.receive_all(rx);
+        let frames = receiver.scan(rx).0;
         assert!(frames.is_empty());
     }
     // Unequal antenna lengths with a 2-antenna receiver.
     let receiver2 = Receiver::new(RxConfig::new(2));
     let rx = vec![garbage(1_000, 9, 1.0), garbage(3, 10, 1.0)];
-    assert!(receiver2.receive_all(&rx).is_empty());
+    assert!(receiver2.scan(&rx).0.is_empty());
 }
 
 #[test]
