@@ -29,11 +29,13 @@
 //! cargo run --release -p mimonet-bench --bin bench_hotpath [--quick]
 //! ```
 //!
-//! Writes `results/BENCH_hotpath.json`. With `MIMONET_DETERMINISTIC=1`
-//! timing is skipped entirely and every wall-clock field (`*_ns`,
-//! `speedup`, `wall_s`, `threads`) is omitted, so the report is a pure
-//! function of the seed — the property the CI job diffs against
-//! `results/golden/BENCH_hotpath.json`.
+//! Writes `results/BENCH_hotpath.json`. Timed runs also record which
+//! form of the Viterbi search ran (`viterbi_kernel`, see
+//! [`viterbi::kernel`]). With `MIMONET_DETERMINISTIC=1` timing is
+//! skipped entirely, and every wall-clock field (`*_ns`, `speedup`,
+//! `wall_s`, `threads`) and the CPU-dependent `viterbi_kernel` are
+//! omitted, so the report is a pure function of the seed — the property
+//! the CI job diffs against `results/golden/BENCH_hotpath.json`.
 
 use mimonet::{Receiver, RxConfig, RxFrame, RxWorkspace, Transmitter, TxConfig};
 use mimonet_bench::report::FigureReport;
@@ -41,7 +43,7 @@ use mimonet_bench::{seeds, BenchOpts};
 use mimonet_channel::{ChannelConfig, ChannelSim};
 use mimonet_dsp::complex::Complex64;
 use mimonet_dsp::correlate::normalized_cross_correlate_into;
-use mimonet_fec::viterbi::ViterbiDecoder;
+use mimonet_fec::viterbi::{self, ViterbiDecoder};
 use mimonet_fec::ConvEncoder;
 use mimonet_oracle::correlate::normalized_cross_correlate_reference;
 use mimonet_oracle::viterbi as viterbi_reference;
@@ -309,6 +311,7 @@ fn main() {
     ];
 
     println!("# T3b: RX hot-path before/after (best-of-3, release)");
+    println!("# viterbi kernel: {}", viterbi::kernel());
     if det {
         println!("{:<10} {:>10} {:>10}", "bench", "items", "matches");
         for r in &rows {
@@ -352,5 +355,10 @@ fn main() {
             ("link_min_speedup", 1.5f64.serialize()),
         ]),
     );
+    // Which form of the Viterbi search the timings came from; it depends
+    // on the CPU, so the deterministic report leaves it out.
+    if !det {
+        report.meta("viterbi_kernel", viterbi::kernel().serialize());
+    }
     report.finish();
 }

@@ -4,6 +4,10 @@
 //! are written so LLVM autovectorizes them into packed instructions on
 //! any target (SSE2 pairs, AVX quads, NEON pairs) — no `std::simd`
 //! nightly feature, no external crate, no target-feature detection.
+//! The one kernel in the workspace that does detect a CPU feature is the
+//! FEC search (`mimonet_fec::viterbi`): on x86-64 CPUs with AVX2 it runs
+//! an intrinsics form, picked once per decode, whose survivors and
+//! metrics are bit-identical to its portable loop's.
 //!
 //! **The bit-identity rule.** Every vectorized kernel in this workspace
 //! assigns one *independent output* per lane (a correlation lag, a
@@ -12,6 +16,9 @@
 //! kernel's. Lanes are never reduced against each other — no horizontal
 //! sums, no reassociated accumulators — so the SIMD path is
 //! bit-identical to the scalar path by construction, not by tolerance.
+//! The same holds across vector widths: copies of a kernel for SSE2 and
+//! AVX2 run the same IEEE operations per lane (Rust never fuses a
+//! multiply and add into FMA without `mul_add`).
 //! `tests/simd_equivalence.rs` enforces this with proptests against the
 //! scalar twins, which stay as test oracles.
 

@@ -11,11 +11,15 @@
 //!   [`ViterbiDecoder`] for why the decisions are identical).
 //!
 //! Both run one branchless search, a butterfly add-compare-select over
-//! the 64 trellis states that LLVM autovectorizes (see
-//! [`ViterbiDecoder`]). Its survivors and decoded bits are identical to
-//! the naive forward scatter kept as the oracle in the dev-only
-//! `mimonet-oracle` crate (`mimonet_oracle::viterbi`), which this
-//! crate's integration tests and proptests compare it against.
+//! the 64 trellis states (see [`ViterbiDecoder`]). It has two forms: a
+//! portable loop that LLVM autovectorizes, and on x86-64 CPUs with AVX2
+//! an intrinsics form that handles four butterflies per register,
+//! picked at run time per decode ([`kernel`] names the one in use). Both
+//! forms produce the same survivors and final metrics, bit for bit, and
+//! their decoded bits are identical to the naive forward scatter kept as
+//! the oracle in the dev-only `mimonet-oracle` crate
+//! (`mimonet_oracle::viterbi`), which this crate's integration tests and
+//! proptests compare it against.
 //!
 //! Punctured positions are passed as *erasures*: [`Symbol::Erased`] for hard
 //! input, LLR 0.0 for soft input — both contribute nothing to any branch
@@ -148,9 +152,12 @@ const NEG: f64 = f64::NEG_INFINITY;
 /// strict compare-selects, `c0 > floor` then `c1 > m0`, where the floor
 /// is −∞: each is one `max`. No lane branches on its data and lanes
 /// never mix, so the loop autovectorizes under the
-/// [`F64x4`](mimonet_dsp::simd::F64x4) bit-identity rule. The survivors
-/// and decoded bits are identical to the naive forward scatter kept as
-/// the oracle `mimonet_oracle::viterbi`:
+/// [`F64x4`](mimonet_dsp::simd::F64x4) bit-identity rule. On x86-64 CPUs
+/// with AVX2 the same operations run as intrinsics, four butterflies per
+/// 256-bit register (`vmaxpd` is the strict select), with the same
+/// survivor words and final metrics. The survivors and decoded bits are
+/// identical to the naive forward scatter kept as the oracle
+/// `mimonet_oracle::viterbi`:
 ///
 /// * the scatter's reward `r(a) + r(b)` is `a0·sa + b0·sb` with signs
 ///   `sa, sb ∈ {+1, −1}`, and `±a0 ± b0` equals it exactly except, at
@@ -213,46 +220,13 @@ impl ViterbiDecoder {
         if terminated && steps < TAIL_BITS {
             return Err(ViterbiError::TooShort(llrs.len()));
         }
-        let tr = trellis();
-        let mut metric = &mut [NEG; NUM_STATES];
-        metric[0] = 0.0; // encoder starts in the zero state
-        let mut next = &mut [NEG; NUM_STATES];
         // Every word of the first `steps` rows is overwritten below.
         if survivor.len() < steps {
             survivor.resize(steps, [0; SURV_WORDS]);
         }
         let survivor = &mut survivor[..steps];
-        for (pair, surv) in llrs.chunks_exact(2).zip(survivor.iter_mut()) {
-            acs_step(tr, metric, 0.5 * pair[0], 0.5 * pair[1], next, surv);
-            std::mem::swap(&mut metric, &mut next);
-        }
-
-        // Final state: zero for terminated blocks, otherwise best metric
-        // (last max wins on ties).
-        let mut state = if terminated {
-            0usize
-        } else {
-            metric
-                .iter()
-                .enumerate()
-                .max_by(|a, b| {
-                    a.1.partial_cmp(b.1)
-                        .expect("metrics are never NaN: NaN never wins a strict compare")
-                })
-                .map(|(i, _)| i)
-                .unwrap_or(0)
-        };
-        out.resize(steps, 0);
-        for (bit, surv) in out.iter_mut().zip(survivor.iter()).rev() {
-            let byte = (surv[state % SURV_WORDS] >> (8 * (state / SURV_WORDS))) as usize;
-            // All ones if `valid`; else the path goes through (0, 0).
-            let keep = ((byte >> 1) & 1).wrapping_neg();
-            *bit = ((state >> 5) & keep) as u8;
-            state = (2 * (state & 31) + (byte & 1)) & keep;
-        }
-        if terminated {
-            out.truncate(steps - TAIL_BITS);
-        }
+        let metric = forward(trellis(), llrs, survivor);
+        traceback(survivor, &metric, terminated, out);
         Ok(())
     }
 
@@ -313,6 +287,83 @@ impl ViterbiDecoder {
     }
 }
 
+/// Names the form of the forward search that [`ViterbiDecoder`] runs on
+/// this CPU: `"avx2"` on x86-64 CPUs with AVX2, `"baseline"` everywhere
+/// else. Both forms make the same decisions; this only says which one a
+/// measured speed came from.
+pub fn kernel() -> &'static str {
+    #[cfg(target_arch = "x86_64")]
+    if avx2::detected() {
+        return "avx2";
+    }
+    "baseline"
+}
+
+/// Runs the forward search over `llrs`, one trellis step per pair, into
+/// `survivor` (one row per step), and returns the final path metrics. It
+/// takes the AVX2 form where the CPU has it, else the baseline loop.
+fn forward(tr: &Trellis, llrs: &[f64], survivor: &mut [[u64; SURV_WORDS]]) -> [f64; NUM_STATES] {
+    #[cfg(target_arch = "x86_64")]
+    if let Some(metric) = avx2::forward(tr, llrs, survivor) {
+        return metric;
+    }
+    forward_baseline(tr, llrs, survivor)
+}
+
+/// The portable forward search: [`acs_step`] per trellis step, which LLVM
+/// vectorizes for the build target (SSE2 pairs on baseline x86-64).
+fn forward_baseline(
+    tr: &Trellis,
+    llrs: &[f64],
+    survivor: &mut [[u64; SURV_WORDS]],
+) -> [f64; NUM_STATES] {
+    let mut metric = &mut [NEG; NUM_STATES];
+    metric[0] = 0.0; // encoder starts in the zero state
+    let mut next = &mut [NEG; NUM_STATES];
+    for (pair, surv) in llrs.chunks_exact(2).zip(survivor.iter_mut()) {
+        acs_step(tr, metric, 0.5 * pair[0], 0.5 * pair[1], next, surv);
+        std::mem::swap(&mut metric, &mut next);
+    }
+    *metric
+}
+
+/// Rebuilds the decoded bits of a finished search into `out`: one bit per
+/// survivor row, without the tail when `terminated`.
+fn traceback(
+    survivor: &[[u64; SURV_WORDS]],
+    metric: &[f64; NUM_STATES],
+    terminated: bool,
+    out: &mut Vec<u8>,
+) {
+    let steps = survivor.len();
+    // Final state: zero for terminated blocks, otherwise best metric
+    // (last max wins on ties).
+    let mut state = if terminated {
+        0usize
+    } else {
+        metric
+            .iter()
+            .enumerate()
+            .max_by(|a, b| {
+                a.1.partial_cmp(b.1)
+                    .expect("metrics are never NaN: NaN never wins a strict compare")
+            })
+            .map(|(i, _)| i)
+            .unwrap_or(0)
+    };
+    out.resize(steps, 0);
+    for (bit, surv) in out.iter_mut().zip(survivor.iter()).rev() {
+        let byte = (surv[state % SURV_WORDS] >> (8 * (state / SURV_WORDS))) as usize;
+        // All ones if `valid`; else the path goes through (0, 0).
+        let keep = ((byte >> 1) & 1).wrapping_neg();
+        *bit = ((state >> 5) & keep) as u8;
+        state = (2 * (state & 31) + (byte & 1)) & keep;
+    }
+    if terminated {
+        out.truncate(steps - TAIL_BITS);
+    }
+}
+
 /// One add-compare-select step of [`ViterbiDecoder`]'s search: 32
 /// butterflies, each writing two next-state metrics to `next` and their
 /// survivor bytes to `surv`.
@@ -364,6 +415,161 @@ fn compare_select(c0: f64, c1: f64, floor: f64) -> (f64, u64) {
     let g1 = c1 > m0;
     let m = if g1 { c1 } else { m0 };
     (m, g1 as u64 | ((m > floor) as u64) << 1)
+}
+
+/// The AVX2 form of the forward search: four butterflies per 256-bit
+/// register. Every state goes through [`acs_step`]'s IEEE operations in
+/// the same order (no FMA, no reassociation), and `vmaxpd` has the
+/// strict select's semantics, so survivors and final metrics are
+/// bit-identical to the baseline loop's.
+#[cfg(target_arch = "x86_64")]
+mod avx2 {
+    use super::{Trellis, HALF, NEG, NUM_STATES, SURV_WORDS};
+    use std::arch::x86_64::*;
+
+    /// Butterfly groups per step: group `g` is butterflies `4g..4g + 4`.
+    const GROUPS: usize = HALF / 4;
+    /// Registers per set of 64 metrics: register `i` holds states
+    /// `4i..4i + 4`.
+    const REGS: usize = NUM_STATES / 4;
+
+    /// Whether this CPU runs the AVX2 form.
+    pub(super) fn detected() -> bool {
+        std::is_x86_feature_detected!("avx2")
+    }
+
+    /// [`super::forward`] in the AVX2 form, or `None` if the CPU lacks
+    /// AVX2.
+    pub(super) fn forward(
+        tr: &Trellis,
+        llrs: &[f64],
+        survivor: &mut [[u64; SURV_WORDS]],
+    ) -> Option<[f64; NUM_STATES]> {
+        if !detected() {
+            return None;
+        }
+        assert_eq!(survivor.len(), llrs.len() / 2, "one survivor row per step");
+        // SAFETY: the CPU has AVX2, checked just above.
+        Some(unsafe { search(tr, llrs, survivor) })
+    }
+
+    /// The search itself. Code without AVX2 enabled may call it only
+    /// after checking that the CPU has AVX2, as [`forward`] does.
+    #[target_feature(enable = "avx2")]
+    fn search(tr: &Trellis, llrs: &[f64], survivor: &mut [[u64; SURV_WORDS]]) -> [f64; NUM_STATES] {
+        // Group g's `use_q` and `negate` masks, one lane per butterfly.
+        let mut masks = [[_mm256_setzero_pd(); 2]; GROUPS];
+        for g in 0..GROUPS {
+            let js = 4 * g..4 * g + 4;
+            masks[g] = [lanes(&tr.use_q[js.clone()]), lanes(&tr.negate[js])];
+        }
+        let floor = _mm256_set1_pd(tr.floor);
+        let mut metric = &mut [_mm256_set1_pd(NEG); REGS];
+        metric[0] = _mm256_setr_pd(0.0, NEG, NEG, NEG); // the zero state
+        let mut next = &mut [_mm256_set1_pd(NEG); REGS];
+        for (pair, surv) in llrs.chunks_exact(2).zip(survivor.iter_mut()) {
+            step(
+                &masks,
+                floor,
+                metric,
+                0.5 * pair[0],
+                0.5 * pair[1],
+                next,
+                surv,
+            );
+            std::mem::swap(&mut metric, &mut next);
+        }
+        let mut out = [NEG; NUM_STATES];
+        for (chunk, &v) in out.chunks_exact_mut(4).zip(metric.iter()) {
+            // SAFETY: `chunk` is four contiguous, writable f64s; the store
+            // needs no alignment.
+            unsafe { _mm256_storeu_pd(chunk.as_mut_ptr(), v) };
+        }
+        out
+    }
+
+    /// Four `Trellis` mask words as the bit patterns of one register.
+    #[target_feature(enable = "avx2")]
+    fn lanes(m: &[u64]) -> __m256d {
+        _mm256_castsi256_pd(_mm256_setr_epi64x(
+            m[0] as i64,
+            m[1] as i64,
+            m[2] as i64,
+            m[3] as i64,
+        ))
+    }
+
+    /// One [`super::acs_step`]: group `g` reads registers `2g`, `2g + 1`
+    /// and writes next states `4g..4g + 4` (register `g`) and
+    /// `32 + 4g..32 + 4g + 4` (register `8 + g`).
+    #[target_feature(enable = "avx2")]
+    fn step(
+        masks: &[[__m256d; 2]; GROUPS],
+        floor: __m256d,
+        metric: &[__m256d; REGS],
+        a0: f64,
+        b0: f64,
+        next: &mut [__m256d; REGS],
+        surv: &mut [u64; SURV_WORDS],
+    ) {
+        let p = (a0 + b0).to_bits();
+        let pq = _mm256_castsi256_pd(_mm256_set1_epi64x((p ^ (a0 - b0).to_bits()) as i64));
+        let p = _mm256_castsi256_pd(_mm256_set1_epi64x(p as i64));
+        // `g1` at bits 0 and 32, `valid` at bits 1 and 33 of each lane.
+        let g1_bits = _mm256_set1_epi64x(0x1_0000_0001);
+        let valid_bits = _mm256_set1_epi64x(0x2_0000_0002);
+        // Survivor words 0..4 (even groups) and 4..8 (odd groups): lane
+        // `l` of group `g` is word 4(g % 2) + l, and its next states `j`
+        // and `j + 32` are bytes g / 2 and g / 2 + 4, as in `acs_step`.
+        // Bytes k = 3, 2, 1, 0 go in by shifting the words up a byte.
+        let mut words = [_mm256_setzero_si256(); 2];
+        for k in (0..GROUPS / 2).rev() {
+            for (w, g) in words.iter_mut().zip([2 * k, 2 * k + 1]) {
+                let [use_q, negate] = masks[g];
+                let r = _mm256_xor_pd(_mm256_xor_pd(p, _mm256_and_pd(pq, use_q)), negate);
+                // States 8g..8g + 8 split into m0 = m[2j] and
+                // m1 = m[2j + 1], j = 4g..4g + 4 in natural order.
+                let (a, b) = (metric[2 * g], metric[2 * g + 1]);
+                let m0 = _mm256_permute4x64_pd::<0b11_01_10_00>(_mm256_unpacklo_pd(a, b));
+                let m1 = _mm256_permute4x64_pd::<0b11_01_10_00>(_mm256_unpackhi_pd(a, b));
+                let (n, g1_lo, valid_lo) =
+                    compare_select(_mm256_add_pd(m0, r), _mm256_sub_pd(m1, r), floor);
+                next[g] = n;
+                let (n, g1_hi, valid_hi) =
+                    compare_select(_mm256_sub_pd(m0, r), _mm256_add_pd(m1, r), floor);
+                next[GROUPS + g] = n;
+                // Low half of each lane from next state j, high half
+                // from j + 32.
+                let g1 = _mm256_blend_epi32::<0b1010_1010>(g1_lo, g1_hi);
+                let valid = _mm256_blend_epi32::<0b1010_1010>(valid_lo, valid_hi);
+                let d = _mm256_or_si256(
+                    _mm256_and_si256(g1, g1_bits),
+                    _mm256_and_si256(valid, valid_bits),
+                );
+                *w = _mm256_or_si256(_mm256_slli_epi64::<8>(*w), d);
+            }
+        }
+        // SAFETY: `surv` is eight contiguous, writable u64s, written as
+        // two 32-byte stores that need no alignment.
+        unsafe {
+            _mm256_storeu_si256(surv.as_mut_ptr().cast(), words[0]);
+            _mm256_storeu_si256(surv.as_mut_ptr().add(4).cast(), words[1]);
+        }
+    }
+
+    /// [`super::compare_select`] on four states: `vmaxpd` returns its
+    /// second operand on NaN or when the first is not greater, exactly
+    /// the strict select, and `_CMP_GT_OQ` is the strict, NaN-false `>`.
+    /// Returns the metrics and the all-ones-or-zero lane masks `g1` and
+    /// `valid`.
+    #[target_feature(enable = "avx2")]
+    fn compare_select(c0: __m256d, c1: __m256d, floor: __m256d) -> (__m256d, __m256i, __m256i) {
+        let s0 = _mm256_max_pd(c0, floor);
+        let g1 = _mm256_cmp_pd::<_CMP_GT_OQ>(c1, s0);
+        let m = _mm256_max_pd(c1, s0);
+        let valid = _mm256_cmp_pd::<_CMP_GT_OQ>(m, floor);
+        (m, _mm256_castpd_si256(g1), _mm256_castpd_si256(valid))
+    }
 }
 
 /// Runs `f` with a per-thread shared [`ViterbiDecoder`], so the free
@@ -587,6 +793,147 @@ mod tests {
             decode_soft_unterminated(&[1.0]),
             Err(ViterbiError::OddLength(1))
         );
+    }
+
+    /// Xorshift64 stream for the two-forms test.
+    struct Xorshift(u64);
+
+    impl Xorshift {
+        fn next(&mut self) -> u64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            self.0
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+
+        /// Uniform in [-1, 1).
+        fn signed_unit(&mut self) -> f64 {
+            (self.next() >> 11) as f64 / (1u64 << 52) as f64 - 1.0
+        }
+    }
+
+    /// One stream of `2 * steps` LLRs of the given kind: random, a noisy
+    /// punctured codeword, tie-heavy half-integers with `b = ±a`, or
+    /// hostile values.
+    fn forms_stream(rng: &mut Xorshift, kind: u64, steps: usize) -> Vec<f64> {
+        const HOSTILE: [f64; 12] = [
+            0.0,
+            -0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            f64::MAX,
+            f64::MIN,
+            f64::MIN_POSITIVE,
+            -f64::MIN_POSITIVE / 4.0,
+            5e-324,
+            -5e-324,
+            1.0,
+        ];
+        let n = 2 * steps;
+        match kind {
+            0 => (0..n).map(|_| 8.0 * rng.signed_unit()).collect(),
+            1 => {
+                let data: Vec<u8> = (0..steps).map(|_| rng.below(2) as u8).collect();
+                let period = 3 + rng.below(4) as usize;
+                crate::conv::ConvEncoder::new()
+                    .encode(&data)
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &b)| {
+                        let noise = 0.6 * (rng.signed_unit() + rng.signed_unit());
+                        if i % period == period - 1 {
+                            0.0
+                        } else {
+                            2.0 * (1.0 - 2.0 * b as f64) + noise
+                        }
+                    })
+                    .collect()
+            }
+            2 => {
+                let mut llrs = Vec::with_capacity(n);
+                for _ in 0..steps {
+                    let a = (rng.below(17) as f64 - 8.0) / 2.0;
+                    let b = match rng.below(3) {
+                        0 => a,
+                        1 => -a,
+                        _ => (rng.below(17) as f64 - 8.0) / 2.0,
+                    };
+                    llrs.extend([a, b]);
+                }
+                llrs
+            }
+            _ => (0..n)
+                .map(|_| {
+                    if rng.below(3) == 0 {
+                        HOSTILE[rng.below(HOSTILE.len() as u64) as usize]
+                    } else {
+                        4.0 * rng.signed_unit()
+                    }
+                })
+                .collect(),
+        }
+    }
+
+    /// The AVX2 form and the baseline loop on the same streams: equal
+    /// survivor words, bit-equal final metrics, and equal decoded bits
+    /// terminated and unterminated. Skips the AVX2 half, with a note, on
+    /// CPUs without AVX2.
+    #[test]
+    fn avx2_form_matches_baseline_loop_bit_for_bit() {
+        #[cfg(target_arch = "x86_64")]
+        {
+            let tr = trellis();
+            let mut rng = Xorshift(0x5EED_AF20);
+            let (mut streams, mut total_steps) = (0, 0);
+            for case in 0..200u64 {
+                let steps = match case {
+                    0..=3 => 0,
+                    4..=7 => 1,
+                    8..=11 => TAIL_BITS,
+                    12..=15 => 1500,
+                    _ => rng.below(1501) as usize,
+                };
+                let kind = case % 4;
+                let llrs = forms_stream(&mut rng, kind, steps);
+                let mut surv_base = vec![[0u64; SURV_WORDS]; steps];
+                let mut surv_avx2 = vec![[!0u64; SURV_WORDS]; steps];
+                let base = forward_baseline(tr, &llrs, &mut surv_base);
+                let Some(wide) = avx2::forward(tr, &llrs, &mut surv_avx2) else {
+                    println!("viterbi forms: this CPU lacks AVX2; the AVX2 form was not run");
+                    return;
+                };
+                let what = format!("case {case}, kind {kind}, {steps} steps");
+                assert_eq!(surv_base, surv_avx2, "survivor words, {what}");
+                assert_eq!(
+                    base.map(f64::to_bits),
+                    wide.map(f64::to_bits),
+                    "metrics, {what}"
+                );
+                for terminated in [false, true] {
+                    if terminated && steps < TAIL_BITS {
+                        continue;
+                    }
+                    let (mut bits_base, mut bits_avx2) = (Vec::new(), Vec::new());
+                    traceback(&surv_base, &base, terminated, &mut bits_base);
+                    traceback(&surv_avx2, &wide, terminated, &mut bits_avx2);
+                    assert_eq!(bits_base, bits_avx2, "decoded bits, {what}");
+                }
+                streams += 1;
+                total_steps += steps;
+            }
+            assert_eq!(kernel(), "avx2");
+            println!(
+                "viterbi forms: avx2 form compared with the baseline loop \
+                 on {streams} streams, {total_steps} trellis steps"
+            );
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        println!("viterbi forms: not x86-64; only the baseline loop exists");
     }
 
     #[test]

@@ -151,7 +151,10 @@ fn serve(addr: &str, engine_cfg: EngineConfig) {
         eprintln!("mimonet-linkd: bind {addr} failed: {e}");
         std::process::exit(1);
     });
-    println!("mimonet-linkd: {shards} shards, {workers} compute workers");
+    println!(
+        "mimonet-linkd: {shards} shards, {workers} compute workers, viterbi kernel {}",
+        mimonet_fec::viterbi::kernel()
+    );
     println!("mimonet-linkd: serving on {}", server.local_addr());
     loop {
         std::thread::sleep(std::time::Duration::from_secs(3600));

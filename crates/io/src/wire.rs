@@ -46,6 +46,9 @@ pub const TRAILER_LEN: usize = 4;
 /// Upper bound on a single payload (64 MiB) — a length field beyond this
 /// is treated as stream desynchronisation, not an allocation request.
 pub const MAX_PAYLOAD: usize = 1 << 26;
+/// Most bytes [`read_msg_opt`] sets aside for a payload before any of it
+/// arrives; past this, its buffer grows only with the bytes received.
+const READ_RESERVE: usize = 64 << 10;
 
 /// Typed wire-level failure. Everything a hostile or truncated byte
 /// stream can do surfaces as one of these.
@@ -706,7 +709,9 @@ pub fn write_msg<W: Write>(w: &mut W, msg: &WireMsg) -> Result<(), WireError> {
 }
 
 /// Reads one framed message; `Ok(None)` on a clean end-of-stream *at a
-/// frame boundary* (EOF mid-frame is `WireError::Truncated`).
+/// frame boundary* (EOF mid-frame is `WireError::Truncated`). The payload
+/// buffer starts at no more than 64 KiB and then grows with the bytes
+/// that arrive, not with the length the header claims.
 pub fn read_msg_opt<R: Read>(r: &mut R) -> Result<Option<WireMsg>, WireError> {
     let mut header = [0u8; HEADER_LEN];
     let mut filled = 0;
@@ -731,14 +736,20 @@ pub fn read_msg_opt<R: Read>(r: &mut R) -> Result<Option<WireMsg>, WireError> {
     if len > MAX_PAYLOAD {
         return Err(WireError::TooLarge(len));
     }
-    let mut rest = vec![0u8; len + TRAILER_LEN];
-    r.read_exact(&mut rest).map_err(|e| {
+    // A header alone commits at most READ_RESERVE bytes, so a peer that
+    // claims MAX_PAYLOAD and then goes silent pins no more than that.
+    let want = len + TRAILER_LEN;
+    let mut rest = Vec::with_capacity(want.min(READ_RESERVE));
+    r.take(want as u64).read_to_end(&mut rest).map_err(|e| {
         if e.kind() == ErrorKind::UnexpectedEof {
             WireError::Truncated { context: "payload" }
         } else {
             WireError::from(e)
         }
     })?;
+    if rest.len() < want {
+        return Err(WireError::Truncated { context: "payload" });
+    }
     let mut crc = Crc32::new();
     crc.update(&header[4..]);
     crc.update(&rest[..len]);
@@ -759,6 +770,7 @@ pub fn read_msg<R: Read>(r: &mut R) -> Result<WireMsg, WireError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn sample_chunk() -> IqChunk {
         IqChunk {
@@ -938,9 +950,7 @@ mod tests {
         let mut frame = encode(&WireMsg::Bye);
         frame[6] = 0xEE;
         frame[7] = 0xEE;
-        let len = frame.len();
-        let crc = crc32(&frame[4..len - TRAILER_LEN]);
-        frame[len - 4..].copy_from_slice(&crc.to_le_bytes());
+        let frame = reseal(frame);
         assert!(matches!(
             decode(&frame),
             Err(WireError::UnknownType(0xEEEE))
@@ -956,9 +966,7 @@ mod tests {
         });
         let kind_at = HEADER_LEN + 4 + 16; // count + trace_id + span_id
         frame[kind_at] = 0xFF;
-        let len = frame.len();
-        let crc = crc32(&frame[4..len - TRAILER_LEN]);
-        frame[len - 4..].copy_from_slice(&crc.to_le_bytes());
+        let frame = reseal(frame);
         assert_eq!(
             decode(&frame).unwrap_err(),
             WireError::BadPayload("trace kind")
@@ -970,9 +978,7 @@ mod tests {
             events: sample_trace(),
         });
         frame[HEADER_LEN..HEADER_LEN + 4].copy_from_slice(&u32::MAX.to_le_bytes());
-        let len = frame.len();
-        let crc = crc32(&frame[4..len - TRAILER_LEN]);
-        frame[len - 4..].copy_from_slice(&crc.to_le_bytes());
+        let frame = reseal(frame);
         assert_eq!(
             decode(&frame).unwrap_err(),
             WireError::BadPayload("trace count")
@@ -984,5 +990,133 @@ mod tests {
         let mut frame = encode(&WireMsg::Bye);
         frame[8..12].copy_from_slice(&(u32::MAX).to_le_bytes());
         assert!(matches!(decode(&frame), Err(WireError::TooLarge(_))));
+    }
+
+    /// Serves `data`, records the largest buffer it is handed, then
+    /// reports EOF.
+    struct RecordingReader<'a> {
+        data: &'a [u8],
+        largest: usize,
+    }
+
+    impl Read for RecordingReader<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.largest = self.largest.max(buf.len());
+            let n = buf.len().min(self.data.len());
+            buf[..n].copy_from_slice(&self.data[..n]);
+            self.data = &self.data[n..];
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn a_header_alone_does_not_commit_its_claimed_payload() {
+        let mut frame = encode(&WireMsg::Bye);
+        frame[8..12].copy_from_slice(&(MAX_PAYLOAD as u32).to_le_bytes());
+        let mut r = RecordingReader {
+            data: &frame[..HEADER_LEN],
+            largest: 0,
+        };
+        assert_eq!(
+            read_msg(&mut r),
+            Err(WireError::Truncated { context: "payload" })
+        );
+        assert!(
+            r.largest <= READ_RESERVE,
+            "a bare header had the reader fill a {}-byte buffer",
+            r.largest
+        );
+    }
+
+    /// `frame` with its length field and CRC rewritten to match its
+    /// payload, so decoding reaches `decode_payload`.
+    fn reseal(mut frame: Vec<u8>) -> Vec<u8> {
+        frame.truncate(frame.len() - TRAILER_LEN);
+        let len = (frame.len() - HEADER_LEN) as u32;
+        frame[8..12].copy_from_slice(&len.to_le_bytes());
+        let crc = crc32(&frame[4..]);
+        frame.extend_from_slice(&crc.to_le_bytes());
+        frame
+    }
+
+    /// Runs `bytes` through `decode` and `read_msg`. Either may fail, with
+    /// a typed error, but neither may panic, and both must agree.
+    fn decode_both_ways(bytes: &[u8]) -> Result<(), TestCaseError> {
+        let decoded = decode(bytes);
+        if let Ok((_, used)) = &decoded {
+            prop_assert!(*used <= bytes.len());
+        }
+        let read = read_msg(&mut &bytes[..]);
+        // Debug strings, so NaN fields compare equal to themselves.
+        prop_assert_eq!(
+            format!("{read:?}"),
+            format!("{:?}", decoded.map(|(m, _)| m))
+        );
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn arbitrary_bytes_decode_or_fail_typed(
+            bytes in prop::collection::vec(any::<u8>(), 1..300),
+            keep_magic in any::<bool>(),
+        ) {
+            let mut bytes = bytes;
+            if keep_magic && bytes.len() >= 6 {
+                bytes[..4].copy_from_slice(&MAGIC);
+                bytes[4..6].copy_from_slice(&WIRE_VERSION.to_le_bytes());
+            }
+            decode_both_ways(&bytes)?;
+        }
+
+        #[test]
+        fn sealed_arbitrary_payloads_decode_or_fail_typed(
+            type_code in 0u16..20,
+            payload in prop::collection::vec(any::<u8>(), 0..400),
+        ) {
+            let mut frame = MAGIC.to_vec();
+            frame.extend_from_slice(&WIRE_VERSION.to_le_bytes());
+            frame.extend_from_slice(&type_code.to_le_bytes());
+            frame.extend_from_slice(&[0; 4]);
+            frame.extend_from_slice(&payload);
+            frame.extend_from_slice(&[0; TRAILER_LEN]);
+            decode_both_ways(&reseal(frame))?;
+        }
+
+        #[test]
+        fn mutated_valid_frames_decode_or_fail_typed(
+            which in 0usize..64,
+            edits in prop::collection::vec((any::<u16>(), any::<u8>()), 1..5),
+            cut in any::<u16>(),
+            extra in prop::collection::vec(any::<u8>(), 0..24),
+        ) {
+            let msgs = all_messages();
+            let mut frame = encode(&msgs[which % msgs.len()]);
+            let body = frame.len() - HEADER_LEN - TRAILER_LEN;
+            // Overwrite payload bytes, then cut or extend the payload.
+            for &(at, byte) in &edits {
+                if body > 0 {
+                    frame[HEADER_LEN + at as usize % body] = byte;
+                }
+            }
+            match cut % 3 {
+                0 => {
+                    frame.truncate(HEADER_LEN + cut as usize % (body + 1));
+                    frame.extend_from_slice(&[0; TRAILER_LEN]);
+                }
+                1 => {
+                    let at = frame.len() - TRAILER_LEN;
+                    frame.splice(at..at, extra.iter().copied());
+                }
+                _ => {}
+            }
+            let frame = reseal(frame);
+            decode_both_ways(&frame)?;
+            // Every prefix is a typed truncation, never a panic.
+            let short = &frame[..cut as usize % frame.len()];
+            prop_assert!(matches!(decode(short), Err(WireError::Truncated { .. })));
+        }
     }
 }
