@@ -75,24 +75,36 @@ impl MimoChannelMatrix {
     ///
     /// Panics if `tx.len() != n_tx` or stream lengths differ.
     pub fn apply(&self, tx: &[Vec<Complex64>]) -> Vec<Vec<Complex64>> {
+        let mut rx = vec![Vec::new(); self.n_rx];
+        self.apply_into(tx, &mut rx);
+        rx
+    }
+
+    /// [`Self::apply`] into caller-owned buffers, one per RX antenna,
+    /// each overwritten.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tx.len() != n_tx`, `rx.len() != n_rx` or stream lengths
+    /// differ.
+    pub fn apply_into(&self, tx: &[Vec<Complex64>], rx: &mut [Vec<Complex64>]) {
         assert_eq!(tx.len(), self.n_tx, "expected {} TX streams", self.n_tx);
+        assert_eq!(rx.len(), self.n_rx, "expected {} RX buffers", self.n_rx);
         let len = tx.first().map_or(0, |s| s.len());
         assert!(
             tx.iter().all(|s| s.len() == len),
             "TX stream lengths differ"
         );
-        (0..self.n_rx)
-            .map(|r| {
-                let mut y = vec![Complex64::ZERO; len];
-                for (t, stream) in tx.iter().enumerate() {
-                    let h = self.at(r, t);
-                    for (yi, &xi) in y.iter_mut().zip(stream) {
-                        *yi += h * xi;
-                    }
+        for (r, y) in rx.iter_mut().enumerate() {
+            y.clear();
+            y.resize(len, Complex64::ZERO);
+            for (t, stream) in tx.iter().enumerate() {
+                let h = self.at(r, t);
+                for (yi, &xi) in y.iter_mut().zip(stream) {
+                    *yi += h * xi;
                 }
-                y
-            })
-            .collect()
+            }
+        }
     }
 
     /// Frobenius norm squared of H (total channel gain).

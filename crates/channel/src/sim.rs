@@ -119,6 +119,8 @@ pub struct ChannelTruth {
 pub struct ChannelSim {
     cfg: ChannelConfig,
     rng: ChaCha8Rng,
+    /// The last burst's ground truth ([`Self::apply_into`] lends it out).
+    truth: ChannelTruth,
 }
 
 impl ChannelSim {
@@ -131,9 +133,23 @@ impl ChannelSim {
         if matches!(cfg.fading, Fading::Ideal) {
             assert_eq!(cfg.n_tx, cfg.n_rx, "ideal channel requires n_tx == n_rx");
         }
+        let truth = ChannelTruth {
+            // The identity never changes, so it is built once here.
+            flat: matches!(cfg.fading, Fading::Ideal)
+                .then(|| MimoChannelMatrix::identity(cfg.n_tx)),
+            tdl: None,
+            cfo_norm: cfg.cfo_norm,
+            timing_offset: cfg.timing_offset,
+            noise_power: if cfg.snr_db.is_finite() {
+                noise_power_for_snr_db(cfg.snr_db)
+            } else {
+                0.0
+            },
+        };
         Self {
             cfg,
             rng: ChaCha8Rng::seed_from_u64(seed),
+            truth,
         }
     }
 
@@ -146,77 +162,116 @@ impl ChannelSim {
     /// drawing a fresh fading realization, and returns the per-RX-antenna
     /// streams plus the ground truth.
     pub fn apply(&mut self, tx: &[Vec<Complex64>]) -> (Vec<Vec<Complex64>>, ChannelTruth) {
+        let mut rx = vec![Vec::new(); self.cfg.n_rx];
+        let truth = self.apply_into(tx, &mut rx).clone();
+        (rx, truth)
+    }
+
+    /// [`Self::apply`] into caller-owned buffers: `rx` holds one buffer
+    /// per RX antenna, each overwritten with that antenna's stream. The
+    /// samples and the random draws are exactly [`Self::apply`]'s. With
+    /// identity fading and no timing offset, a caller whose buffers have
+    /// the capacity allocates nothing here.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tx.len()` is not `n_tx` or `rx.len()` is not `n_rx`.
+    pub fn apply_into(
+        &mut self,
+        tx: &[Vec<Complex64>],
+        rx: &mut [Vec<Complex64>],
+    ) -> &ChannelTruth {
         assert_eq!(
             tx.len(),
             self.cfg.n_tx,
             "expected {} TX streams",
             self.cfg.n_tx
         );
+        assert_eq!(
+            rx.len(),
+            self.cfg.n_rx,
+            "expected {} RX buffers",
+            self.cfg.n_rx
+        );
 
         // 1. Fading.
-        let (mut rx, flat, tdl) = match self.cfg.fading {
-            Fading::Ideal => {
-                let ch = MimoChannelMatrix::identity(self.cfg.n_tx);
-                (ch.apply(tx), Some(ch), None)
-            }
+        match self.cfg.fading {
+            Fading::Ideal => identity_into(tx, rx),
             Fading::RayleighFlat => {
                 let ch =
                     MimoChannelMatrix::rayleigh_flat(&mut self.rng, self.cfg.n_rx, self.cfg.n_tx);
-                (ch.apply(tx), Some(ch), None)
+                ch.apply_into(tx, rx);
+                self.truth.flat = Some(ch);
             }
             Fading::Tgn(model) => {
                 let ch = model.realize(&mut self.rng, self.cfg.n_rx, self.cfg.n_tx);
-                (ch.apply(tx), None, Some(ch))
+                for (dst, src) in rx.iter_mut().zip(ch.apply(tx)) {
+                    *dst = src;
+                }
+                self.truth.tdl = Some(ch);
             }
             Fading::Jakes { fd_norm } => {
                 let mut ch =
                     TimeVaryingChannel::new(&mut self.rng, self.cfg.n_rx, self.cfg.n_tx, fd_norm);
-                (ch.apply(tx), None, None)
+                for (dst, src) in rx.iter_mut().zip(ch.apply(tx)) {
+                    *dst = src;
+                }
             }
-        };
+        }
 
         // 2. Receiver clock/oscillator impairments: identical across RX
         //    chains (one LO and one sampling clock per device, as on a
-        //    USRP with a shared daughterboard clock).
+        //    USRP with a shared daughterboard clock). `phase0` is drawn
+        //    even without CFO, so the noise draws do not depend on it.
         let phase0 = self.rng.gen::<f64>() * 2.0 * std::f64::consts::PI;
-        for stream in rx.iter_mut() {
-            let mut s = apply_timing_offset(stream, self.cfg.timing_offset);
+        for s in rx.iter_mut() {
+            // At offset 0 `apply_timing_offset` returns an unchanged
+            // copy, so that copy is skipped.
+            if self.cfg.timing_offset != 0.0 {
+                *s = apply_timing_offset(s, self.cfg.timing_offset);
+            }
             if self.cfg.sfo_ppm != 0.0 {
-                s = apply_sfo(&s, self.cfg.sfo_ppm);
+                *s = apply_sfo(s, self.cfg.sfo_ppm);
             }
             if self.cfg.cfo_norm != 0.0 {
-                apply_cfo(&mut s, self.cfg.cfo_norm, phase0);
+                apply_cfo(s, self.cfg.cfo_norm, phase0);
             }
             if self.cfg.iq_epsilon != 0.0 || self.cfg.iq_phi != 0.0 {
-                apply_iq_imbalance(&mut s, self.cfg.iq_epsilon, self.cfg.iq_phi);
+                apply_iq_imbalance(s, self.cfg.iq_epsilon, self.cfg.iq_phi);
             }
             if self.cfg.dc_offset != Complex64::ZERO {
-                apply_dc_offset(&mut s, self.cfg.dc_offset);
+                apply_dc_offset(s, self.cfg.dc_offset);
             }
-            *stream = s;
         }
 
         // 3. Noise and quantization.
-        let noise_power = if self.cfg.snr_db.is_finite() {
-            noise_power_for_snr_db(self.cfg.snr_db)
-        } else {
-            0.0
-        };
         for stream in rx.iter_mut() {
-            add_awgn(&mut self.rng, stream, noise_power);
+            add_awgn(&mut self.rng, stream, self.truth.noise_power);
             if let Some(bits) = self.cfg.adc_bits {
                 quantize(stream, bits, self.cfg.adc_full_scale);
             }
         }
+        &self.truth
+    }
+}
 
-        let truth = ChannelTruth {
-            flat,
-            tdl,
-            cfo_norm: self.cfg.cfo_norm,
-            timing_offset: self.cfg.timing_offset,
-            noise_power,
-        };
-        (rx, truth)
+/// The identity channel into `rx`. For finite samples the matrix
+/// product `0 + 1·x + 0·x'` equals `x + 0.0` bit for bit: both turn −0
+/// into +0 and leave every other value alone. `0 · inf` is NaN, though,
+/// so a burst with any non-finite sample takes the product itself.
+fn identity_into(tx: &[Vec<Complex64>], rx: &mut [Vec<Complex64>]) {
+    if tx.iter().all(|s| s.iter().all(|x| x.is_finite())) {
+        let len = tx.first().map_or(0, |s| s.len());
+        assert!(
+            tx.iter().all(|s| s.len() == len),
+            "TX stream lengths differ"
+        );
+        for (y, x) in rx.iter_mut().zip(tx) {
+            y.clear();
+            y.extend(x.iter().map(|v| Complex64::new(v.re + 0.0, v.im + 0.0)));
+        }
+    } else {
+        MimoChannelMatrix::identity(tx.len()).apply_into(tx, rx);
     }
 }
 

@@ -43,7 +43,7 @@ pub const LEAD_OUT: usize = 80;
 
 /// Samples per frame burst (frame + lead-in + lead-out) for a PSDU size.
 pub fn frame_burst_len(tx_cfg: &TxConfig, psdu_len: usize) -> usize {
-    Transmitter::new(tx_cfg.clone()).frame_len(psdu_len) + LEAD_IN + LEAD_OUT
+    crate::tx::frame_len(&tx_cfg.mcs, psdu_len) + LEAD_IN + LEAD_OUT
 }
 
 /// Byte stream in (whole PSDUs), per-antenna sample bursts out.
@@ -52,6 +52,9 @@ pub struct TxBlock {
     psdu_len: usize,
     tracer: Option<LinkTracer>,
     frame: u32,
+    /// The PSDU and the burst being built, reused burst to burst.
+    psdu: Vec<u8>,
+    burst: Vec<Vec<Complex64>>,
 }
 
 impl TxBlock {
@@ -59,10 +62,12 @@ impl TxBlock {
     pub fn new(cfg: TxConfig, psdu_len: usize) -> Self {
         assert!(psdu_len > 0, "PSDU size must be nonzero");
         Self {
+            burst: vec![Vec::new(); cfg.mcs.n_streams],
             tx: Transmitter::new(cfg),
             psdu_len,
             tracer: None,
             frame: 0,
+            psdu: Vec::new(),
         }
     }
 
@@ -92,28 +97,37 @@ impl Block for TxBlock {
     ) -> WorkStatus {
         let mut progressed = false;
         while inputs[0].available() >= self.psdu_len {
-            let psdu = convert::to_bytes(&inputs[0].take(self.psdu_len));
+            self.psdu.clear();
+            self.psdu
+                .extend((0..self.psdu_len).map(|i| inputs[0].peek(i).expect("available").byte()));
+            inputs[0].skip(self.psdu_len);
             let t0 = Instant::now();
-            let streams = self.tx.transmit(&psdu).expect("nonzero PSDU");
+            for b in &mut self.burst {
+                b.clear();
+                b.resize(LEAD_IN, Complex64::ZERO);
+            }
+            self.tx
+                .transmit_into(&self.psdu, LEAD_OUT, &mut self.burst)
+                .expect("nonzero PSDU");
             if let Some(tr) = &self.tracer {
                 tr.collector.record(
                     frame_trace_id(tr.root, self.frame),
                     TraceEventKind::TxEncode,
                     self.frame,
                     t0.elapsed().as_nanos() as u64,
-                    psdu.len() as u64,
+                    self.psdu_len as u64,
                 );
             }
             self.frame += 1;
-            for (s, out) in streams.iter().zip(outputs.iter_mut()) {
+            for (s, out) in self.burst.iter().zip(outputs.iter_mut()) {
                 out.add_tag(
                     out.offset(),
                     "frame_start",
-                    TagValue::U64(psdu.len() as u64),
+                    TagValue::U64(self.psdu_len as u64),
                 );
-                out.push_slice(&vec![Item::Complex(0.0, 0.0); LEAD_IN]);
-                out.push_slice(&convert::from_complex(s));
-                out.push_slice(&vec![Item::Complex(0.0, 0.0); LEAD_OUT]);
+                for x in s {
+                    out.push(Item::Complex(x.re, x.im));
+                }
             }
             progressed = true;
         }
@@ -136,6 +150,9 @@ pub struct ChannelBlock {
     n_rx: usize,
     tracer: Option<LinkTracer>,
     burst: u32,
+    /// One burst in and out, reused burst to burst.
+    tx_buf: Vec<Vec<Complex64>>,
+    rx_buf: Vec<Vec<Complex64>>,
 }
 
 impl ChannelBlock {
@@ -151,6 +168,8 @@ impl ChannelBlock {
             n_rx,
             tracer: None,
             burst: 0,
+            tx_buf: vec![Vec::new(); n_tx],
+            rx_buf: vec![Vec::new(); n_rx],
         }
     }
 
@@ -182,12 +201,16 @@ impl Block for ChannelBlock {
     ) -> WorkStatus {
         let mut progressed = false;
         while inputs.iter().all(|i| i.available() >= self.burst_len) {
-            let tx: Vec<Vec<Complex64>> = inputs
-                .iter_mut()
-                .map(|i| convert::to_complex(&i.take(self.burst_len)))
-                .collect();
+            for (buf, input) in self.tx_buf.iter_mut().zip(inputs.iter_mut()) {
+                buf.clear();
+                buf.extend((0..self.burst_len).map(|i| {
+                    let (re, im) = input.peek(i).expect("available").complex();
+                    Complex64::new(re, im)
+                }));
+                input.skip(self.burst_len);
+            }
             let t0 = Instant::now();
-            let (rx, _) = self.sim.apply(&tx);
+            self.sim.apply_into(&self.tx_buf, &mut self.rx_buf);
             if let Some(tr) = &self.tracer {
                 tr.collector.record(
                     frame_trace_id(tr.root, self.burst),
@@ -198,11 +221,12 @@ impl Block for ChannelBlock {
                 );
             }
             self.burst += 1;
-            for (stream, out) in rx.iter().zip(outputs.iter_mut()) {
+            for (stream, out) in self.rx_buf.iter().zip(outputs.iter_mut()) {
                 // Channel tails may extend the stream; clip to the burst so
                 // downstream chunking stays aligned.
-                let clipped = &stream[..self.burst_len.min(stream.len())];
-                out.push_slice(&convert::from_complex(clipped));
+                for x in stream.iter().take(self.burst_len) {
+                    out.push(Item::Complex(x.re, x.im));
+                }
             }
             progressed = true;
         }

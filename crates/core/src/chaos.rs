@@ -12,6 +12,7 @@
 //! with the sweep engine's [`mix`](mimonet_dsp::seedtree::mix), so a
 //! chaos sweep is bit-identical at any `--threads` count.
 
+use crate::burst::{self, BurstScratch};
 use crate::config::{RxConfig, TxConfig};
 use crate::link::LinkStats;
 use crate::rx::Receiver;
@@ -19,7 +20,6 @@ use crate::sweep::{ShardCtx, SweepResult, SweepSpec};
 use crate::telemetry::RxCaptureProfile;
 use crate::tx::Transmitter;
 use mimonet_channel::{ChannelConfig, ChannelSim, FaultReport, FaultSchedule, FaultSpec};
-use mimonet_dsp::complex::Complex64;
 use mimonet_dsp::seedtree;
 use rand::Rng;
 use rand::SeedableRng;
@@ -102,28 +102,37 @@ pub fn run_chaos_capture_profiled(
     );
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
 
-    // --- Build the multi-frame TX capture ---
-    let mut capture: Vec<Vec<Complex64>> = vec![vec![Complex64::ZERO; cfg.lead_in]; n_tx];
-    // (sample span in the capture, PSDU) per frame.
-    let mut sent: Vec<((usize, usize), Vec<u8>)> = Vec::with_capacity(cfg.n_frames);
-    for _ in 0..cfg.n_frames {
-        let psdu: Vec<u8> = (0..cfg.payload_len).map(|_| rng.gen()).collect();
-        let streams = tx.transmit(&psdu).expect("valid PSDU");
-        let start = capture[0].len();
-        let end = start + streams[0].len();
-        for (c, s) in capture.iter_mut().zip(&streams) {
-            c.extend_from_slice(s);
-            c.extend(std::iter::repeat_n(Complex64::ZERO, cfg.gap));
-        }
-        sent.push(((start, end), psdu));
-    }
-
-    // --- Channel, then faults on the received samples ---
+    // --- The multi-frame capture through the channel ---
+    let psdus: Vec<Vec<u8>> = (0..cfg.n_frames)
+        .map(|_| (0..cfg.payload_len).map(|_| rng.gen()).collect())
+        .collect();
     let mut sim = ChannelSim::new(
         cfg.channel.clone(),
         seedtree::salted(seed, seedtree::CHANNEL_SALT),
     );
-    let (mut rx_streams, _truth) = sim.apply(&capture);
+    let mut rx_streams = vec![Vec::new(); cfg.channel.n_rx];
+    burst::generate(
+        &tx,
+        &mut sim,
+        &psdus,
+        cfg.lead_in,
+        cfg.gap,
+        &mut BurstScratch::default(),
+        &mut rx_streams,
+    )
+    .expect("valid PSDU");
+    // (sample span in the capture, PSDU) per frame.
+    let frame_len = tx.frame_len(cfg.payload_len);
+    let sent: Vec<((usize, usize), Vec<u8>)> = psdus
+        .into_iter()
+        .enumerate()
+        .map(|(k, psdu)| {
+            let start = cfg.lead_in + k * (frame_len + cfg.gap);
+            ((start, start + frame_len), psdu)
+        })
+        .collect();
+
+    // --- Faults on the received samples ---
     let capture_len = rx_streams.iter().map(|a| a.len()).min().unwrap_or(0);
     let sched = FaultSchedule::generate(
         &cfg.faults,

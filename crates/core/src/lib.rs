@@ -7,6 +7,8 @@
 //!
 //! * [`tx`] / [`rx`] — the full 802.11n-mixed-format transmit and receive
 //!   chains over 1 or 2 spatial streams,
+//! * [`burst`] — the burst generator: PSDUs through the transmitter back
+//!   to back, then one channel pass, into reusable buffers,
 //! * [`config`] — MCS, detector, and receiver-feature knobs,
 //! * `link` — the Monte-Carlo link simulator with BER/PER/SNR
 //!   instrumentation,
@@ -32,6 +34,7 @@
 
 pub mod adapt;
 pub mod blocks;
+pub mod burst;
 pub mod chaos;
 pub mod config;
 pub mod link;

@@ -2,6 +2,7 @@
 //! full BER/PER/SNR/sync-accuracy instrumentation. Every figure in
 //! EXPERIMENTS.md is a sweep over [`LinkSim`] runs.
 
+use crate::burst::{self, BurstScratch};
 use crate::config::{RxConfig, TxConfig};
 use crate::metrics::{BerCounter, PerCounter, RecoveryCounter};
 use crate::rx::{Receiver, RxError};
@@ -122,6 +123,9 @@ pub struct LinkSim {
     chan: ChannelSim,
     rng: ChaCha8Rng,
     seq: u16,
+    /// Burst buffers, reused frame to frame.
+    burst: BurstScratch,
+    rx_streams: Vec<Vec<Complex64>>,
 }
 
 impl LinkSim {
@@ -140,12 +144,14 @@ impl LinkSim {
             mimonet_dsp::seedtree::salted(seed, mimonet_dsp::seedtree::CHANNEL_SALT),
         );
         Self {
+            rx_streams: vec![Vec::new(); cfg.channel.n_rx],
             cfg,
             tx,
             rx,
             chan,
             rng: ChaCha8Rng::seed_from_u64(seed),
             seq: 0,
+            burst: BurstScratch::default(),
         }
     }
 
@@ -173,16 +179,18 @@ impl LinkSim {
         self.seq = (self.seq + 1) & 0x0FFF;
         let psdu = mpdu.to_psdu();
 
-        let mut streams = self.tx.transmit(&psdu).expect("valid PSDU");
-        for s in &mut streams {
-            let mut padded = vec![Complex64::ZERO; self.cfg.lead_in];
-            padded.extend_from_slice(s);
-            padded.extend(std::iter::repeat_n(Complex64::ZERO, self.cfg.lead_out));
-            *s = padded;
-        }
-        let (rx_streams, truth) = self.chan.apply(&streams);
+        let truth = burst::generate(
+            &self.tx,
+            &mut self.chan,
+            std::slice::from_ref(&psdu),
+            self.cfg.lead_in,
+            self.cfg.lead_out,
+            &mut self.burst,
+            &mut self.rx_streams,
+        )
+        .expect("valid PSDU");
 
-        match self.rx.receive_profiled(&rx_streams, profile) {
+        match self.rx.receive_profiled(&self.rx_streams, profile) {
             Ok(frame) => {
                 stats.snr_est_db.push(frame.snr_db);
                 if let Some(e) = frame.evm_snr_db {

@@ -39,6 +39,7 @@
 //! single-trial shard each.
 
 use crate::adapt::{RateController, SnrThresholdTable};
+use crate::burst::{self, BurstScratch};
 use crate::config::{RxConfig, TxConfig};
 use crate::link::LinkStats;
 use crate::rx::Receiver;
@@ -47,6 +48,7 @@ use crate::tx::Transmitter;
 use mimonet_channel::{presets, ChannelSim, FaultSchedule, FaultSpec};
 use mimonet_dsp::complex::Complex64;
 use mimonet_dsp::seedtree;
+use mimonet_frame::mcs::Mcs;
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -499,13 +501,7 @@ impl ScenarioSpec {
         let mut psdu_rng =
             ChaCha8Rng::seed_from_u64(seedtree::salted(round_seed, seedtree::PSDU_SALT));
         let psdu: Vec<u8> = (0..link.payload_len).map(|_| psdu_rng.gen()).collect();
-        let streams = tx.transmit(&psdu).expect("valid PSDU");
-        let frame_samples = streams[0].len();
-        let mut capture: Vec<Vec<Complex64>> = vec![vec![Complex64::ZERO; LEAD_IN]; n];
-        for (c, s) in capture.iter_mut().zip(&streams) {
-            c.extend_from_slice(s);
-            c.extend(std::iter::repeat_n(Complex64::ZERO, LEAD_OUT));
-        }
+        let frame_samples = tx.frame_len(psdu.len());
 
         // Channel for this round: mobility schedules override SNR/Doppler.
         let snr_db = trace_eval(&link.mobility, round, link.snr_db);
@@ -524,7 +520,17 @@ impl ScenarioSpec {
             chan_cfg,
             seedtree::salted(round_seed, seedtree::CHANNEL_SALT),
         );
-        let (mut rx, _truth) = chan.apply(&capture);
+        let mut rx = vec![Vec::new(); n];
+        burst::generate(
+            &tx,
+            &mut chan,
+            std::slice::from_ref(&psdu),
+            LEAD_IN,
+            LEAD_OUT,
+            &mut BurstScratch::default(),
+            &mut rx,
+        )
+        .expect("valid PSDU");
         let capture_len = rx.iter().map(|a| a.len()).min().unwrap_or(0);
 
         // Chaos faults on the received samples.
@@ -669,10 +675,10 @@ struct Interferer {
 
 impl Interferer {
     fn new(scenario: &ScenarioSpec, x: &LinkSpec) -> Self {
-        let tx = Transmitter::new(TxConfig::new(x.mcs).expect("validated MCS"));
+        let mcs = Mcs::from_index(x.mcs).expect("validated MCS");
         Self {
             seed: seedtree::name_seed(scenario.seed, seedtree::XLINK_TAG, &x.name),
-            duration: tx.frame_len(x.payload_len),
+            duration: crate::tx::frame_len(&mcs, x.payload_len),
             mcs: x.mcs,
             payload_len: x.payload_len,
             model: scenario.interference.model,

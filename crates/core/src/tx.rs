@@ -17,18 +17,19 @@
 
 use crate::config::TxConfig;
 use mimonet_dsp::complex::Complex64;
+use mimonet_fec::conv::{encode_step, NUM_STATES};
 use mimonet_fec::interleaver::Interleaver;
-use mimonet_fec::puncture::puncture;
-use mimonet_fec::ConvEncoder;
-use mimonet_frame::carriers::{carrier_to_bin, FFT_LEN};
-use mimonet_frame::mcs::Mcs;
+use mimonet_fec::scrambler::Scrambler;
+use mimonet_frame::carriers::{carrier_to_bin, FFT_LEN, PILOT_CARRIERS, SYM_LEN};
+use mimonet_frame::mcs::{Mcs, MAX_MCS};
 use mimonet_frame::modulation::Modulation;
 use mimonet_frame::ofdm::{apply_cyclic_shift, ht_cyclic_shift, legacy_cyclic_shift, Ofdm};
 use mimonet_frame::pilots::{ht_pilots, legacy_pilots};
 use mimonet_frame::preamble::{htltf_time, htstf_time, lltf_time, lstf_time, num_htltf};
-use mimonet_frame::psdu::{assemble_data_bits, scramble_data_bits};
+use mimonet_frame::psdu::{SERVICE_BITS, TAIL_BITS};
 use mimonet_frame::sig::{HtSig, LSig};
 use mimonet_frame::Layout;
+use std::sync::OnceLock;
 
 /// Number of pre-data symbols that consume pilot-polarity indices:
 /// L-SIG (p_0) + two HT-SIG symbols (p_1, p_2); data starts at p_3.
@@ -38,14 +39,33 @@ pub const DATA_POLARITY_OFFSET: usize = 3;
 /// L-STF + L-LTF + L-SIG + 2 × HT-SIG.
 pub const PRE_HT_LEN: usize = 160 + 160 + 80 + 160;
 
-/// The transmitter. Holds a planned FFT; reuse across frames.
+/// Most coded bits one OFDM symbol carries: 52 carriers × 6 bits × 4
+/// streams.
+const MAX_CBPS: usize = 52 * 6 * 4;
+
+/// Period of the scrambler keystream (the `x^7 + x^4 + 1` LFSR is
+/// maximal-length for every nonzero seed).
+const SCRAMBLER_PERIOD: usize = 127;
+
+/// Total frame length in samples for a PSDU of `psdu_len` octets at
+/// `mcs` — what [`Transmitter::transmit`] produces, computed from the
+/// MCS alone.
+pub fn frame_len(mcs: &Mcs, psdu_len: usize) -> usize {
+    let n_sym = mcs.num_symbols(psdu_len * 8);
+    PRE_HT_LEN + 80 + num_htltf(mcs.n_streams) * 80 + n_sym * 80
+}
+
+/// The transmitter. Cheap to build: everything that depends only on the
+/// MCS or the antenna count (the data path's gather and constellation,
+/// the training fields, the OFDM plan) lives in process-wide tables built
+/// on first use.
 #[derive(Clone, Debug)]
 pub struct Transmitter {
     cfg: TxConfig,
-    ofdm: Ofdm,
-    /// Per-stream HT interleaver permutations for the fixed MCS
-    /// ([`Interleaver::table`]).
-    interleave: Vec<Vec<u32>>,
+    plan: &'static McsPlan,
+    training: &'static Training,
+    /// One period of the scrambler keystream for `cfg.scrambler_seed`.
+    scrambler: [u8; SCRAMBLER_PERIOD],
 }
 
 /// Transmit-side errors.
@@ -68,17 +88,195 @@ impl std::fmt::Display for TxError {
 
 impl std::error::Error for TxError {}
 
+/// What the data path needs for one MCS.
+#[derive(Debug)]
+struct McsPlan {
+    /// The fused stream-parse + interleave gather (the transmit twin of
+    /// the receiver's `rx_gather`): interleaved bit `p` of stream `s` is
+    /// coded bit `gather[s * n_cbpss + p]` of the symbol.
+    gather: Vec<u16>,
+    /// The constellation from [`Modulation::map_bits`], indexed by the
+    /// mapped bits (first bit in bit 0).
+    points: Vec<Complex64>,
+}
+
+impl McsPlan {
+    fn get(mcs: &Mcs) -> &'static Self {
+        static PLANS: [OnceLock<McsPlan>; MAX_MCS as usize + 1] =
+            [const { OnceLock::new() }; MAX_MCS as usize + 1];
+        PLANS[mcs.index as usize].get_or_init(|| Self {
+            gather: tx_gather(mcs.n_cbpss(), mcs.n_bpsc(), mcs.n_streams),
+            points: mcs.modulation.constellation(),
+        })
+    }
+}
+
+/// The gather behind [`McsPlan::gather`]. Equal, bit for bit, to
+/// [`parse_streams`] followed by each stream's [`Interleaver::table`]
+/// scatter.
+fn tx_gather(n_cbpss: usize, n_bpsc: usize, n_ss: usize) -> Vec<u16> {
+    let group = (n_bpsc / 2).max(1);
+    let mut gather = vec![0u16; n_ss * n_cbpss];
+    for (s, stream) in gather.chunks_exact_mut(n_cbpss).enumerate() {
+        let table = Interleaver::ht(n_cbpss, n_bpsc, s, n_ss).table();
+        for (j, &t) in table.iter().enumerate() {
+            // Bit j of stream s is bit (j % group) of the parser's group
+            // (j / group) * n_ss + s.
+            stream[t as usize] = (((j / group) * n_ss + s) * group + j % group) as u16;
+        }
+    }
+    gather
+}
+
+/// The frame's fixed training fields for one antenna count, after the
+/// antenna scale: they depend only on the antenna and `n_tx`.
+#[derive(Debug)]
+struct Training {
+    /// Per antenna: L-STF then L-LTF.
+    legacy: Vec<Vec<Complex64>>,
+    /// Per antenna: HT-STF then the HT-LTFs.
+    ht: Vec<Vec<Complex64>>,
+}
+
+impl Training {
+    fn get(n_tx: usize) -> &'static Self {
+        static TRAINING: [OnceLock<Training>; 4] = [const { OnceLock::new() }; 4];
+        TRAINING[n_tx - 1].get_or_init(|| {
+            let ofdm = Ofdm::new();
+            let scale = antenna_scale(n_tx);
+            let scaled = |xs: Vec<Complex64>| -> Vec<Complex64> {
+                xs.iter().map(|x| x.scale(scale)).collect()
+            };
+            Self {
+                legacy: (0..n_tx)
+                    .map(|a| scaled([lstf_time(a, n_tx), lltf_time(a, n_tx)].concat()))
+                    .collect(),
+                ht: (0..n_tx)
+                    .map(|a| {
+                        let mut field = htstf_time(&ofdm, a, n_tx);
+                        for ltf in 0..num_htltf(n_tx) {
+                            field.extend(htltf_time(&ofdm, a, n_tx, ltf));
+                        }
+                        scaled(field)
+                    })
+                    .collect(),
+            }
+        })
+    }
+}
+
+/// Per-antenna power normalization: every antenna's output is scaled by
+/// `1/sqrt(n_tx)`. Applied as its own multiply after the OFDM scale —
+/// folding the two scales into one product would change rounding.
+fn antenna_scale(n_tx: usize) -> f64 {
+    1.0 / (n_tx as f64).sqrt()
+}
+
+/// The process-wide 64-point OFDM engine.
+fn ofdm() -> &'static Ofdm {
+    static OFDM: OnceLock<Ofdm> = OnceLock::new();
+    OFDM.get_or_init(Ofdm::new)
+}
+
+/// The K = 7 encoder's output pair `a | b << 1` for each 7-bit register
+/// `bit << 6 | state` (what [`encode_step`] computes bit by bit).
+fn encoder_outputs() -> &'static [u8; 2 * NUM_STATES] {
+    static TABLE: OnceLock<[u8; 2 * NUM_STATES]> = OnceLock::new();
+    TABLE.get_or_init(|| {
+        std::array::from_fn(|reg| {
+            let (a, b, _) = encode_step((reg & 0x3F) as u8, (reg >> 6) as u8);
+            a | b << 1
+        })
+    })
+}
+
+/// The DATA field's coded bits, one OFDM symbol at a time: scramble,
+/// encode and puncture in one pass over the data bits
+/// (`SERVICE | PSDU | tail | pad`, the tail re-zeroed after scrambling).
+struct BitPass<'a> {
+    psdu: &'a [u8],
+    scrambler: &'a [u8; SCRAMBLER_PERIOD],
+    pattern: &'static [bool],
+    /// First tail bit.
+    tail: usize,
+    /// Next data bit.
+    next: usize,
+    /// Scrambler keystream index of `next`.
+    phase: usize,
+    /// Encoder state: the last six data bits.
+    state: usize,
+    /// Position in the puncture pattern.
+    cursor: usize,
+}
+
+impl<'a> BitPass<'a> {
+    fn new(tx: &'a Transmitter, psdu: &'a [u8]) -> Self {
+        Self {
+            psdu,
+            scrambler: &tx.scrambler,
+            pattern: tx.cfg.mcs.code_rate.pattern(),
+            tail: SERVICE_BITS + psdu.len() * 8,
+            next: 0,
+            phase: 0,
+            state: 0,
+            cursor: 0,
+        }
+    }
+
+    /// Encodes the next `n_data` data bits into `out`, which must hold
+    /// exactly their punctured coded bits.
+    fn fill(&mut self, n_data: usize, out: &mut [u8]) {
+        let enc = encoder_outputs();
+        let mut n = 0;
+        for i in self.next..self.next + n_data {
+            let key = self.scrambler[self.phase];
+            self.phase = if self.phase + 1 == SCRAMBLER_PERIOD {
+                0
+            } else {
+                self.phase + 1
+            };
+            let bit = if i < SERVICE_BITS {
+                key
+            } else if i < self.tail {
+                let j = i - SERVICE_BITS;
+                ((self.psdu[j / 8] >> (j % 8)) & 1) ^ key
+            } else if i < self.tail + TAIL_BITS {
+                0
+            } else {
+                key
+            };
+            let reg = (bit as usize) << 6 | self.state;
+            self.state = reg >> 1;
+            let ab = enc[reg];
+            for coded in [ab & 1, ab >> 1] {
+                if self.pattern[self.cursor] {
+                    out[n] = coded;
+                    n += 1;
+                }
+                self.cursor += 1;
+                if self.cursor == self.pattern.len() {
+                    self.cursor = 0;
+                }
+            }
+        }
+        self.next += n_data;
+        assert_eq!(n, out.len(), "puncture periods end on symbol boundaries");
+    }
+}
+
 impl Transmitter {
     /// Creates a transmitter.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the scrambler seed is zero or wider than 7 bits.
     pub fn new(cfg: TxConfig) -> Self {
-        let mcs = cfg.mcs;
-        let interleave = (0..mcs.n_streams)
-            .map(|s| Interleaver::ht(mcs.n_cbpss(), mcs.n_bpsc(), s, mcs.n_streams).table())
-            .collect();
+        let mut s = Scrambler::new(cfg.scrambler_seed);
         Self {
+            plan: McsPlan::get(&cfg.mcs),
+            training: Training::get(cfg.mcs.n_streams),
+            scrambler: std::array::from_fn(|_| s.next_bit()),
             cfg,
-            ofdm: Ofdm::new(),
-            interleave,
         }
     }
 
@@ -94,9 +292,7 @@ impl Transmitter {
 
     /// Total frame length in samples for a PSDU of `psdu_len` octets.
     pub fn frame_len(&self, psdu_len: usize) -> usize {
-        let mcs = self.cfg.mcs;
-        let n_sym = mcs.num_symbols(psdu_len * 8);
-        PRE_HT_LEN + 80 + num_htltf(mcs.n_streams) * 80 + n_sym * 80
+        frame_len(&self.cfg.mcs, psdu_len)
     }
 
     /// The punctured (over-the-air) coded bit stream for a PSDU — the
@@ -104,14 +300,36 @@ impl Transmitter {
     /// decisions against to measure *pre-FEC* (uncoded) BER.
     pub fn coded_bits(&self, psdu: &[u8]) -> Vec<u8> {
         let mcs = self.cfg.mcs;
-        let mut bits = assemble_data_bits(psdu, &mcs);
-        scramble_data_bits(&mut bits, psdu.len(), self.cfg.scrambler_seed);
-        let coded = ConvEncoder::new().encode(&bits);
-        puncture(&coded, mcs.code_rate)
+        let n_sym = mcs.num_symbols(psdu.len() * 8);
+        let mut out = vec![0u8; n_sym * mcs.n_cbps()];
+        let mut pass = BitPass::new(self, psdu);
+        for sym in out.chunks_exact_mut(mcs.n_cbps()) {
+            pass.fill(mcs.n_dbps(), sym);
+        }
+        out
     }
 
     /// Builds the per-antenna sample streams for one PSDU.
     pub fn transmit(&self, psdu: &[u8]) -> Result<Vec<Vec<Complex64>>, TxError> {
+        let mut streams = vec![Vec::new(); self.cfg.mcs.n_streams];
+        self.transmit_into(psdu, 0, &mut streams)?;
+        Ok(streams)
+    }
+
+    /// Appends one frame for `psdu` ([`Self::frame_len`] samples, the
+    /// ones [`Self::transmit`] returns), then `gap` zero samples, to each
+    /// antenna's buffer in `out` (one per TX antenna). A warmed caller
+    /// whose buffers have the capacity allocates nothing here.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out.len()` is not the MCS's stream count.
+    pub fn transmit_into(
+        &self,
+        psdu: &[u8],
+        gap: usize,
+        out: &mut [Vec<Complex64>],
+    ) -> Result<(), TxError> {
         if psdu.is_empty() {
             return Err(TxError::EmptyPsdu);
         }
@@ -120,143 +338,135 @@ impl Transmitter {
         }
         let mcs = self.cfg.mcs;
         let n_tx = mcs.n_streams;
-        let antenna_scale = 1.0 / (n_tx as f64).sqrt();
-
-        let mut streams: Vec<Vec<Complex64>> = (0..n_tx)
-            .map(|_| Vec::with_capacity(self.frame_len(psdu.len())))
-            .collect();
+        assert_eq!(out.len(), n_tx, "one output buffer per TX antenna");
+        let len = self.frame_len(psdu.len());
+        for s in out.iter_mut() {
+            s.reserve(len + gap);
+        }
+        let scale = antenna_scale(n_tx);
 
         // ---- Legacy preamble ----
-        for (a, s) in streams.iter_mut().enumerate() {
-            s.extend(lstf_time(a, n_tx));
-            s.extend(lltf_time(a, n_tx));
+        for (s, field) in out.iter_mut().zip(&self.training.legacy) {
+            s.extend_from_slice(field);
         }
 
         // ---- L-SIG ----
         // The legacy LENGTH/RATE announce a 6 Mb/s frame spanning the HT
         // duration (spoofing); receivers in this workspace read HT-SIG for
         // the real parameters.
-        let lsig = LSig::new(6.0, (psdu.len() as u16).clamp(1, 4095));
-        let lsig_coded = ConvEncoder::new().encode(&lsig.encode());
-        debug_assert_eq!(lsig_coded.len(), 48);
-        let lsig_sym = self.legacy_bpsk_symbol(&lsig_coded, 0, false);
-        self.append_legacy_symbol(&mut streams, &lsig_sym);
+        let lsig = LSig::new(6.0, (psdu.len() as u16).clamp(1, 4095)).bits();
+        let mut lsig_coded = [0u8; 2 * LSig::BITS];
+        conv_encode(&lsig, &mut lsig_coded);
+        let lsig_sym = legacy_bpsk_symbol(&lsig_coded, 0, false);
+        append_legacy_symbol(out, &lsig_sym, scale);
 
         // ---- HT-SIG (two QBPSK symbols) ----
-        let htsig = HtSig::new(mcs.index, psdu.len() as u16);
-        let coded = ConvEncoder::new().encode(&htsig.encode());
-        debug_assert_eq!(coded.len(), 96);
-        for (i, half) in coded.chunks(48).enumerate() {
-            let sym = self.legacy_bpsk_symbol(half, 1 + i, true);
-            self.append_legacy_symbol(&mut streams, &sym);
+        let htsig = HtSig::new(mcs.index, psdu.len() as u16).bits();
+        let mut htsig_coded = [0u8; 2 * HtSig::BITS];
+        conv_encode(&htsig, &mut htsig_coded);
+        for (i, half) in htsig_coded.chunks_exact(48).enumerate() {
+            let sym = legacy_bpsk_symbol(half, 1 + i, true);
+            append_legacy_symbol(out, &sym, scale);
         }
 
         // ---- HT-STF and HT-LTFs ----
-        let n_ltf = num_htltf(n_tx);
-        for (a, s) in streams.iter_mut().enumerate() {
-            s.extend(htstf_time(&self.ofdm, a, n_tx));
-        }
-        for ltf in 0..n_ltf {
-            for (a, s) in streams.iter_mut().enumerate() {
-                s.extend(htltf_time(&self.ofdm, a, n_tx, ltf));
-            }
+        for (s, field) in out.iter_mut().zip(&self.training.ht) {
+            s.extend_from_slice(field);
         }
 
         // ---- HT-Data ----
-        let mut bits = assemble_data_bits(psdu, &mcs);
-        scramble_data_bits(&mut bits, psdu.len(), self.cfg.scrambler_seed);
-        let coded = ConvEncoder::new().encode(&bits);
-        let tx_bits = puncture(&coded, mcs.code_rate);
-        debug_assert_eq!(tx_bits.len() % mcs.n_cbps(), 0);
-        let n_sym = tx_bits.len() / mcs.n_cbps();
-
-        let mut interleaved = vec![0u8; mcs.n_cbpss()];
+        let n_cbpss = mcs.n_cbpss();
+        let n_bpsc = mcs.n_bpsc();
+        let n_sym = mcs.num_symbols(psdu.len() * 8);
+        let mut pass = BitPass::new(self, psdu);
+        let mut coded = [0u8; MAX_CBPS];
+        let coded = &mut coded[..mcs.n_cbps()];
+        let data_scale = Ofdm::unit_power_scale(56);
+        let carriers = Layout::Ht.data_carriers();
+        let mut sym_out = [Complex64::ZERO; SYM_LEN];
         for sym in 0..n_sym {
-            let sym_bits = &tx_bits[sym * mcs.n_cbps()..(sym + 1) * mcs.n_cbps()];
-            let stream_bits = parse_streams(sym_bits, n_tx, mcs.n_bpsc());
-            for (stream, s_bits) in stream_bits.iter().enumerate() {
-                for (&b, &t) in s_bits.iter().zip(&self.interleave[stream]) {
-                    interleaved[t as usize] = b;
+            pass.fill(mcs.n_dbps(), coded);
+            let gathers = self.plan.gather.chunks_exact(n_cbpss);
+            for (stream, (s, gather)) in out.iter_mut().zip(gathers).enumerate() {
+                let mut bins = [Complex64::ZERO; FFT_LEN];
+                for (&k, idx) in carriers.iter().zip(gather.chunks_exact(n_bpsc)) {
+                    let point = idx
+                        .iter()
+                        .enumerate()
+                        .fold(0, |acc, (i, &j)| acc | (coded[j as usize] as usize) << i);
+                    bins[carrier_to_bin(k)] = self.plan.points[point];
                 }
-                let symbols = mcs.modulation.map(&interleaved);
-                let td = self.ht_data_symbol(&symbols, stream, n_tx, sym, mcs.modulation);
-                streams[stream].extend(td);
+                let pil = ht_pilots(stream, n_tx, sym, DATA_POLARITY_OFFSET);
+                for (&k, &p) in PILOT_CARRIERS.iter().zip(&pil) {
+                    bins[carrier_to_bin(k)] = Complex64::from_re(p);
+                }
+                apply_cyclic_shift(&mut bins, ht_cyclic_shift(stream, n_tx));
+                ofdm().modulate_into(&mut bins, data_scale, &mut sym_out);
+                s.extend(sym_out.iter().map(|x| x.scale(scale)));
             }
         }
 
-        // ---- Per-antenna power normalization ----
-        for s in &mut streams {
-            for x in s.iter_mut() {
-                *x = x.scale(antenna_scale);
-            }
+        for s in out.iter_mut() {
+            s.resize(s.len() + gap, Complex64::ZERO);
         }
-        Ok(streams)
+        Ok(())
     }
+}
 
-    /// One legacy-format BPSK (or QBPSK when `quadrature`) symbol carrying
-    /// 48 already-coded bits, with pilots at polarity index `sym_index`.
-    /// Returns the *unshifted* frequency bins; CSD is applied per antenna by
-    /// [`Self::append_legacy_symbol`].
-    fn legacy_bpsk_symbol(
-        &self,
-        coded_bits: &[u8],
-        sym_index: usize,
-        quadrature: bool,
-    ) -> [Complex64; FFT_LEN] {
-        assert_eq!(coded_bits.len(), 48, "legacy symbol carries 48 coded bits");
-        let il = Interleaver::legacy(48, 1);
-        let interleaved = il.interleave(coded_bits);
-        let data = Modulation::Bpsk.map(&interleaved);
-        let rot = if quadrature {
-            Complex64::I
-        } else {
-            Complex64::ONE
-        };
-        let mut bins = [Complex64::ZERO; FFT_LEN];
-        for (i, &k) in Layout::Legacy.data_carriers().iter().enumerate() {
-            bins[carrier_to_bin(k)] = data[i] * rot;
-        }
-        let pil = legacy_pilots(sym_index, 0);
-        for (i, &k) in mimonet_frame::carriers::PILOT_CARRIERS.iter().enumerate() {
-            bins[carrier_to_bin(k)] = Complex64::from_re(pil[i]);
-        }
-        bins
+/// Rate-1/2 K = 7 encoding of `bits` from the zero state into `out`
+/// (`[a0, b0, a1, b1, …]`).
+fn conv_encode(bits: &[u8], out: &mut [u8]) {
+    let mut state = 0;
+    for (&bit, ab) in bits.iter().zip(out.chunks_exact_mut(2)) {
+        let (a, b, next) = encode_step(state, bit);
+        ab[0] = a;
+        ab[1] = b;
+        state = next;
     }
+}
 
-    /// Appends a legacy symbol to every antenna with its legacy CSD.
-    fn append_legacy_symbol(&self, streams: &mut [Vec<Complex64>], bins: &[Complex64; FFT_LEN]) {
-        let n_tx = streams.len();
-        for (a, s) in streams.iter_mut().enumerate() {
-            let mut shifted = *bins;
-            apply_cyclic_shift(&mut shifted, legacy_cyclic_shift(a, n_tx));
-            s.extend(
-                self.ofdm
-                    .modulate_bins(&shifted, Ofdm::unit_power_scale(52)),
-            );
-        }
+/// One legacy-format BPSK (or QBPSK when `quadrature`) symbol carrying
+/// 48 already-coded bits, with pilots at polarity index `sym_index`.
+/// Returns the *unshifted* frequency bins; CSD is applied per antenna by
+/// [`append_legacy_symbol`].
+fn legacy_bpsk_symbol(
+    coded_bits: &[u8],
+    sym_index: usize,
+    quadrature: bool,
+) -> [Complex64; FFT_LEN] {
+    static INTERLEAVE: OnceLock<Vec<u32>> = OnceLock::new();
+    let table = INTERLEAVE.get_or_init(|| Interleaver::legacy(48, 1).table());
+    assert_eq!(coded_bits.len(), 48, "legacy symbol carries 48 coded bits");
+    let mut interleaved = [0u8; 48];
+    for (&b, &t) in coded_bits.iter().zip(table) {
+        interleaved[t as usize] = b;
     }
+    let rot = if quadrature {
+        Complex64::I
+    } else {
+        Complex64::ONE
+    };
+    let mut bins = [Complex64::ZERO; FFT_LEN];
+    for (&k, &b) in Layout::Legacy.data_carriers().iter().zip(&interleaved) {
+        bins[carrier_to_bin(k)] = Modulation::Bpsk.map_bits(&[b]) * rot;
+    }
+    let pil = legacy_pilots(sym_index, 0);
+    for (&k, &p) in PILOT_CARRIERS.iter().zip(&pil) {
+        bins[carrier_to_bin(k)] = Complex64::from_re(p);
+    }
+    bins
+}
 
-    /// One HT data symbol for `stream`: 52 data carriers + 4 pilots, HT
-    /// CSD, 56-carrier power scale.
-    fn ht_data_symbol(
-        &self,
-        symbols: &[Complex64],
-        stream: usize,
-        n_sts: usize,
-        sym_index: usize,
-        _modulation: Modulation,
-    ) -> Vec<Complex64> {
-        debug_assert_eq!(symbols.len(), 52);
-        let mut bins = [Complex64::ZERO; FFT_LEN];
-        for (i, &k) in Layout::Ht.data_carriers().iter().enumerate() {
-            bins[carrier_to_bin(k)] = symbols[i];
-        }
-        let pil = ht_pilots(stream, n_sts, sym_index, DATA_POLARITY_OFFSET);
-        for (i, &k) in mimonet_frame::carriers::PILOT_CARRIERS.iter().enumerate() {
-            bins[carrier_to_bin(k)] = Complex64::from_re(pil[i]);
-        }
-        apply_cyclic_shift(&mut bins, ht_cyclic_shift(stream, n_sts));
-        self.ofdm.modulate_bins(&bins, Ofdm::unit_power_scale(56))
+/// Appends a legacy symbol to every antenna with its legacy CSD and the
+/// antenna scale.
+fn append_legacy_symbol(streams: &mut [Vec<Complex64>], bins: &[Complex64; FFT_LEN], scale: f64) {
+    let n_tx = streams.len();
+    let mut sym = [Complex64::ZERO; SYM_LEN];
+    for (a, s) in streams.iter_mut().enumerate() {
+        let mut shifted = *bins;
+        apply_cyclic_shift(&mut shifted, legacy_cyclic_shift(a, n_tx));
+        ofdm().modulate_into(&mut shifted, Ofdm::unit_power_scale(52), &mut sym);
+        s.extend(sym.iter().map(|x| x.scale(scale)));
     }
 }
 
@@ -369,6 +579,72 @@ mod tests {
         assert_eq!(streams[0].len(), want);
         assert_eq!(streams[1].len(), want);
         assert_eq!(t.frame_len(100), want);
+
+        // The MCS-only length matches what every MCS transmits.
+        for index in 0..=31u8 {
+            let t = tx(index);
+            for len in [1usize, 2, 40, 333, 1500] {
+                let streams = t.transmit(&vec![0x5Au8; len]).unwrap();
+                assert_eq!(streams.len(), t.mcs().n_streams);
+                for s in &streams {
+                    assert_eq!(s.len(), frame_len(&t.mcs(), len), "MCS{index} {len} B");
+                }
+                assert_eq!(t.frame_len(len), frame_len(&t.mcs(), len));
+            }
+        }
+    }
+
+    #[test]
+    fn gather_matches_parser_and_interleaver() {
+        for index in 0..=31u8 {
+            let mcs = Mcs::from_index(index).unwrap();
+            let (n_cbpss, n_bpsc, n_ss) = (mcs.n_cbpss(), mcs.n_bpsc(), mcs.n_streams);
+            let n_cbps = n_ss * n_cbpss;
+            // Run the parser and the interleavers on bit plane k of each
+            // coded bit's position; the planes spell out, for every
+            // interleaved bit, which coded bit landed there.
+            let mut want = vec![0usize; n_cbps];
+            for k in 0..usize::BITS - n_cbps.leading_zeros() {
+                let plane: Vec<u8> = (0..n_cbps).map(|i| ((i >> k) & 1) as u8).collect();
+                for (st, bits) in parse_streams(&plane, n_ss, n_bpsc).iter().enumerate() {
+                    let il = Interleaver::ht(n_cbpss, n_bpsc, st, n_ss).interleave(bits);
+                    for (w, &b) in want[st * n_cbpss..].iter_mut().zip(&il) {
+                        *w |= (b as usize) << k;
+                    }
+                }
+            }
+            let got: Vec<usize> = tx_gather(n_cbpss, n_bpsc, n_ss)
+                .iter()
+                .map(|&j| j as usize)
+                .collect();
+            assert_eq!(got, want, "MCS{index}");
+        }
+    }
+
+    #[test]
+    fn coded_bits_match_the_scramble_encode_puncture_pipeline() {
+        use mimonet_fec::puncture::puncture;
+        use mimonet_fec::ConvEncoder;
+        use mimonet_frame::psdu::{assemble_data_bits, scramble_data_bits};
+        for index in 0..=31u8 {
+            for seed in [0x5Du8, 0x01, 0x7F] {
+                let mut cfg = TxConfig::new(index).unwrap();
+                cfg.scrambler_seed = seed;
+                let t = Transmitter::new(cfg);
+                for len in [1usize, 37, 500] {
+                    let psdu: Vec<u8> = (0..len).map(|i| (i * 151 + 7) as u8).collect();
+                    let mut bits = assemble_data_bits(&psdu, &t.mcs());
+                    scramble_data_bits(&mut bits, len, seed);
+                    let coded = ConvEncoder::new().encode(&bits);
+                    let want = puncture(&coded, t.mcs().code_rate);
+                    assert_eq!(
+                        t.coded_bits(&psdu),
+                        want,
+                        "MCS{index} seed {seed:#x} {len} B"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

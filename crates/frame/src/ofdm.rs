@@ -4,9 +4,10 @@
 // Index-based loops here are the clearer expression of the math
 // (matrix/carrier indexing); silence the iterator-style suggestion.
 #![allow(clippy::needless_range_loop)]
-use crate::carriers::{carrier_to_bin, CP_LEN, FFT_LEN};
+use crate::carriers::{carrier_to_bin, CP_LEN, FFT_LEN, SYM_LEN};
 use mimonet_dsp::complex::Complex64;
 use mimonet_dsp::fft::Fft;
+use std::sync::OnceLock;
 
 /// Assembles and disassembles OFDM symbols. Holds a planned FFT, so clone
 /// or reuse rather than recreating per symbol.
@@ -37,15 +38,29 @@ impl Ofdm {
     /// [`Ofdm::unit_power_scale`]`(n_occupied)` for unit average symbol
     /// power.
     pub fn modulate_bins(&self, bins: &[Complex64; FFT_LEN], scale: f64) -> Vec<Complex64> {
-        let mut td = bins.to_vec();
-        self.fft.inverse(&mut td);
-        for x in &mut td {
-            *x = x.scale(scale);
+        let mut td = *bins;
+        let mut sym = [Complex64::ZERO; SYM_LEN];
+        self.modulate_into(&mut td, scale, &mut sym);
+        sym.to_vec()
+    }
+
+    /// [`Self::modulate_bins`] without allocating: transforms `bins` in
+    /// place (leaving the unscaled IFFT output there) and writes the
+    /// scaled, cyclic-prefixed symbol to `out`.
+    pub fn modulate_into(
+        &self,
+        bins: &mut [Complex64; FFT_LEN],
+        scale: f64,
+        out: &mut [Complex64; SYM_LEN],
+    ) {
+        self.fft.inverse(bins);
+        let (cp, body) = out.split_at_mut(CP_LEN);
+        for (o, x) in cp.iter_mut().zip(&bins[FFT_LEN - CP_LEN..]) {
+            *o = x.scale(scale);
         }
-        let mut sym = Vec::with_capacity(CP_LEN + FFT_LEN);
-        sym.extend_from_slice(&td[FFT_LEN - CP_LEN..]);
-        sym.extend_from_slice(&td);
-        sym
+        for (o, x) in body.iter_mut().zip(bins.iter()) {
+            *o = x.scale(scale);
+        }
     }
 
     /// Builds the FFT-bin array from `(logical carrier, value)` pairs and
@@ -117,16 +132,43 @@ impl Ofdm {
 ///
 /// 802.11n transmits every non-primary antenna with a cyclic shift so the
 /// legacy preamble does not beamform; shift values are in samples at 20 Msps
-/// (200 ns = 4 samples).
+/// (200 ns = 4 samples). The ramps for the shifts the 802.11n tables use
+/// are computed once per process.
 pub fn apply_cyclic_shift(bins: &mut [Complex64; FFT_LEN], shift: i32) {
     if shift == 0 {
         return;
     }
-    for bin in 0..FFT_LEN {
+    let fresh;
+    let ramp = if (1 - MAX_CSD as i32..0).contains(&shift) {
+        cached_ramp(shift.unsigned_abs() as usize)
+    } else {
+        fresh = csd_ramp(shift);
+        &fresh
+    };
+    for (b, &r) in bins.iter_mut().zip(ramp) {
+        *b *= r;
+    }
+}
+
+/// One past the largest cyclic shift (in samples, negated) that the
+/// 802.11n tables prescribe: −12 samples, the fourth HT stream's −600 ns.
+const MAX_CSD: usize = 13;
+
+/// The CSD phase ramp for shift `-neg_shift`, computed once per process
+/// with [`csd_ramp`], so the cached values are the bits a fresh
+/// computation gives.
+fn cached_ramp(neg_shift: usize) -> &'static [Complex64; FFT_LEN] {
+    static RAMPS: [OnceLock<[Complex64; FFT_LEN]>; MAX_CSD] = [const { OnceLock::new() }; MAX_CSD];
+    RAMPS[neg_shift].get_or_init(|| csd_ramp(-(neg_shift as i32)))
+}
+
+/// The per-bin phasors `exp(-i 2 pi k shift / N)` of a cyclic shift.
+fn csd_ramp(shift: i32) -> [Complex64; FFT_LEN] {
+    std::array::from_fn(|bin| {
         let k = crate::carriers::bin_to_carrier(bin);
         let theta = -2.0 * std::f64::consts::PI * k as f64 * shift as f64 / FFT_LEN as f64;
-        bins[bin] *= Complex64::cis(theta);
-    }
+        Complex64::cis(theta)
+    })
 }
 
 /// Cyclic shift prescribed for `antenna` of `n_tx` during the *legacy*

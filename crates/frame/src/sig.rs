@@ -92,25 +92,27 @@ impl LSig {
 
     /// Encodes to 24 bits in transmission order.
     pub fn encode(&self) -> Vec<u8> {
+        self.bits().to_vec()
+    }
+
+    /// [`Self::encode`] into a fixed array, without allocating.
+    pub fn bits(&self) -> [u8; Self::BITS] {
         let code = LEGACY_RATE_CODES
             .iter()
             .find(|&&(_, r)| r == self.rate_mbps)
             .map(|&(c, _)| c)
             .expect("validated in new()");
-        let mut bits = Vec::with_capacity(Self::BITS);
+        let mut bits = [0u8; Self::BITS];
         // RATE: 4 bits, transmitted MSB (R1) first = bit 3 of the code.
-        for i in (0..4).rev() {
-            bits.push((code >> i) & 1);
+        for (i, b) in bits[..4].iter_mut().enumerate() {
+            *b = (code >> (3 - i)) & 1;
         }
-        bits.push(0); // reserved
-                      // LENGTH: 12 bits, LSB first.
-        for i in 0..12 {
-            bits.push(((self.length >> i) & 1) as u8);
+        // bits[4]: reserved. LENGTH: 12 bits, LSB first.
+        for (i, b) in bits[5..17].iter_mut().enumerate() {
+            *b = ((self.length >> i) & 1) as u8;
         }
-        // Even parity over bits 0..17.
-        let parity: u8 = bits.iter().sum::<u8>() & 1;
-        bits.push(parity);
-        bits.extend_from_slice(&[0; 6]); // tail
+        // Even parity over bits 0..17; bits 18..24 are the tail.
+        bits[17] = bits[..17].iter().sum::<u8>() & 1;
         bits
     }
 
@@ -193,31 +195,31 @@ impl HtSig {
 
     /// Encodes to 48 bits in transmission order.
     pub fn encode(&self) -> Vec<u8> {
-        let mut bits = Vec::with_capacity(Self::BITS);
+        self.bits().to_vec()
+    }
+
+    /// [`Self::encode`] into a fixed array, without allocating.
+    pub fn bits(&self) -> [u8; Self::BITS] {
+        let mut bits = [0u8; Self::BITS];
         // MCS: 7 bits LSB first.
-        for i in 0..7 {
-            bits.push((self.mcs >> i) & 1);
+        for (i, b) in bits[..7].iter_mut().enumerate() {
+            *b = (self.mcs >> i) & 1;
         }
-        bits.push(0); // CBW 20/40: 0 = 20 MHz
-                      // HT LENGTH: 16 bits LSB first.
-        for i in 0..16 {
-            bits.push(((self.length >> i) & 1) as u8);
+        // bits[7]: CBW 20/40, 0 = 20 MHz. HT LENGTH: 16 bits LSB first.
+        for (i, b) in bits[8..24].iter_mut().enumerate() {
+            *b = ((self.length >> i) & 1) as u8;
         }
-        bits.push(self.smoothing as u8);
-        bits.push(1); // not sounding
-        bits.push(1); // reserved, always 1
-        bits.push(self.aggregation as u8);
-        bits.extend_from_slice(&[0, 0]); // STBC: none
-        bits.push(0); // FEC coding: BCC
-        bits.push(0); // short GI: no
-        bits.extend_from_slice(&[0, 0]); // extension spatial streams
-        debug_assert_eq!(bits.len(), 34);
-        let crc = Self::crc8(&bits);
-        // CRC transmitted MSB (c7) first.
-        for i in (0..8).rev() {
-            bits.push((crc >> i) & 1);
+        bits[24] = self.smoothing as u8;
+        bits[25] = 1; // not sounding
+        bits[26] = 1; // reserved, always 1
+        bits[27] = self.aggregation as u8;
+        // bits[28..34]: STBC none (2), BCC (1), long GI (1), no
+        // extension spatial streams (2) — all zero.
+        let crc = Self::crc8(&bits[..34]);
+        // CRC transmitted MSB (c7) first; bits 42..48 are the tail.
+        for (i, b) in bits[34..42].iter_mut().enumerate() {
+            *b = (crc >> (7 - i)) & 1;
         }
-        bits.extend_from_slice(&[0; 6]); // tail
         bits
     }
 

@@ -3,15 +3,18 @@
 //! **across sessions**.
 //!
 //! A session's DSP is a pure per-frame pipeline (the flowgraph proves
-//! it): PSDU → `Transmitter::transmit` → lead-in/out framing →
-//! `ChannelSim::apply` (stateful, per-session, burst order) →
-//! `Receiver::receive`. The engine exploits that shape directly instead
-//! of spinning a flowgraph per session:
+//! it): PSDU → transmit with lead-in/out framing → channel (stateful,
+//! per-session, burst order) → `Receiver::receive`. The engine exploits
+//! that shape directly instead of spinning a flowgraph per session:
 //!
 //! * a **generation turn** advances one session by a window of frames —
-//!   transmit + channel, both cheap — and enqueues one decode job per
+//!   one [`mimonet::burst::generate`] call per burst, through the
+//!   worker's reused transmit buffers — and enqueues one decode job per
 //!   burst; the task then goes to the back of the generation queue, so
-//!   active sessions round-robin and their bursts interleave;
+//!   active sessions round-robin and their bursts interleave. Generation
+//!   is not cheap: transmit plus channel was about half of a `bulk_mimo`
+//!   frame's CPU time before the burst generator dropped their per-frame
+//!   re-work, and the channel's Gaussian noise is still a large share;
 //! * a **decode turn** drains up to `BATCH_MAX` decode jobs from the
 //!   shared queue — *regardless of which session they came from* — and
 //!   runs each stream-count group through one
@@ -38,8 +41,11 @@
 //! `telemetry_every > 0`) fall back to the full flowgraph on the
 //! deterministic single-thread scheduler inside one worker — the
 //! scheduler-agreement test pins that path byte-identical to the
-//! threaded scheduler too, and the worker pool keeps the engine's thread
-//! count constant either way.
+//! threaded scheduler too. The thread count is not constant on that
+//! path: with `telemetry_every > 0`,
+//! [`crate::session::run_session_observed`] runs the graph on a scoped
+//! thread of its own per session and polls it every 1 ms for telemetry
+//! rounds, so each such session adds a thread beside the worker pool.
 
 use super::{EngineShared, ShardHandle, TRACE_RING_CAPACITY};
 use crate::queue::{BoundedQueue, OverflowPolicy};
@@ -50,7 +56,8 @@ use crate::session::{
 use crate::store::StoredSession;
 use crate::wire::{DecodedFrame, SessionConfig};
 use mimonet::blocks::{frame_burst_len, LEAD_IN, LEAD_OUT};
-use mimonet::config::RxConfig;
+use mimonet::burst::{self, BurstScratch};
+use mimonet::config::{RxConfig, TxConfig};
 use mimonet::obs::{SloCounts, SloSpec, TraceCollector, TraceEventKind};
 use mimonet::tx::Transmitter;
 use mimonet::{LinkTracer, Receiver, RxBatch, RxWorkspace};
@@ -93,6 +100,13 @@ pub(crate) struct SessionRun {
     pub token: u64,
     /// Overload shed decided at admission: stream control, withhold data.
     pub shed: bool,
+    /// The validated transmit config.
+    tx_cfg: TxConfig,
+    /// The session's PSDUs, drawn once at admission for the direct
+    /// executor: its generation turns transmit them and the session's
+    /// last decode scores against them. Empty for fallback sessions,
+    /// whose flowgraph draws its own.
+    psdus: Vec<Vec<u8>>,
     state: Mutex<RunState>,
 }
 
@@ -108,20 +122,43 @@ struct RunState {
 }
 
 impl SessionRun {
-    pub(crate) fn new(conn: u64, shard: usize, cfg: SessionConfig, token: u64, shed: bool) -> Self {
+    /// Validates `cfg` and builds the run. Nothing is sized from the
+    /// request before it is validated, so a hostile `n_frames` is a
+    /// typed error, not an allocation.
+    pub(crate) fn new(
+        conn: u64,
+        shard: usize,
+        cfg: SessionConfig,
+        token: u64,
+        shed: bool,
+    ) -> Result<Self, SessionError> {
+        let tx_cfg = validate_config(&cfg)?;
         let n = cfg.n_frames as usize;
-        Self {
+        Ok(Self {
             conn,
             shard,
+            psdus: if is_direct(&cfg) {
+                session_psdus(&cfg)
+            } else {
+                Vec::new()
+            },
             cfg,
             token,
             shed,
+            tx_cfg,
             state: Mutex::new(RunState {
                 slots: vec![None; n],
                 done: 0,
             }),
-        }
+        })
     }
+}
+
+/// Whether the direct executor serves `cfg`: sessions that need the
+/// observability plane (`trace != 0` or `telemetry_every > 0`) take the
+/// flowgraph fallback instead.
+fn is_direct(cfg: &SessionConfig) -> bool {
+    cfg.trace == 0 && cfg.telemetry_every == 0
 }
 
 /// What the compute plane hands back to the owning shard.
@@ -152,7 +189,6 @@ struct DirectTask {
     run: Arc<SessionRun>,
     tx: Transmitter,
     sim: ChannelSim,
-    psdus: Vec<Vec<u8>>,
     burst_len: usize,
     n_streams: usize,
     next: u32,
@@ -200,33 +236,26 @@ impl ComputePlane {
         }
     }
 
-    /// Admits a session into the plane. Returns the validation error when
-    /// the config is invalid (the caller reports `bad-config` without
-    /// spending any compute).
-    pub(crate) fn submit(&self, run: Arc<SessionRun>) -> Result<(), SessionError> {
+    /// Admits a (validated) session into the plane.
+    pub(crate) fn submit(&self, run: Arc<SessionRun>) {
         let cfg = &run.cfg;
-        if cfg.trace != 0 || cfg.telemetry_every > 0 {
-            validate_config(cfg)?;
+        if !is_direct(cfg) {
             self.gen.push(GenTask::Full(run));
-            return Ok(());
+            return;
         }
-        let tx_cfg = validate_config(cfg)?;
-        let n_streams = tx_cfg.mcs.n_streams;
-        let burst_len = frame_burst_len(&tx_cfg, cfg.payload_len as usize);
+        let n_streams = run.tx_cfg.mcs.n_streams;
         let task = DirectTask {
-            tx: Transmitter::new(tx_cfg),
+            tx: Transmitter::new(run.tx_cfg.clone()),
             sim: ChannelSim::new(
                 ChannelConfig::awgn(n_streams, n_streams, cfg.snr_db),
                 cfg.seed,
             ),
-            psdus: session_psdus(cfg),
-            burst_len,
+            burst_len: frame_burst_len(&run.tx_cfg, cfg.payload_len as usize),
             n_streams,
             next: 0,
             run,
         };
         self.gen.push(GenTask::Direct(Box::new(task)));
-        Ok(())
     }
 
     /// Closes the queues and joins every worker.
@@ -248,6 +277,9 @@ fn worker_loop(
     // Per-stream-count receiver + scratch: sessions with the same
     // antenna count share one batch call even across MCS presets.
     let mut rx_by_streams: HashMap<usize, (Receiver, RxWorkspace, RxBatch)> = HashMap::new();
+    // Transmit-side burst buffers, shared by every session this worker
+    // generates for.
+    let mut burst = BurstScratch::default();
     let mut jobs: Vec<DecodeJob> = Vec::with_capacity(BATCH_MAX);
     loop {
         // Decode-first: drain queued bursts before generating more.
@@ -263,7 +295,7 @@ fn worker_loop(
             continue;
         }
         match gen.pop_timeout(Duration::from_millis(10)) {
-            Some(GenTask::Direct(task)) => generation_turn(*task, gen, decode),
+            Some(GenTask::Direct(task)) => generation_turn(*task, &mut burst, gen, decode),
             Some(GenTask::Full(run)) => full_session(&run, shared, shards),
             None => {
                 if gen.is_terminated() && decode.is_terminated() {
@@ -281,34 +313,32 @@ fn worker_loop(
 /// round-robin.
 fn generation_turn(
     mut task: DirectTask,
+    burst: &mut BurstScratch,
     gen: &BoundedQueue<GenTask>,
     decode: &BoundedQueue<DecodeJob>,
 ) {
     let end = (task.next + GEN_WINDOW).min(task.run.cfg.n_frames);
     while task.next < end {
         let frame = task.next;
-        let psdu = &task.psdus[frame as usize];
-        let streams = task.tx.transmit(psdu).expect("validated PSDU");
-        let tx_burst: Vec<Vec<Complex64>> = streams
-            .into_iter()
-            .map(|s| {
-                let mut b = Vec::with_capacity(task.burst_len);
-                b.resize(LEAD_IN, Complex64::ZERO);
-                b.extend_from_slice(&s);
-                b.resize(b.len() + LEAD_OUT, Complex64::ZERO);
-                b
-            })
+        // The only per-burst allocation: the buffers the decode job owns.
+        let mut bufs: Vec<Vec<Complex64>> = (0..task.n_streams)
+            .map(|_| Vec::with_capacity(task.burst_len))
             .collect();
-        let (rx, _) = task.sim.apply(&tx_burst);
+        burst::generate(
+            &task.tx,
+            &mut task.sim,
+            std::slice::from_ref(&task.run.psdus[frame as usize]),
+            LEAD_IN,
+            LEAD_OUT,
+            burst,
+            &mut bufs,
+        )
+        .expect("validated PSDU");
         // Channel tails may extend the stream; clip to the burst so the
         // receiver sees exactly what the flowgraph's chunking delivers.
-        let bufs: Vec<Vec<Complex64>> = rx
-            .into_iter()
-            .map(|mut s| {
-                s.truncate(task.burst_len);
-                s
-            })
-            .collect();
+        for b in &mut bufs {
+            b.truncate(task.burst_len);
+        }
         decode.push(DecodeJob {
             run: task.run.clone(),
             frame,
@@ -400,8 +430,7 @@ fn record_result(
             }
         }
     }
-    let psdus = session_psdus(&run.cfg);
-    let stats = score_decoded(&psdus, &decoded);
+    let stats = score_decoded(&run.psdus, &decoded);
     let session = StoredSession {
         frames: decoded,
         stats_json: serde::json::to_string(&stats.serialize()),

@@ -298,9 +298,11 @@ impl Conn {
                 }
                 let shed = active > u64::from(shared.config.shed_threshold);
                 let token = shared.next_token();
-                let run = Arc::new(SessionRun::new(ctx.conn_id, ctx.shard, cfg, token, shed));
-                match ctx.compute.submit(run) {
-                    Ok(()) => self.busy = true,
+                match SessionRun::new(ctx.conn_id, ctx.shard, cfg, token, shed) {
+                    Ok(run) => {
+                        ctx.compute.submit(Arc::new(run));
+                        self.busy = true;
+                    }
                     Err(e) => {
                         shared.stats.active_sessions.fetch_sub(1, Ordering::Relaxed);
                         shared.stats.sessions_failed.fetch_add(1, Ordering::Relaxed);

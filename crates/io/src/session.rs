@@ -11,6 +11,7 @@
 
 use crate::wire::{DecodedFrame, SessionConfig};
 use mimonet::blocks::{build_link_flowgraph, build_link_flowgraph_traced, LinkTracer};
+use mimonet::burst::{self, BurstScratch};
 use mimonet::config::{RxConfig, TxConfig};
 use mimonet::link::LinkStats;
 use mimonet::rx::{RxFrame, ScanStats};
@@ -344,17 +345,19 @@ pub fn build_link_capture(cfg: &SessionConfig) -> Result<LinkCapture, SessionErr
     let n_streams = tx_cfg.mcs.n_streams;
     let tx = Transmitter::new(tx_cfg);
     let psdus = session_psdus(cfg);
-    let mut capture: Vec<Vec<Complex64>> = vec![vec![Complex64::ZERO; LEAD_IN]; n_streams];
-    for psdu in &psdus {
-        let streams = tx.transmit(psdu).expect("validated PSDU");
-        for (c, s) in capture.iter_mut().zip(&streams) {
-            c.extend_from_slice(s);
-            c.extend(std::iter::repeat_n(Complex64::ZERO, GAP));
-        }
-    }
     let chan_cfg = ChannelConfig::awgn(n_streams, n_streams, cfg.snr_db);
     let mut sim = ChannelSim::new(chan_cfg, cfg.seed ^ CHANNEL_SEED_SALT);
-    let (rx_streams, _truth) = sim.apply(&capture);
+    let mut rx_streams = vec![Vec::new(); n_streams];
+    burst::generate(
+        &tx,
+        &mut sim,
+        &psdus,
+        LEAD_IN,
+        GAP,
+        &mut BurstScratch::default(),
+        &mut rx_streams,
+    )
+    .expect("validated PSDU");
     Ok((rx_streams, psdus))
 }
 

@@ -225,19 +225,25 @@ fn traced_and_streaming_sessions_take_the_observed_path() {
 fn bad_config_is_refused_and_the_engine_connection_survives() {
     let server = EngineServer::bind("127.0.0.1:0").unwrap();
     let mut client = LinkClient::connect(server.local_addr()).unwrap();
-    let bad = SessionConfig { mcs: 99, ..cfg(1) };
-    match client.run_session(&bad) {
-        Err(ClientError::Server { kind, give_up, .. }) => {
-            assert_eq!(kind, "bad-config");
-            assert_eq!(give_up, "give-up-fatal");
+    // A hostile frame count is refused before anything is sized from it.
+    let hostile = SessionConfig {
+        n_frames: u32::MAX,
+        ..cfg(1)
+    };
+    for bad in [SessionConfig { mcs: 99, ..cfg(1) }, hostile] {
+        match client.run_session(&bad) {
+            Err(ClientError::Server { kind, give_up, .. }) => {
+                assert_eq!(kind, "bad-config");
+                assert_eq!(give_up, "give-up-fatal");
+            }
+            other => panic!("expected a typed refusal, got {other:?}"),
         }
-        other => panic!("expected a typed refusal, got {other:?}"),
     }
     let ok = client.run_session(&cfg(1)).unwrap();
     assert_eq!(ok.frames.len(), 3);
     client.close().unwrap();
     let stats = server.shutdown();
-    assert_eq!(stats.sessions_failed(), 1);
+    assert_eq!(stats.sessions_failed(), 2);
     assert_eq!(stats.sessions_ok(), 1);
 }
 
