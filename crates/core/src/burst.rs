@@ -5,17 +5,53 @@
 //! [`generate`] composes [`Transmitter::transmit_into`] and
 //! [`ChannelSim::apply_into`]. Both write into caller-owned buffers, so a
 //! caller that keeps its [`BurstScratch`] and receive buffers across
-//! bursts reuses their capacity instead of allocating per frame.
+//! bursts reuses their capacity instead of allocating per frame. The
+//! scratch also keeps when the last burst's two halves ran, which is
+//! what a traced caller records.
 
 use crate::tx::{Transmitter, TxError};
 use mimonet_channel::{ChannelSim, ChannelTruth};
 use mimonet_dsp::complex::Complex64;
+use std::time::Instant;
 
 /// The transmitted burst, one buffer per TX antenna, kept between calls
-/// to [`generate`] so its capacity is reused.
+/// to [`generate`] so its capacity is reused, and the timing of the last
+/// call.
 #[derive(Clone, Debug, Default)]
 pub struct BurstScratch {
     tx: Vec<Vec<Complex64>>,
+    timing: Option<BurstTiming>,
+}
+
+impl BurstScratch {
+    /// When the last successful [`generate`] call's transmit and channel
+    /// halves ran; `None` before the first.
+    pub fn timing(&self) -> Option<BurstTiming> {
+        self.timing
+    }
+}
+
+/// When one [`generate`] call ran.
+#[derive(Clone, Copy, Debug)]
+pub struct BurstTiming {
+    /// The transmit half (the lead-in and every frame) began.
+    pub start: Instant,
+    /// The transmit half ended and the channel half began.
+    pub transmitted: Instant,
+    /// The channel half ended.
+    pub end: Instant,
+}
+
+impl BurstTiming {
+    /// Wall time of the transmit half, ns.
+    pub fn transmit_ns(&self) -> u64 {
+        (self.transmitted - self.start).as_nanos() as u64
+    }
+
+    /// Wall time of the channel half, ns.
+    pub fn channel_ns(&self) -> u64 {
+        (self.end - self.transmitted).as_nanos() as u64
+    }
 }
 
 /// Transmits `psdus` back to back — `lead_in` zero samples, then each
@@ -40,6 +76,7 @@ pub fn generate<'c, P: AsRef<[u8]>>(
     scratch: &mut BurstScratch,
     rx: &mut [Vec<Complex64>],
 ) -> Result<&'c ChannelTruth, TxError> {
+    let start = Instant::now();
     let bufs = &mut scratch.tx;
     bufs.resize_with(tx.mcs().n_streams, Vec::new);
     for b in bufs.iter_mut() {
@@ -49,7 +86,14 @@ pub fn generate<'c, P: AsRef<[u8]>>(
     for psdu in psdus {
         tx.transmit_into(psdu.as_ref(), gap, bufs)?;
     }
-    Ok(chan.apply_into(bufs, rx))
+    let transmitted = Instant::now();
+    let truth = chan.apply_into(bufs, rx);
+    scratch.timing = Some(BurstTiming {
+        start,
+        transmitted,
+        end: Instant::now(),
+    });
+    Ok(truth)
 }
 
 #[cfg(test)]
@@ -84,6 +128,23 @@ mod tests {
             assert_eq!(rx, want);
         }
         assert_eq!(rx[0].len(), 50 + 2 * (tx.frame_len(120) + 30));
+    }
+
+    #[test]
+    fn scratch_keeps_the_last_burst_timing() {
+        let tx = Transmitter::new(TxConfig::new(9).unwrap());
+        let mut chan = ChannelSim::new(ChannelConfig::awgn(2, 2, 25.0), 3);
+        let mut scratch = BurstScratch::default();
+        let mut rx = vec![Vec::new(); 2];
+        assert!(scratch.timing().is_none(), "no burst yet");
+        let before = Instant::now();
+        generate(&tx, &mut chan, &[[7u8; 40]], 10, 10, &mut scratch, &mut rx).unwrap();
+        let t = scratch.timing().expect("timed burst");
+        assert!(before <= t.start && t.start <= t.transmitted && t.transmitted <= t.end);
+        assert_eq!(
+            t.transmit_ns() + t.channel_ns(),
+            (t.end - t.start).as_nanos() as u64
+        );
     }
 
     #[test]

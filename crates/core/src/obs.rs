@@ -33,10 +33,12 @@
 //! verdicts; `fig_obs` proves a deterministic injected p99 regression
 //! flags while the baseline passes.
 
-use crate::telemetry::RxStage;
+use crate::sweep::Merge;
+use crate::telemetry::{RxStage, StageProfile};
 use mimonet_dsp::seedtree;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
+use std::time::Instant;
 
 /// Frame-lifecycle event kinds — the stations a frame passes on its way
 /// from a TX payload to a delivered (or lost) PSDU.
@@ -335,9 +337,8 @@ impl TraceCollector {
         self.deterministic
     }
 
-    /// Records one event. `measured_ns` is the wall-clock duration the
-    /// caller observed; a deterministic collector replaces it with the
-    /// [`VirtualLatency`] model's value. No-op under `telemetry-off`.
+    /// Records one event that ends now: [`Self::record_at`] with
+    /// `Instant::now()`. No-op under `telemetry-off`.
     #[cfg(not(feature = "telemetry-off"))]
     pub fn record(
         &self,
@@ -346,6 +347,23 @@ impl TraceCollector {
         frame: u32,
         measured_ns: u64,
         arg: u64,
+    ) {
+        self.record_at(trace_id, kind, frame, measured_ns, arg, Instant::now());
+    }
+
+    /// Records one event that ended at `end`. `measured_ns` is the
+    /// wall-clock duration the caller observed; a deterministic collector
+    /// replaces it with the [`VirtualLatency`] model's value and ignores
+    /// `end`. No-op under `telemetry-off`.
+    #[cfg(not(feature = "telemetry-off"))]
+    pub fn record_at(
+        &self,
+        trace_id: u64,
+        kind: TraceEventKind,
+        frame: u32,
+        measured_ns: u64,
+        arg: u64,
+        end: Instant,
     ) {
         let dur_ns = match &self.model {
             Some(m) => m.dur_ns(kind, trace_id, frame),
@@ -356,8 +374,8 @@ impl TraceCollector {
             // timeline is a pure function of the record sequence.
             self.vclock.fetch_add(dur_ns + 1_000, Ordering::Relaxed)
         } else {
-            let now = self.epoch.elapsed().as_nanos() as u64;
-            now.saturating_sub(dur_ns)
+            let end_ns = end.saturating_duration_since(self.epoch).as_nanos() as u64;
+            end_ns.saturating_sub(dur_ns)
         };
         let ev = TraceEvent {
             trace_id,
@@ -391,6 +409,19 @@ impl TraceCollector {
     ) {
     }
 
+    /// `telemetry-off`: the trace plane compiles to a no-op.
+    #[cfg(feature = "telemetry-off")]
+    pub fn record_at(
+        &self,
+        _trace_id: u64,
+        _kind: TraceEventKind,
+        _frame: u32,
+        _measured_ns: u64,
+        _arg: u64,
+        _end: Instant,
+    ) {
+    }
+
     /// Events recorded so far, oldest first. Allocates (snapshot) —
     /// export path, not hot path.
     pub fn events(&self) -> Vec<TraceEvent> {
@@ -417,49 +448,68 @@ impl TraceCollector {
     }
 }
 
+/// Records one frame's receive as trace events that end at `end`: one
+/// span per executed RX stage (duration = the stage's ns in `profile`,
+/// arg = its calls), then [`TraceEventKind::FrameOk`], or
+/// [`TraceEventKind::FrameFail`] with the failing stage's code as arg.
+/// `profile` holds this frame's receive alone, and `failed` is
+/// [`RxStage::of_error`] of its error. [`traced_receive_into`] and the
+/// engine's decode turns both record through this, so the stage-to-event
+/// encoding lives here only.
+pub fn record_receive(
+    collector: &TraceCollector,
+    trace_id: u64,
+    frame_index: u32,
+    profile: &StageProfile,
+    failed: Option<RxStage>,
+    end: Instant,
+) {
+    for s in RxStage::ALL {
+        let calls = profile.calls[s as usize];
+        if calls > 0 {
+            collector.record_at(
+                trace_id,
+                TraceEventKind::of_stage(s),
+                frame_index,
+                profile.ns[s as usize],
+                calls,
+                end,
+            );
+        }
+    }
+    let (kind, arg) = match failed {
+        None => (TraceEventKind::FrameOk, 0),
+        Some(stage) => (TraceEventKind::FrameFail, stage as u64),
+    };
+    collector.record_at(trace_id, kind, frame_index, 0, arg, end);
+}
+
 /// Traced variant of the zero-alloc receive path: runs
-/// [`crate::Receiver::receive_profiled_into`] and emits one trace event
-/// per executed stage (duration = that call's profile delta) plus a
-/// terminal [`TraceEventKind::FrameOk`]/[`TraceEventKind::FrameFail`].
-/// Adds zero heap allocations over the untraced call.
+/// [`crate::Receiver::receive_profiled_into`], records the frame through
+/// [`record_receive`], and adds its stage profile to `profile`. Adds
+/// zero heap allocations over the untraced call.
 #[allow(clippy::too_many_arguments)]
 pub fn traced_receive_into(
     rx: &crate::rx::Receiver,
     views: &[&[mimonet_dsp::complex::Complex64]],
     ws: &mut crate::rx::RxWorkspace,
-    profile: &mut crate::telemetry::StageProfile,
+    profile: &mut StageProfile,
     frame: &mut crate::rx::RxFrame,
     collector: &TraceCollector,
     trace_id: u64,
     frame_index: u32,
 ) -> Result<(), crate::rx::RxError> {
-    let calls_before = profile.calls;
-    let ns_before = profile.ns;
-    let res = rx.receive_profiled_into(views, ws, profile, frame);
-    for s in RxStage::ALL {
-        let i = s as usize;
-        let d_calls = profile.calls[i] - calls_before[i];
-        if d_calls > 0 {
-            let d_ns = profile.ns[i] - ns_before[i];
-            collector.record(
-                trace_id,
-                TraceEventKind::of_stage(s),
-                frame_index,
-                d_ns,
-                d_calls,
-            );
-        }
-    }
-    match &res {
-        Ok(()) => collector.record(trace_id, TraceEventKind::FrameOk, frame_index, 0, 0),
-        Err(e) => collector.record(
-            trace_id,
-            TraceEventKind::FrameFail,
-            frame_index,
-            0,
-            RxStage::of_error(e) as u64,
-        ),
-    }
+    let mut own = StageProfile::default();
+    let res = rx.receive_profiled_into(views, ws, &mut own, frame);
+    record_receive(
+        collector,
+        trace_id,
+        frame_index,
+        &own,
+        res.as_ref().err().map(RxStage::of_error),
+        Instant::now(),
+    );
+    profile.merge(&own);
     res
 }
 
@@ -850,6 +900,44 @@ mod tests {
             evs.iter().map(|e| e.frame).collect::<Vec<_>>(),
             [2, 3, 4, 5]
         );
+    }
+
+    #[cfg(not(feature = "telemetry-off"))]
+    #[test]
+    fn record_at_stamps_the_measured_end() {
+        use std::time::Duration;
+        let c = TraceCollector::new(4);
+        let end = c.epoch + Duration::from_micros(50);
+        c.record_at(frame_trace_id(1, 0), TraceEventKind::Fec, 0, 20_000, 3, end);
+        let ev = c.events()[0];
+        assert_eq!((ev.t_ns, ev.dur_ns, ev.arg), (30_000, 20_000, 3));
+    }
+
+    #[cfg(not(feature = "telemetry-off"))]
+    #[test]
+    fn record_receive_encodes_stages_then_the_outcome() {
+        let c = TraceCollector::new(16);
+        let mut profile = StageProfile::default();
+        profile.record(RxStage::Detect, 5);
+        profile.record(RxStage::Sync, 7);
+        profile.record(RxStage::Sync, 1);
+        let id = frame_trace_id(2, 4);
+        record_receive(&c, id, 4, &profile, Some(RxStage::Sync), Instant::now());
+        let got: Vec<_> = c
+            .events()
+            .iter()
+            .map(|e| (e.kind, e.frame, e.dur_ns, e.arg))
+            .collect();
+        assert_eq!(
+            got,
+            [
+                (TraceEventKind::Detect, 4, 5, 1),
+                (TraceEventKind::Sync, 4, 8, 2),
+                (TraceEventKind::FrameFail, 4, 0, RxStage::Sync as u64),
+            ]
+        );
+        record_receive(&c, id, 4, &StageProfile::default(), None, Instant::now());
+        assert_eq!(c.events().last().unwrap().kind, TraceEventKind::FrameOk);
     }
 
     #[cfg(feature = "telemetry-off")]

@@ -475,7 +475,8 @@ fn with_full_views<T: AsRef<[Complex64]>, R>(
     }
 }
 
-/// Per-capture outcomes of [`Receiver::receive_batch`].
+/// Per-capture outcomes of [`Receiver::receive_batch`], each with the
+/// stage profile of its decode.
 ///
 /// Like [`RxWorkspace`], everything is recycled between calls: after one
 /// warming batch of the same shape, `receive_batch` performs no heap
@@ -484,6 +485,7 @@ fn with_full_views<T: AsRef<[Complex64]>, R>(
 pub struct RxBatch {
     frames: Vec<RxFrame>,
     results: Vec<Option<RxError>>,
+    profiles: Vec<StageProfile>,
 }
 
 impl RxBatch {
@@ -511,6 +513,12 @@ impl RxBatch {
         }
     }
 
+    /// The stage profile of capture `i`'s decode: the calls and wall
+    /// time of each stage it ran, the failing one included.
+    pub fn profile(&self, i: usize) -> &StageProfile {
+        &self.profiles[i]
+    }
+
     /// All outcomes in capture order.
     pub fn results(&self) -> impl Iterator<Item = Result<&RxFrame, &RxError>> {
         (0..self.len()).map(|i| self.result(i))
@@ -533,6 +541,8 @@ impl RxBatch {
         self.frames.resize_with(n, RxFrame::default);
         self.results.clear();
         self.results.resize(n, None);
+        self.profiles.clear();
+        self.profiles.resize(n, StageProfile::default());
     }
 }
 
@@ -658,9 +668,10 @@ impl Receiver {
 
     /// Decodes one frame from each of `captures` (each a slice of
     /// per-antenna buffers) into `batch`, in capture order. It is a loop
-    /// of [`Self::receive_into`] calls over one workspace, so every slot
-    /// holds exactly what that call returns; the engine's decode plane
-    /// drains its queued captures through it.
+    /// of [`Self::receive_profiled_into`] calls over one workspace, each
+    /// into its slot's own profile, so every slot holds exactly what
+    /// [`Self::receive_into`] returns plus the profile that call drops;
+    /// the engine's decode plane drains its queued captures through it.
     ///
     /// Like `receive_into`, allocation-free once `ws` and `batch` are
     /// warmed on a batch of the same shape.
@@ -673,7 +684,10 @@ impl Receiver {
         batch.reset(captures.len());
         for (slot, cap) in captures.iter().enumerate() {
             let frame = &mut batch.frames[slot];
-            let res = with_full_views(cap.as_ref(), |views| self.receive_into(views, ws, frame));
+            let profile = &mut batch.profiles[slot];
+            let res = with_full_views(cap.as_ref(), |views| {
+                self.receive_profiled_into(views, ws, profile, frame)
+            });
             batch.results[slot] = res.err();
         }
     }
@@ -1515,5 +1529,32 @@ mod tests {
                 .expect("decode");
             assert_eq!(frame.psdu, psdu, "seed {seed}");
         }
+    }
+
+    #[test]
+    fn batch_keeps_each_slot_stage_profile() {
+        // One decodable burst and one of silence: each slot's profile
+        // holds that capture's stage calls alone, the failing stage's
+        // partial span included.
+        let tx = Transmitter::new(TxConfig::new(9).unwrap());
+        let rx = Receiver::new(RxConfig::new(2));
+        let mut streams = tx.transmit(&[0x5Au8; 60]).unwrap();
+        for s in &mut streams {
+            let mut padded = vec![Complex64::ZERO; 120];
+            padded.extend_from_slice(s);
+            padded.extend(vec![Complex64::ZERO; 80]);
+            *s = padded;
+        }
+        let silence = vec![vec![Complex64::ZERO; streams[0].len()]; 2];
+        let captures = [&streams, &silence, &streams];
+        let mut batch = RxBatch::new();
+        rx.receive_batch(&captures, &mut RxWorkspace::new(), &mut batch);
+        for (i, cap) in captures.iter().enumerate() {
+            let mut want = StageProfile::default();
+            let res = rx.receive_profiled(cap, &mut want);
+            assert_eq!(res.is_ok(), batch.result(i).is_ok(), "slot {i}");
+            assert_eq!(batch.profile(i).calls, want.calls, "slot {i}");
+        }
+        assert_eq!(batch.profile(1).total_calls(), 1, "silence fails in detect");
     }
 }

@@ -330,44 +330,26 @@ impl Conn {
         }
     }
 
-    /// Lands a compute-plane completion: stream the reply (or the typed
-    /// failure), then resume dispatching whatever the client queued.
+    /// Lands a compute-plane completion: stream the telemetry rounds and
+    /// the reply, then resume dispatching whatever the client queued.
     pub(crate) fn on_completion(&mut self, completion: Completion, ctx: &Ctx<'_>) {
         let shared = ctx.shared;
         shared.stats.active_sessions.fetch_sub(1, Ordering::Relaxed);
         self.busy = false;
-        match completion {
-            Completion::Done {
-                token,
-                shed,
-                session,
-                updates,
-                ..
-            } => {
-                for (round, telemetry_json) in updates {
-                    self.pending.push_back(WireMsg::TelemetryUpdate {
-                        round,
-                        telemetry_json,
-                    });
-                }
-                self.stream_stored(token, 0, &session, shed, shared);
-                shared.stats.sessions_ok.fetch_add(1, Ordering::Relaxed);
-            }
-            Completion::Failed { error, .. } => {
-                shared.stats.sessions_failed.fetch_add(1, Ordering::Relaxed);
-                let kind = match &error {
-                    crate::session::SessionError::BadConfig(_) => "bad-config",
-                    crate::session::SessionError::Graph(_) => "session-graph",
-                };
-                self.pending.push_back(WireMsg::ErrorReport {
-                    kind: kind.into(),
-                    detail: error.to_string(),
-                    session: 0,
-                    give_up: "give-up-fatal".into(),
-                    span: 0,
-                });
-            }
+        for (round, telemetry_json) in completion.updates {
+            self.pending.push_back(WireMsg::TelemetryUpdate {
+                round,
+                telemetry_json,
+            });
         }
+        self.stream_stored(
+            completion.token,
+            0,
+            &completion.session,
+            completion.shed,
+            shared,
+        );
+        shared.stats.sessions_ok.fetch_add(1, Ordering::Relaxed);
         self.dispatch(ctx);
         self.flush(ctx);
     }

@@ -31,9 +31,9 @@
 //!   admission, and resumption from a shared
 //!   [`crate::store::SessionStore`] keyed by the token each
 //!   `SessionAccept` carries.
-//! * **Compute plane** ([`compute`]): admitted sessions round-robin
-//!   through a generation queue; their bursts interleave in a decode
-//!   queue drained in cross-session batches through
+//! * **Compute plane** ([`compute`]): admitted sessions, traced or not,
+//!   round-robin through a generation queue; their bursts interleave in
+//!   a decode queue drained in cross-session batches through
 //!   `Receiver::receive_batch`, which decodes each frame on its own, so
 //!   a decode turn serves whichever sessions have bursts waiting.
 //! * **Admission + shedding**: a hard session cap answers
@@ -45,8 +45,9 @@
 //!
 //! Per-session output (`FrameDecoded` stream + `LinkStats` JSON) is
 //! byte-identical to an in-process [`crate::session::run_session`] of the
-//! same config — `tests/linkd_engine.rs` pins it with a property test
-//! across MCS/SNR/payload space.
+//! same config, and a traced session's frames and events match an
+//! in-process traced run — `tests/linkd_engine.rs` pins both, the first
+//! with a property test across MCS/SNR/payload/trace space.
 //!
 //! [`Trace`]: crate::wire::WireMsg::Trace
 
@@ -67,11 +68,6 @@ use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
-
-/// Ring capacity of a traced session's event collector: ~16 lifecycle
-/// events per frame, sized for a full-length session before the ring
-/// starts overwriting (drops are counted, never silent).
-pub(crate) const TRACE_RING_CAPACITY: usize = 64 * 1024;
 
 /// Engine service policy. [`Default`] disables every limit that could
 /// perturb a session (no shedding, no admission cap, no token budget,

@@ -67,9 +67,7 @@ pub(crate) fn shard_loop(
         // for a connection that died mid-run still settles the books: it
         // counts as a failed session.
         while let Some(completion) = handle.completions.lock().unwrap().pop_front() {
-            let conn_id = match &completion {
-                Completion::Done { conn, .. } | Completion::Failed { conn, .. } => *conn,
-            };
+            let conn_id = completion.conn;
             match conns.get_mut(&conn_id) {
                 Some(conn) => {
                     let ctx = Ctx {
