@@ -452,7 +452,9 @@ impl TraceCollector {
 /// span per executed RX stage (duration = the stage's ns in `profile`,
 /// arg = its calls), then [`TraceEventKind::FrameOk`], or
 /// [`TraceEventKind::FrameFail`] with the failing stage's code as arg.
-/// `profile` holds this frame's receive alone, and `failed` is
+/// The stage spans tile the frame in pipeline order: each ends at `end`
+/// minus the time of the executed stages after it, so the last ends at
+/// `end`. `profile` holds this frame's receive alone, and `failed` is
 /// [`RxStage::of_error`] of its error. [`traced_receive_into`] and the
 /// engine's decode turns both record through this, so the stage-to-event
 /// encoding lives here only.
@@ -464,16 +466,24 @@ pub fn record_receive(
     failed: Option<RxStage>,
     end: Instant,
 ) {
+    // Time of the stages still to record; a stage that did not run has
+    // none.
+    let mut after: u64 = profile.ns.iter().sum();
     for s in RxStage::ALL {
         let calls = profile.calls[s as usize];
         if calls > 0 {
+            let ns = profile.ns[s as usize];
+            after -= ns;
+            let stage_end = end
+                .checked_sub(std::time::Duration::from_nanos(after))
+                .unwrap_or(end);
             collector.record_at(
                 trace_id,
                 TraceEventKind::of_stage(s),
                 frame_index,
-                profile.ns[s as usize],
+                ns,
                 calls,
-                end,
+                stage_end,
             );
         }
     }
@@ -938,6 +948,57 @@ mod tests {
         );
         record_receive(&c, id, 4, &StageProfile::default(), None, Instant::now());
         assert_eq!(c.events().last().unwrap().kind, TraceEventKind::FrameOk);
+    }
+
+    #[cfg(not(feature = "telemetry-off"))]
+    #[test]
+    fn live_stage_spans_tile_the_frame_in_pipeline_order() {
+        use std::time::Duration;
+        let c = TraceCollector::new(16);
+        let mut profile = StageProfile::default();
+        profile.record(RxStage::Detect, 5_000);
+        profile.record(RxStage::Sync, 7_000);
+        profile.record(RxStage::Sync, 2_000);
+        profile.record(RxStage::Equalize, 11_000);
+        profile.record(RxStage::Fec, 13_000);
+        let end = c.epoch + Duration::from_micros(100);
+        record_receive(&c, frame_trace_id(3, 1), 1, &profile, None, end);
+        let events = c.events();
+        let (stages, outcome) = events.split_at(events.len() - 1);
+        assert_eq!(
+            stages.iter().map(|e| e.kind).collect::<Vec<_>>(),
+            [
+                TraceEventKind::Detect,
+                TraceEventKind::Sync,
+                TraceEventKind::Equalize,
+                TraceEventKind::Fec,
+            ],
+            "pipeline order"
+        );
+        assert_eq!(
+            stages[0].t_ns,
+            100_000 - 38_000,
+            "the spans cover the stages' time"
+        );
+        for pair in stages.windows(2) {
+            assert_eq!(
+                pair[0].t_ns + pair[0].dur_ns,
+                pair[1].t_ns,
+                "{:?} must end where {:?} starts",
+                pair[0].kind,
+                pair[1].kind
+            );
+        }
+        let last = stages[stages.len() - 1];
+        assert_eq!(
+            last.t_ns + last.dur_ns,
+            100_000,
+            "the last stage ends at the frame's end"
+        );
+        assert_eq!(
+            (outcome[0].kind, outcome[0].t_ns),
+            (TraceEventKind::FrameOk, 100_000)
+        );
     }
 
     #[cfg(feature = "telemetry-off")]

@@ -146,13 +146,15 @@ fn serve(addr: &str, engine_cfg: EngineConfig) {
     // No signal handling by design (CI backgrounds the daemon and kills
     // it). The bound server must stay in scope: dropping it would join
     // its threads and stop serving.
-    let (shards, workers) = (engine_cfg.shards, engine_cfg.compute_workers);
     let server = EngineServer::bind_with(addr, engine_cfg).unwrap_or_else(|e| {
         eprintln!("mimonet-linkd: bind {addr} failed: {e}");
         std::process::exit(1);
     });
+    let running = server.config();
     println!(
-        "mimonet-linkd: {shards} shards, {workers} compute workers, viterbi kernel {}",
+        "mimonet-linkd: {} shards, {} compute workers, viterbi kernel {}",
+        running.shards,
+        running.compute_workers,
         mimonet_fec::viterbi::kernel()
     );
     println!("mimonet-linkd: serving on {}", server.local_addr());

@@ -14,10 +14,14 @@
 //! is reported as [`WireError::TruncatedCapture`] carrying how many
 //! bytes were readable before the cut, never silently shortened.
 
-use crate::wire::{read_msg_opt, write_msg, CaptureMeta, IqChunk, WireError, WireMsg};
+use crate::wire::{
+    decode_payload, read_frame, write_msg, CaptureMeta, ChunkRows, IqChunk, WireError, WireMsg,
+    IQ_CHUNK,
+};
 use mimonet::config::RxConfig;
 use mimonet::rx::{Receiver, RxFrame, ScanStats};
 use mimonet_dsp::complex::Complex64;
+use std::cell::RefCell;
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Read, Write};
 use std::path::Path;
@@ -123,6 +127,8 @@ pub struct CaptureReader<R: Read> {
     meta: CaptureMeta,
     next_seq: u64,
     done: bool,
+    /// The last frame's payload, reused from frame to frame.
+    payload: Vec<u8>,
 }
 
 impl CaptureReader<BufReader<File>> {
@@ -136,15 +142,24 @@ impl CaptureReader<BufReader<File>> {
 impl<R: Read> CaptureReader<R> {
     /// Wraps a source, reading the capture header immediately.
     pub fn new(r: R) -> Result<Self, WireError> {
+        Self::with_payload(r, Vec::new())
+    }
+
+    /// [`Self::new`] reading frames into `payload`, a buffer kept from
+    /// an earlier reader.
+    fn with_payload(r: R, mut payload: Vec<u8>) -> Result<Self, WireError> {
         let mut r = CountingRead { inner: r, count: 0 };
-        match read_msg_opt(&mut r)? {
-            Some(WireMsg::CaptureHeader(meta)) => Ok(Self {
-                r,
-                meta,
-                next_seq: 0,
-                done: false,
-            }),
-            Some(_) => Err(WireError::BadPayload("capture must start with a header")),
+        match read_frame(&mut r, &mut payload)? {
+            Some(type_code) => match decode_payload(type_code, &payload)? {
+                WireMsg::CaptureHeader(meta) => Ok(Self {
+                    r,
+                    meta,
+                    next_seq: 0,
+                    done: false,
+                    payload,
+                }),
+                _ => Err(WireError::BadPayload("capture must start with a header")),
+            },
             None => Err(WireError::Truncated {
                 context: "capture header",
             }),
@@ -166,51 +181,63 @@ impl<R: Read> CaptureReader<R> {
     /// at a frame boundary or mid-frame) is
     /// [`WireError::TruncatedCapture`] with the readable byte count.
     pub fn next_chunk(&mut self) -> Result<Option<IqChunk>, WireError> {
+        Ok(self.next_rows()?.map(|rows| rows.to_chunk()))
+    }
+
+    /// [`Self::next_chunk`] with the samples left on the wire, checked in
+    /// the same order: the frame, the sample count against the payload,
+    /// the antenna count, then the sequence number.
+    fn next_rows(&mut self) -> Result<Option<ChunkRows<'_>>, WireError> {
         if self.done {
             return Ok(None);
         }
-        let msg = match read_msg_opt(&mut self.r) {
-            Ok(m) => m,
-            Err(WireError::Truncated { .. }) => {
+        let type_code = match read_frame(&mut self.r, &mut self.payload) {
+            Ok(Some(type_code)) => type_code,
+            // EOF without Bye: the capture was cut short. CRCs cannot see
+            // a loss of whole trailing frames, so the terminator must.
+            Ok(None) | Err(WireError::Truncated { .. }) => {
                 return Err(WireError::TruncatedCapture {
                     bytes_read: self.r.count,
                 })
             }
             Err(e) => return Err(e),
         };
-        match msg {
-            Some(WireMsg::IqChunk(chunk)) => {
-                if chunk.samples.len() != self.meta.n_ant as usize {
-                    return Err(WireError::BadPayload("chunk antenna count"));
+        if type_code != IQ_CHUNK {
+            return match decode_payload(type_code, &self.payload)? {
+                WireMsg::Bye => {
+                    self.done = true;
+                    Ok(None)
                 }
-                if chunk.seq != self.next_seq {
-                    return Err(WireError::BadPayload("chunk sequence gap"));
-                }
-                self.next_seq += 1;
-                Ok(Some(chunk))
-            }
-            Some(WireMsg::Bye) => {
-                self.done = true;
-                Ok(None)
-            }
-            Some(_) => Err(WireError::BadPayload("unexpected message in capture")),
-            // EOF without Bye: the capture was cut short. CRCs cannot see
-            // a loss of whole trailing frames, so the terminator must.
-            None => Err(WireError::TruncatedCapture {
-                bytes_read: self.r.count,
-            }),
+                _ => Err(WireError::BadPayload("unexpected message in capture")),
+            };
         }
+        let rows = ChunkRows::parse(&self.payload)?;
+        if rows.n_ant() != self.meta.n_ant as usize {
+            return Err(WireError::BadPayload("chunk antenna count"));
+        }
+        if rows.seq != self.next_seq {
+            return Err(WireError::BadPayload("chunk sequence gap"));
+        }
+        self.next_seq += 1;
+        Ok(Some(rows))
     }
 
     /// Reads every remaining chunk into contiguous per-antenna streams.
     pub fn read_streams(&mut self) -> Result<Vec<Vec<Complex64>>, WireError> {
-        let mut streams: Vec<Vec<Complex64>> = vec![Vec::new(); self.meta.n_ant as usize];
-        while let Some(chunk) = self.next_chunk()? {
-            for (s, ant) in streams.iter_mut().zip(&chunk.samples) {
-                s.extend_from_slice(ant);
+        let mut streams = vec![Vec::new(); self.meta.n_ant as usize];
+        self.append_streams(&mut streams)?;
+        Ok(streams)
+    }
+
+    /// Appends every remaining chunk's rows to `streams`, one per
+    /// antenna.
+    fn append_streams(&mut self, streams: &mut [Vec<Complex64>]) -> Result<(), WireError> {
+        while let Some(rows) = self.next_rows()? {
+            for (ant, s) in streams.iter_mut().enumerate() {
+                rows.append_row(ant, s);
             }
         }
-        Ok(streams)
+        Ok(())
     }
 }
 
@@ -230,9 +257,45 @@ pub fn write_capture(
 pub fn read_capture(
     path: impl AsRef<Path>,
 ) -> Result<(CaptureMeta, Vec<Vec<Complex64>>), WireError> {
-    let mut r = CaptureReader::open(path)?;
-    let streams = r.read_streams()?;
-    Ok((r.meta.clone(), streams))
+    let mut streams = Vec::new();
+    let meta = read_capture_into(path, &mut Vec::new(), &mut streams)?;
+    Ok((meta, streams))
+}
+
+/// Reads a capture file into `streams[..n_ant]`, each cleared first;
+/// `streams` grows to at least `n_ant` entries. Frames are read through
+/// `payload`. Both buffers are the caller's and may come from an earlier
+/// read: the streams are reserved from the file's length, which bounds
+/// their samples, so a reused buffer that is large enough does not grow.
+fn read_capture_into(
+    path: impl AsRef<Path>,
+    payload: &mut Vec<u8>,
+    streams: &mut Vec<Vec<Complex64>>,
+) -> Result<CaptureMeta, WireError> {
+    let file = File::open(path).map_err(WireError::from)?;
+    let file_len = file.metadata().map_err(WireError::from)?.len() as usize;
+    let mut r = CaptureReader::with_payload(BufReader::new(file), std::mem::take(payload))?;
+    let n_ant = r.meta.n_ant as usize;
+    if streams.len() < n_ant {
+        streams.resize_with(n_ant, Vec::new);
+    }
+    // Each sample takes 16 bytes of the file.
+    let most = file_len / (16 * n_ant.max(1));
+    for s in &mut streams[..n_ant] {
+        s.clear();
+        s.reserve(most);
+    }
+    let read = r.append_streams(&mut streams[..n_ant]);
+    *payload = std::mem::take(&mut r.payload);
+    read?;
+    Ok(r.meta)
+}
+
+thread_local! {
+    /// This thread's [`replay_scan`] buffers: the frame payload and the
+    /// per-antenna streams. They keep the capacity of the largest
+    /// capture the thread replayed.
+    static REPLAY: RefCell<(Vec<u8>, Vec<Vec<Complex64>>)> = RefCell::default();
 }
 
 /// What a replayed capture decodes to: the capture metadata, the
@@ -240,12 +303,17 @@ pub fn read_capture(
 pub type ReplayOutcome = (CaptureMeta, Vec<(usize, RxFrame)>, ScanStats);
 
 /// Replays a capture file through `Receiver::scan` — the offline decode
-/// path. Bit-identical samples in, bit-identical frames out.
+/// path. Bit-identical samples in, bit-identical frames out. The samples
+/// are read into buffers this thread keeps across calls, as
+/// `Receiver::scan` keeps its workspace.
 pub fn replay_scan(path: impl AsRef<Path>, rx_cfg: RxConfig) -> Result<ReplayOutcome, WireError> {
-    let (meta, streams) = read_capture(path)?;
-    let receiver = Receiver::new(rx_cfg);
-    let (frames, stats) = receiver.scan(&streams);
-    Ok((meta, frames, stats))
+    REPLAY.with(|bufs| {
+        let (payload, streams) = &mut *bufs.borrow_mut();
+        let meta = read_capture_into(path, payload, streams)?;
+        let receiver = Receiver::new(rx_cfg);
+        let (frames, stats) = receiver.scan(&streams[..meta.n_ant as usize]);
+        Ok((meta, frames, stats))
+    })
 }
 
 #[cfg(test)]

@@ -430,6 +430,12 @@ impl EngineServer {
         self.local
     }
 
+    /// The configuration the engine runs: as bound, with 0 shards or
+    /// compute workers run as 1.
+    pub fn config(&self) -> &EngineConfig {
+        &self.shared.config
+    }
+
     /// Engine-wide counters (live; safe to poll while serving).
     pub fn stats(&self) -> Arc<EngineStats> {
         self.shared.stats.clone()

@@ -336,13 +336,17 @@ pub const METRICS_PROMETHEUS: u8 = 0;
 /// `MetricsProbe`/`Metrics` format code: JSON object.
 pub const METRICS_JSON: u8 = 1;
 
+/// Type code of [`WireMsg::IqChunk`]; readers that keep the samples as
+/// streams convert its rows without building the message.
+pub(crate) const IQ_CHUNK: u16 = 4;
+
 impl WireMsg {
     fn type_code(&self) -> u16 {
         match self {
             WireMsg::Hello { .. } => 1,
             WireMsg::SessionRequest(_) => 2,
             WireMsg::CaptureHeader(_) => 3,
-            WireMsg::IqChunk(_) => 4,
+            WireMsg::IqChunk(_) => IQ_CHUNK,
             WireMsg::FrameDecoded(_) => 5,
             WireMsg::SessionStats { .. } => 6,
             WireMsg::Telemetry { .. } => 7,
@@ -430,45 +434,49 @@ impl<'a> Scanner<'a> {
     }
 }
 
-fn encode_payload(msg: &WireMsg) -> Vec<u8> {
-    let mut p = Vec::new();
+/// Appends `msg`'s payload to `p`.
+fn encode_payload(msg: &WireMsg, p: &mut Vec<u8>) {
     match msg {
-        WireMsg::Hello { version } => put_u16(&mut p, *version),
+        WireMsg::Hello { version } => put_u16(p, *version),
         WireMsg::SessionRequest(c) => {
             p.push(c.mcs);
-            put_u32(&mut p, c.payload_len);
-            put_u32(&mut p, c.n_frames);
-            put_f64(&mut p, c.snr_db);
-            put_u64(&mut p, c.seed);
-            put_u64(&mut p, c.trace);
-            put_u32(&mut p, c.telemetry_every);
+            put_u32(p, c.payload_len);
+            put_u32(p, c.n_frames);
+            put_f64(p, c.snr_db);
+            put_u64(p, c.seed);
+            put_u64(p, c.trace);
+            put_u32(p, c.telemetry_every);
         }
         WireMsg::CaptureHeader(m) => {
-            put_u16(&mut p, m.n_ant);
-            put_f64(&mut p, m.sample_rate_hz);
-            put_u64(&mut p, m.seed);
-            put_bytes(&mut p, m.description.as_bytes());
+            put_u16(p, m.n_ant);
+            put_f64(p, m.sample_rate_hz);
+            put_u64(p, m.seed);
+            put_bytes(p, m.description.as_bytes());
         }
         WireMsg::IqChunk(c) => {
-            put_u64(&mut p, c.seq);
-            put_u16(&mut p, c.samples.len() as u16);
-            put_u32(&mut p, c.len() as u32);
+            put_u64(p, c.seq);
+            put_u16(p, c.samples.len() as u16);
+            put_u32(p, c.len() as u32);
             for ant in &c.samples {
                 debug_assert_eq!(ant.len(), c.len(), "ragged IQ chunk");
-                for s in ant {
-                    put_f64(&mut p, s.re);
-                    put_f64(&mut p, s.im);
+                // One row in one pass: size it, then write each sample's
+                // bits in place.
+                let at = p.len();
+                p.resize(at + 16 * ant.len(), 0);
+                for (out, s) in p[at..].chunks_exact_mut(16).zip(ant) {
+                    out[..8].copy_from_slice(&s.re.to_le_bytes());
+                    out[8..].copy_from_slice(&s.im.to_le_bytes());
                 }
             }
         }
         WireMsg::FrameDecoded(d) => {
-            put_u32(&mut p, d.index);
-            put_f64(&mut p, d.snr_db);
-            put_bytes(&mut p, &d.psdu);
-            put_u64(&mut p, d.trace);
+            put_u32(p, d.index);
+            put_f64(p, d.snr_db);
+            put_bytes(p, &d.psdu);
+            put_u64(p, d.trace);
         }
-        WireMsg::SessionStats { stats_json } => put_bytes(&mut p, stats_json.as_bytes()),
-        WireMsg::Telemetry { telemetry_json } => put_bytes(&mut p, telemetry_json.as_bytes()),
+        WireMsg::SessionStats { stats_json } => put_bytes(p, stats_json.as_bytes()),
+        WireMsg::Telemetry { telemetry_json } => put_bytes(p, telemetry_json.as_bytes()),
         WireMsg::ErrorReport {
             kind,
             detail,
@@ -476,65 +484,150 @@ fn encode_payload(msg: &WireMsg) -> Vec<u8> {
             give_up,
             span,
         } => {
-            put_bytes(&mut p, kind.as_bytes());
-            put_bytes(&mut p, detail.as_bytes());
-            put_u64(&mut p, *session);
-            put_bytes(&mut p, give_up.as_bytes());
-            put_u64(&mut p, *span);
+            put_bytes(p, kind.as_bytes());
+            put_bytes(p, detail.as_bytes());
+            put_u64(p, *session);
+            put_bytes(p, give_up.as_bytes());
+            put_u64(p, *span);
         }
         WireMsg::Bye => {}
         WireMsg::SessionResume { token, next_frame } => {
-            put_u64(&mut p, *token);
-            put_u32(&mut p, *next_frame);
+            put_u64(p, *token);
+            put_u32(p, *next_frame);
         }
         WireMsg::SessionAccept {
             token,
             resumed_from,
         } => {
-            put_u64(&mut p, *token);
-            put_u32(&mut p, *resumed_from);
+            put_u64(p, *token);
+            put_u32(p, *resumed_from);
         }
         WireMsg::HealthProbe => {}
         WireMsg::Health(h) => {
-            put_u32(&mut p, h.active_sessions);
-            put_u64(&mut p, h.sessions_ok);
-            put_u64(&mut p, h.sessions_failed);
-            put_u64(&mut p, h.sessions_resumed);
-            put_u64(&mut p, h.shed_frames);
-            put_u32(&mut p, h.resumable);
+            put_u32(p, h.active_sessions);
+            put_u64(p, h.sessions_ok);
+            put_u64(p, h.sessions_failed);
+            put_u64(p, h.sessions_resumed);
+            put_u64(p, h.shed_frames);
+            put_u32(p, h.resumable);
         }
         WireMsg::MetricsProbe { format } => p.push(*format),
         WireMsg::Metrics { format, body } => {
             p.push(*format);
-            put_bytes(&mut p, body.as_bytes());
+            put_bytes(p, body.as_bytes());
         }
         WireMsg::TelemetryUpdate {
             round,
             telemetry_json,
         } => {
-            put_u32(&mut p, *round);
-            put_bytes(&mut p, telemetry_json.as_bytes());
+            put_u32(p, *round);
+            put_bytes(p, telemetry_json.as_bytes());
         }
         WireMsg::Trace { events } => {
-            put_u32(&mut p, events.len() as u32);
+            put_u32(p, events.len() as u32);
             for e in events {
-                put_u64(&mut p, e.trace_id);
-                put_u64(&mut p, e.span_id);
+                put_u64(p, e.trace_id);
+                put_u64(p, e.span_id);
                 p.push(e.kind.code());
-                put_u32(&mut p, e.frame);
-                put_u64(&mut p, e.t_ns);
-                put_u64(&mut p, e.dur_ns);
-                put_u64(&mut p, e.arg);
+                put_u32(p, e.frame);
+                put_u64(p, e.t_ns);
+                put_u64(p, e.dur_ns);
+                put_u64(p, e.arg);
             }
         }
     }
-    p
+}
+
+/// Payload bytes to reserve for `msg`: exact for the messages that carry
+/// bulk data, a guess for the small ones, whose buffer outgrows it at
+/// most a few times.
+fn payload_hint(msg: &WireMsg) -> usize {
+    match msg {
+        WireMsg::IqChunk(c) => {
+            CHUNK_HEADER_LEN + 16 * c.samples.iter().map(Vec::len).sum::<usize>()
+        }
+        WireMsg::FrameDecoded(d) => 24 + d.psdu.len(),
+        WireMsg::Trace { events } => 4 + TRACE_EVENT_LEN * events.len(),
+        _ => 64,
+    }
+}
+
+/// Bytes before an `IqChunk`'s rows: seq, antenna count, samples per
+/// antenna.
+const CHUNK_HEADER_LEN: usize = 8 + 2 + 4;
+
+/// An `IqChunk` payload whose length has been checked against its
+/// header, with the samples still on the wire: one row of `16 · len`
+/// little-endian bytes per antenna.
+pub(crate) struct ChunkRows<'a> {
+    /// Chunk sequence number.
+    pub(crate) seq: u64,
+    n_ant: usize,
+    /// Samples per antenna.
+    len: usize,
+    rows: &'a [u8],
+}
+
+impl<'a> ChunkRows<'a> {
+    /// Reads the chunk header and checks, once, that its rows fill the
+    /// rest of the payload exactly.
+    pub(crate) fn parse(payload: &'a [u8]) -> Result<Self, WireError> {
+        let mut s = Scanner::new(payload);
+        let seq = s.u64("chunk seq")?;
+        let n_ant = s.u16("chunk n_ant")? as usize;
+        let len = s.u32("chunk samples")? as usize;
+        let rows = &payload[s.pos..];
+        // Checked arithmetic: a hostile count must not wrap into a match.
+        if n_ant.checked_mul(len).and_then(|t| t.checked_mul(16)) != Some(rows.len()) {
+            return Err(WireError::BadPayload("chunk sample count"));
+        }
+        Ok(Self {
+            seq,
+            n_ant,
+            len,
+            rows,
+        })
+    }
+
+    /// Antenna count.
+    pub(crate) fn n_ant(&self) -> usize {
+        self.n_ant
+    }
+
+    /// Appends antenna `ant`'s samples to `out`, converting the row in
+    /// one pass.
+    pub(crate) fn append_row(&self, ant: usize, out: &mut Vec<Complex64>) {
+        let width = 16 * self.len;
+        let row = &self.rows[ant * width..(ant + 1) * width];
+        out.extend(row.chunks_exact(16).map(|s| {
+            let (re, im) = s.split_at(8);
+            Complex64::new(
+                f64::from_le_bytes(re.try_into().expect("8 bytes")),
+                f64::from_le_bytes(im.try_into().expect("8 bytes")),
+            )
+        }));
+    }
+
+    /// The chunk as a message body.
+    pub(crate) fn to_chunk(&self) -> IqChunk {
+        let samples = (0..self.n_ant)
+            .map(|ant| {
+                let mut row = Vec::new();
+                self.append_row(ant, &mut row);
+                row
+            })
+            .collect();
+        IqChunk {
+            seq: self.seq,
+            samples,
+        }
+    }
 }
 
 /// Fixed on-wire size of one [`TraceEvent`] inside a `Trace` batch.
 const TRACE_EVENT_LEN: usize = 8 + 8 + 1 + 4 + 8 + 8 + 8;
 
-fn decode_payload(type_code: u16, payload: &[u8]) -> Result<WireMsg, WireError> {
+pub(crate) fn decode_payload(type_code: u16, payload: &[u8]) -> Result<WireMsg, WireError> {
     let mut s = Scanner::new(payload);
     let msg = match type_code {
         1 => WireMsg::Hello {
@@ -555,28 +648,8 @@ fn decode_payload(type_code: u16, payload: &[u8]) -> Result<WireMsg, WireError> 
             seed: s.u64("capture seed")?,
             description: s.string("capture description")?,
         }),
-        4 => {
-            let seq = s.u64("chunk seq")?;
-            let n_ant = s.u16("chunk n_ant")? as usize;
-            let n = s.u32("chunk samples")? as usize;
-            // Cheap overflow guard before allocating: the samples must
-            // actually fit in the remaining payload.
-            let declared = n_ant.checked_mul(n).and_then(|t| t.checked_mul(16));
-            if declared != Some(payload.len() - s.pos) {
-                return Err(WireError::BadPayload("chunk sample count"));
-            }
-            let mut samples = Vec::with_capacity(n_ant);
-            for _ in 0..n_ant {
-                let mut ant = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let re = s.f64("chunk sample")?;
-                    let im = s.f64("chunk sample")?;
-                    ant.push(Complex64::new(re, im));
-                }
-                samples.push(ant);
-            }
-            WireMsg::IqChunk(IqChunk { seq, samples })
-        }
+        // The rows fill the payload exactly, so no bytes can trail.
+        IQ_CHUNK => return ChunkRows::parse(payload).map(|c| WireMsg::IqChunk(c.to_chunk())),
         5 => WireMsg::FrameDecoded(DecodedFrame {
             index: s.u32("frame index")?,
             snr_db: s.f64("frame snr")?,
@@ -656,16 +729,18 @@ fn decode_payload(type_code: u16, payload: &[u8]) -> Result<WireMsg, WireError> 
     Ok(msg)
 }
 
-/// Encodes a message into one complete wire frame.
+/// Encodes a message into one complete wire frame, written in one
+/// buffer: header, payload, then the CRC.
 pub fn encode(msg: &WireMsg) -> Vec<u8> {
-    let payload = encode_payload(msg);
-    assert!(payload.len() <= MAX_PAYLOAD, "payload exceeds wire limit");
-    let mut frame = Vec::with_capacity(HEADER_LEN + payload.len() + TRAILER_LEN);
+    let mut frame = Vec::with_capacity(HEADER_LEN + payload_hint(msg) + TRAILER_LEN);
     frame.extend_from_slice(&MAGIC);
     put_u16(&mut frame, WIRE_VERSION);
     put_u16(&mut frame, msg.type_code());
-    put_u32(&mut frame, payload.len() as u32);
-    frame.extend_from_slice(&payload);
+    put_u32(&mut frame, 0); // the payload length, set below
+    encode_payload(msg, &mut frame);
+    let len = frame.len() - HEADER_LEN;
+    assert!(len <= MAX_PAYLOAD, "payload exceeds wire limit");
+    frame[8..HEADER_LEN].copy_from_slice(&(len as u32).to_le_bytes());
     let crc = crc32(&frame[4..]);
     put_u32(&mut frame, crc);
     frame
@@ -713,6 +788,26 @@ pub fn write_msg<W: Write>(w: &mut W, msg: &WireMsg) -> Result<(), WireError> {
 /// buffer starts at no more than 64 KiB and then grows with the bytes
 /// that arrive, not with the length the header claims.
 pub fn read_msg_opt<R: Read>(r: &mut R) -> Result<Option<WireMsg>, WireError> {
+    let mut payload = Vec::new();
+    match read_frame(r, &mut payload)? {
+        Some(type_code) => decode_payload(type_code, &payload).map(Some),
+        None => Ok(None),
+    }
+}
+
+/// Reads one frame into `payload`, replacing what it held, and checks
+/// its magic, version, length and CRC. Returns the frame's type code with
+/// `payload` holding exactly its payload, or `None` on a clean
+/// end-of-stream at a frame boundary (EOF mid-frame is
+/// `WireError::Truncated`). The caller keeps `payload` from frame to
+/// frame. Before any payload byte arrives it is reserved to at most
+/// 64 KiB, so a header that claims `MAX_PAYLOAD` and is followed by
+/// silence commits no more than that; past this it grows with the bytes
+/// received.
+pub(crate) fn read_frame<R: Read>(
+    r: &mut R,
+    payload: &mut Vec<u8>,
+) -> Result<Option<u16>, WireError> {
     let mut header = [0u8; HEADER_LEN];
     let mut filled = 0;
     while filled < HEADER_LEN {
@@ -736,29 +831,29 @@ pub fn read_msg_opt<R: Read>(r: &mut R) -> Result<Option<WireMsg>, WireError> {
     if len > MAX_PAYLOAD {
         return Err(WireError::TooLarge(len));
     }
-    // A header alone commits at most READ_RESERVE bytes, so a peer that
-    // claims MAX_PAYLOAD and then goes silent pins no more than that.
     let want = len + TRAILER_LEN;
-    let mut rest = Vec::with_capacity(want.min(READ_RESERVE));
-    r.take(want as u64).read_to_end(&mut rest).map_err(|e| {
+    payload.clear();
+    payload.reserve(want.min(READ_RESERVE));
+    r.take(want as u64).read_to_end(payload).map_err(|e| {
         if e.kind() == ErrorKind::UnexpectedEof {
             WireError::Truncated { context: "payload" }
         } else {
             WireError::from(e)
         }
     })?;
-    if rest.len() < want {
+    if payload.len() < want {
         return Err(WireError::Truncated { context: "payload" });
     }
     let mut crc = Crc32::new();
     crc.update(&header[4..]);
-    crc.update(&rest[..len]);
+    crc.update(&payload[..len]);
     let expected = crc.finalize();
-    let got = u32::from_le_bytes(rest[len..].try_into().unwrap());
+    let got = u32::from_le_bytes(payload[len..].try_into().expect("a 4-byte trailer"));
     if expected != got {
         return Err(WireError::BadCrc { expected, got });
     }
-    decode_payload(type_code, &rest[..len]).map(Some)
+    payload.truncate(len);
+    Ok(Some(type_code))
 }
 
 /// Reads one framed message; end-of-stream is an error (use
@@ -907,6 +1002,22 @@ mod tests {
                 assert_eq!(x.im.to_bits(), y.im.to_bits());
             }
         }
+    }
+
+    #[test]
+    fn iq_chunks_travel_antenna_major_as_le_bits_in_one_buffer() {
+        let chunk = sample_chunk();
+        let frame = encode(&WireMsg::IqChunk(chunk.clone()));
+        let mut want = Vec::new();
+        want.extend_from_slice(&chunk.seq.to_le_bytes());
+        want.extend_from_slice(&2u16.to_le_bytes());
+        want.extend_from_slice(&2u32.to_le_bytes());
+        for s in chunk.samples.iter().flatten() {
+            want.extend_from_slice(&s.re.to_bits().to_le_bytes());
+            want.extend_from_slice(&s.im.to_bits().to_le_bytes());
+        }
+        assert_eq!(&frame[HEADER_LEN..frame.len() - TRAILER_LEN], &want[..]);
+        assert_eq!(frame.capacity(), frame.len(), "reserved once, exactly");
     }
 
     #[test]

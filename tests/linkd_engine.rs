@@ -619,6 +619,8 @@ fn zero_shards_and_workers_serve_and_report_one_of_each() {
         },
     )
     .unwrap();
+    let running = server.config();
+    assert_eq!((running.shards, running.compute_workers), (1, 1));
     let mut client = LinkClient::connect(server.local_addr()).unwrap();
     assert_eq!(client.run_session(&cfg(93)).unwrap().frames.len(), 3);
 
