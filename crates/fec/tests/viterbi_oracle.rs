@@ -1,14 +1,17 @@
 //! The four `ViterbiDecoder` front ends against the forward-scatter
 //! oracle in `mimonet_oracle::viterbi` on deterministic streams: random
-//! hard bits with erasures, random LLRs with depunctured zeros, and
-//! hostile inputs (±0, ±inf, NaN, ±1e300, ±f64::MAX and subnormal LLRs,
-//! out-of-range hard bits, lengths 0–3000, odd and too short included).
-//! Decoded bits and errors must be identical.
+//! hard bits with erasures, random LLRs with depunctured zeros, an
+//! 8,192-LLR coded stream through a reused decoder, and hostile inputs
+//! (±0, ±inf, NaN, ±1e300, ±f64::MAX and subnormal LLRs, out-of-range
+//! hard bits, lengths 0–3000, odd and too short included). Decoded bits
+//! and errors must be identical.
 
 use mimonet_fec::conv::TAIL_BITS;
 use mimonet_fec::viterbi::{
     decode_hard, decode_hard_unterminated, decode_soft, decode_soft_unterminated, Symbol,
+    ViterbiDecoder,
 };
+use mimonet_fec::ConvEncoder;
 use mimonet_oracle::viterbi;
 
 fn to_symbols(bits: &[u8]) -> Vec<Symbol> {
@@ -64,25 +67,52 @@ fn table_driven_matches_reference_hard_random_with_erasures() {
     }
 }
 
+/// A 4,096-bit LCG stream, convolutionally encoded, as 8,192 ±4 LLRs.
+fn lcg_llrs() -> Vec<f64> {
+    let data: Vec<u8> = (0..4096)
+        .map(|i: usize| ((i * 1103515245 + 12345) >> 16 & 1) as u8)
+        .collect();
+    ConvEncoder::new()
+        .encode(&data)
+        .iter()
+        .map(|&b| if b == 0 { 4.0 } else { -4.0 })
+        .collect()
+}
+
 #[test]
 fn table_driven_matches_reference_soft_random() {
-    for seed in 0..20u64 {
-        let len = 2 * (TAIL_BITS + 2 + (seed as usize * 11) % 120);
-        let mut llrs = llr_pattern(len, seed.wrapping_mul(0xC2B2).wrapping_add(3));
-        // Zero LLRs model depunctured erasures.
-        for i in (seed as usize % 4..len).step_by(6) {
-            llrs[i] = 0.0;
-        }
+    let mut streams: Vec<Vec<f64>> = (0..20u64)
+        .map(|seed| {
+            let len = 2 * (TAIL_BITS + 2 + (seed as usize * 11) % 120);
+            let mut llrs = llr_pattern(len, seed.wrapping_mul(0xC2B2).wrapping_add(3));
+            // Zero LLRs model depunctured erasures.
+            for i in (seed as usize % 4..len).step_by(6) {
+                llrs[i] = 0.0;
+            }
+            llrs
+        })
+        .collect();
+    // Longer than any other stream in this file.
+    streams.push(lcg_llrs());
+    // One decoder for every stream, so its buffers are reused.
+    let mut decoder = ViterbiDecoder::new();
+    let mut out = Vec::new();
+    for (k, llrs) in streams.iter().enumerate() {
         assert_eq!(
-            decode_soft(&llrs).unwrap(),
-            viterbi::decode_soft(&llrs).unwrap(),
-            "terminated soft, seed {seed}"
+            decode_soft(llrs).unwrap(),
+            viterbi::decode_soft(llrs).unwrap(),
+            "terminated soft, stream {k}"
         );
+        let want = viterbi::decode_soft_unterminated(llrs).unwrap();
         assert_eq!(
-            decode_soft_unterminated(&llrs).unwrap(),
-            viterbi::decode_soft_unterminated(&llrs).unwrap(),
-            "unterminated soft, seed {seed}"
+            decode_soft_unterminated(llrs).unwrap(),
+            want,
+            "unterminated soft, stream {k}"
         );
+        decoder
+            .decode_soft_unterminated_into(llrs, &mut out)
+            .unwrap();
+        assert_eq!(out, want, "reused decoder, stream {k}");
     }
 }
 

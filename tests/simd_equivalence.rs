@@ -15,7 +15,7 @@ use mimonet::config::TxConfig;
 use mimonet::tx::Transmitter;
 use mimonet::{Receiver, RxBatch, RxConfig, RxFrame, RxWorkspace};
 use mimonet_channel::{ChannelConfig, ChannelSim};
-use mimonet_detect::{prepare, CMat, DetectorKind};
+use mimonet_detect::{prepare, CMat, DetectorKind, Prepared};
 use mimonet_dsp::complex::Complex64;
 use mimonet_dsp::correlate::normalized_cross_correlate_into;
 use mimonet_frame::Modulation;
@@ -46,6 +46,56 @@ fn detector_kind(idx: u8) -> DetectorKind {
         1 => DetectorKind::Zf,
         _ => DetectorKind::Ml,
     }
+}
+
+/// Soft-demaps one quad with four scalar calls and with one lane call;
+/// true when every LLR agrees bit for bit.
+fn demap_lanes_match(m: Modulation, nv: f64, ys: [Complex64; 4]) -> bool {
+    let bp = m.bits_per_symbol();
+    let mut want = vec![0.0f64; 4 * bp];
+    for (lane, &y) in ys.iter().enumerate() {
+        m.demap_soft_into(y, nv, &mut want[lane * bp..(lane + 1) * bp]);
+    }
+    let mut got = vec![0.0f64; 4 * bp];
+    let (o0, rest) = got.split_at_mut(bp);
+    let (o1, rest) = rest.split_at_mut(bp);
+    let (o2, o3) = rest.split_at_mut(bp);
+    let _ = m.demap_soft_x4_into(ys, nv, [o0, o1, o2, o3]);
+    want.iter().zip(&got).all(|(x, y)| bits_eq(*x, *y))
+}
+
+/// Detects four observations with four scalar `apply_into` calls and
+/// with one `apply_x4_into` call; true when every symbol and LLR agrees
+/// bit for bit.
+fn detect_lanes_match(prep: &Prepared, ys: [&[Complex64]; 4]) -> bool {
+    let n_ss = prep.n_ss();
+    let bp = prep.modulation().bits_per_symbol();
+    let mut want_syms = vec![Complex64::ZERO; 4 * n_ss];
+    let mut want_llrs = vec![0.0f64; 4 * n_ss * bp];
+    for (lane, y) in ys.iter().enumerate() {
+        prep.apply_into(
+            y,
+            &mut want_syms[lane * n_ss..(lane + 1) * n_ss],
+            &mut want_llrs[lane * n_ss * bp..(lane + 1) * n_ss * bp],
+        );
+    }
+    let mut got_syms = vec![Complex64::ZERO; 4 * n_ss];
+    let mut got_llrs = vec![0.0f64; 4 * n_ss * bp];
+    let (s0, rest) = got_syms.split_at_mut(n_ss);
+    let (s1, rest) = rest.split_at_mut(n_ss);
+    let (s2, s3) = rest.split_at_mut(n_ss);
+    let (l0, rest) = got_llrs.split_at_mut(n_ss * bp);
+    let (l1, rest) = rest.split_at_mut(n_ss * bp);
+    let (l2, l3) = rest.split_at_mut(n_ss * bp);
+    prep.apply_x4_into(ys, [s0, s1, s2, s3], [l0, l1, l2, l3]);
+    want_syms
+        .iter()
+        .zip(&got_syms)
+        .all(|(x, y)| complex_bits_eq(*x, *y))
+        && want_llrs
+            .iter()
+            .zip(&got_llrs)
+            .all(|(x, y)| bits_eq(*x, *y))
 }
 
 /// Transmit one frame and pad it with lead-in/out silence.
@@ -98,7 +148,6 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let m = modulation(mod_idx);
-        let bp = m.bits_per_symbol();
         let nv = f64::from(nv_centi) / 100.0;
         let mut state = seed | 1;
         let mut next = move || {
@@ -111,18 +160,7 @@ proptest! {
             Complex64::new(next(), next()),
             Complex64::new(next(), next()),
         ];
-        let mut want = vec![0.0f64; 4 * bp];
-        for (lane, &y) in ys.iter().enumerate() {
-            m.demap_soft_into(y, nv, &mut want[lane * bp..(lane + 1) * bp]);
-        }
-        let mut got = vec![0.0f64; 4 * bp];
-        {
-            let (o0, rest) = got.split_at_mut(bp);
-            let (o1, rest) = rest.split_at_mut(bp);
-            let (o2, o3) = rest.split_at_mut(bp);
-            let _ = m.demap_soft_x4_into(ys, nv, [o0, o1, o2, o3]);
-        }
-        prop_assert!(want.iter().zip(&got).all(|(x, y)| bits_eq(*x, *y)));
+        prop_assert!(demap_lanes_match(m, nv, ys));
     }
 
     /// Lane detection: four observations at once against four scalar
@@ -137,7 +175,6 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let m = modulation(mod_idx);
-        let bp = m.bits_per_symbol();
         let nv = f64::from(nv_centi) / 100.0;
         let mut state = seed | 1;
         let mut next = move || {
@@ -158,32 +195,7 @@ proptest! {
         let ys: Vec<Vec<Complex64>> = (0..4)
             .map(|_| (0..n_ss).map(|_| Complex64::new(3.0 * next(), 3.0 * next())).collect())
             .collect();
-        let mut want_syms = vec![Complex64::ZERO; 4 * n_ss];
-        let mut want_llrs = vec![0.0f64; 4 * n_ss * bp];
-        for lane in 0..4 {
-            prep.apply_into(
-                &ys[lane],
-                &mut want_syms[lane * n_ss..(lane + 1) * n_ss],
-                &mut want_llrs[lane * n_ss * bp..(lane + 1) * n_ss * bp],
-            );
-        }
-        let mut got_syms = vec![Complex64::ZERO; 4 * n_ss];
-        let mut got_llrs = vec![0.0f64; 4 * n_ss * bp];
-        {
-            let (s0, rest) = got_syms.split_at_mut(n_ss);
-            let (s1, rest) = rest.split_at_mut(n_ss);
-            let (s2, s3) = rest.split_at_mut(n_ss);
-            let (l0, rest) = got_llrs.split_at_mut(n_ss * bp);
-            let (l1, rest) = rest.split_at_mut(n_ss * bp);
-            let (l2, l3) = rest.split_at_mut(n_ss * bp);
-            prep.apply_x4_into(
-                [&ys[0], &ys[1], &ys[2], &ys[3]],
-                [s0, s1, s2, s3],
-                [l0, l1, l2, l3],
-            );
-        }
-        prop_assert!(want_syms.iter().zip(&got_syms).all(|(x, y)| complex_bits_eq(*x, *y)));
-        prop_assert!(want_llrs.iter().zip(&got_llrs).all(|(x, y)| bits_eq(*x, *y)));
+        prop_assert!(detect_lanes_match(&prep, [&ys[0], &ys[1], &ys[2], &ys[3]]));
     }
 }
 
@@ -248,6 +260,51 @@ proptest! {
         prop_assert_eq!(oks, expect);
     }
 
+}
+
+/// 512 64-QAM symbol quads, soft-demapped at noise variance 0.02: a
+/// fixed sweep of the widest constellation.
+#[test]
+fn qam64_demap_sweep_matches_scalar() {
+    for q in 0..512 {
+        let quad: [Complex64; 4] = std::array::from_fn(|lane| {
+            let i = q * 4 + lane;
+            Complex64::cis(i as f64 * 0.913) * (0.4 + 0.9 * ((i % 11) as f64 / 10.0))
+        });
+        assert!(demap_lanes_match(Modulation::Qam64, 0.02, quad), "quad {q}");
+    }
+}
+
+/// 256 observation quads through one fixed 2x2 MMSE detector prepared
+/// for 64-QAM at noise variance 0.01: the per-carrier inner loop of the
+/// blocked data-symbol path.
+#[test]
+fn mmse_detect_sweep_matches_scalar() {
+    let h = CMat::new(
+        2,
+        2,
+        [
+            Complex64::new(0.92, 0.11),
+            Complex64::new(0.21, -0.33),
+            Complex64::new(-0.27, 0.18),
+            Complex64::new(1.04, -0.06),
+        ],
+    );
+    let prep = prepare(DetectorKind::Mmse, &h, 0.01, Modulation::Qam64).unwrap();
+    let ys: Vec<[Complex64; 2]> = (0..256 * 4)
+        .map(|i| {
+            [
+                Complex64::cis(i as f64 * 0.71) * (0.5 + 0.6 * ((i % 13) as f64 / 12.0)),
+                Complex64::cis(i as f64 * 1.13) * (0.5 + 0.6 * ((i % 17) as f64 / 16.0)),
+            ]
+        })
+        .collect();
+    for (q, quad) in ys.chunks_exact(4).enumerate() {
+        assert!(
+            detect_lanes_match(&prep, [&quad[0], &quad[1], &quad[2], &quad[3]]),
+            "quad {q}"
+        );
+    }
 }
 
 /// Hard-decoding batches take the same per-capture path as soft ones;
