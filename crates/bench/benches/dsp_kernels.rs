@@ -8,7 +8,6 @@ use mimonet_dsp::correlate::{
 };
 use mimonet_dsp::fft::Fft;
 use mimonet_dsp::resample::resample;
-use mimonet_oracle::correlate::normalized_cross_correlate_reference;
 
 fn signal(n: usize) -> Vec<C64> {
     (0..n)
@@ -56,15 +55,10 @@ fn bench_cross_correlate(c: &mut Criterion) {
         b.iter(|| normalized_cross_correlate(&x, &reference));
     });
 
-    // Before/after pair for the hot-path optimization: per-lag window
-    // energy recomputed from scratch vs the O(1) sliding update writing
-    // into a reused buffer.
+    // The O(1) sliding window energy, writing into a reused buffer.
     let mut g = c.benchmark_group("cross_correlate_4096x64");
     g.throughput(Throughput::Elements(4096));
     let x = signal(4096);
-    g.bench_function("reference", |b| {
-        b.iter(|| normalized_cross_correlate_reference(&x, &reference));
-    });
     g.bench_function("sliding_into", |b| {
         let mut out = Vec::new();
         b.iter(|| normalized_cross_correlate_into(&x, &reference, &mut out));

@@ -6,7 +6,6 @@ use mimonet_fec::interleaver::Interleaver;
 use mimonet_fec::puncture::{depuncture_soft, puncture, CodeRate};
 use mimonet_fec::viterbi::{decode_soft_unterminated, ViterbiDecoder};
 use mimonet_fec::{ConvEncoder, Scrambler};
-use mimonet_oracle::viterbi as reference;
 
 fn bits(n: usize) -> Vec<u8> {
     (0..n)
@@ -36,12 +35,7 @@ fn bench_viterbi(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::new("soft_unterminated", n), &n, |b, _| {
             b.iter(|| decode_soft_unterminated(&llrs).unwrap());
         });
-        // Before/after pair for the hot-path optimization: the
-        // closure-per-transition reference decoder vs the state-parallel
-        // decoder reusing its survivor buffer across calls.
-        g.bench_with_input(BenchmarkId::new("soft_reference", n), &n, |b, _| {
-            b.iter(|| reference::decode_soft_unterminated(&llrs).unwrap());
-        });
+        // The same decoder reusing its survivor buffer across calls.
         g.bench_with_input(BenchmarkId::new("soft_table_into", n), &n, |b, _| {
             let mut dec = ViterbiDecoder::new();
             let mut out = Vec::new();

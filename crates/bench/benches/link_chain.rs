@@ -6,7 +6,6 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use mimonet::{Receiver, RxConfig, RxFrame, RxWorkspace, Transmitter, TxConfig};
 use mimonet_channel::{ChannelConfig, ChannelSim};
 use mimonet_dsp::complex::Complex64;
-use mimonet_oracle::ReferenceReceiver;
 
 fn padded_frame(tx: &Transmitter, psdu: &[u8]) -> Vec<Vec<Complex64>> {
     let mut streams = tx.transmit(psdu).expect("valid PSDU");
@@ -51,12 +50,9 @@ fn bench_rx(c: &mut Criterion) {
     g.finish();
 }
 
-/// Before/after pair for the hot-path optimization: the copy-based
-/// pre-optimization receiver vs the zero-copy workspace receiver, on a
-/// single-frame capture with a realistic idle tail (the reference pays
-/// for copying and CFO-correcting the tail; the workspace path stops at
-/// the end of the frame).
-fn bench_rx_before_after(c: &mut Criterion) {
+/// The warmed workspace receiver on a single-frame capture with a
+/// realistic idle tail: `receive_into` stops at the end of the frame.
+fn bench_rx_workspace(c: &mut Criterion) {
     let tx = Transmitter::new(TxConfig::new(9).unwrap());
     let psdu = vec![0xA5u8; 500];
     let mut streams = padded_frame(&tx, &psdu);
@@ -69,10 +65,6 @@ fn bench_rx_before_after(c: &mut Criterion) {
 
     let mut g = c.benchmark_group("rx_chain_mcs9_500B");
     g.throughput(Throughput::Elements(samples));
-    g.bench_function("reference", |b| {
-        let rx = ReferenceReceiver::new(RxConfig::new(2));
-        b.iter(|| rx.receive(&rx_streams).expect("decodes"));
-    });
     g.bench_function("workspace", |b| {
         let rx = Receiver::new(RxConfig::new(2));
         let views: Vec<&[Complex64]> = rx_streams.iter().map(|a| a.as_slice()).collect();
@@ -87,10 +79,9 @@ fn bench_rx_before_after(c: &mut Criterion) {
     g.finish();
 }
 
-/// Scan before/after: a multi-frame capture where the reference scan
-/// copies an O(remaining-capture) window per attempt while the view-based
-/// scan borrows slices.
-fn bench_scan_before_after(c: &mut Criterion) {
+/// A multi-frame scan: the window over the rest of the capture is a
+/// borrowed view, so no decode attempt copies it.
+fn bench_scan(c: &mut Criterion) {
     let tx = Transmitter::new(TxConfig::new(9).unwrap());
     let mut capture: Vec<Vec<Complex64>> = vec![vec![Complex64::ZERO; 200]; 2];
     for k in 0..4usize {
@@ -108,14 +99,6 @@ fn bench_scan_before_after(c: &mut Criterion) {
     let mut g = c.benchmark_group("scan_4_frames");
     g.sample_size(20);
     g.throughput(Throughput::Elements(samples));
-    g.bench_function("reference", |b| {
-        let rx = ReferenceReceiver::new(RxConfig::new(2));
-        b.iter(|| {
-            let (frames, _) = rx.scan(&noisy);
-            assert_eq!(frames.len(), 4);
-            frames.len()
-        });
-    });
     g.bench_function("views", |b| {
         let rx = Receiver::new(RxConfig::new(2));
         b.iter(|| {
@@ -145,8 +128,8 @@ criterion_group!(
     benches,
     bench_tx,
     bench_rx,
-    bench_rx_before_after,
-    bench_scan_before_after,
+    bench_rx_workspace,
+    bench_scan,
     bench_full_link
 );
 criterion_main!(benches);

@@ -54,8 +54,6 @@ pub const DOPPLER: u64 = 2718;
 pub const CHAOS: u64 = 0xFA_0175;
 /// P1 — flowgraph profiler / RX-stage timing / outcome taxonomy.
 pub const PROFILE: u64 = 0x9821;
-/// T3b — RX hot-path before/after microbenchmarks.
-pub const HOTPATH: u64 = 0x407B;
 /// T4 — I/O subsystem: wire codec, loopback link service, queue policy.
 pub const IO: u64 = 0x10C4;
 /// N1 — network-scale scenario capacity figure (multi-link goodput).
@@ -64,8 +62,6 @@ pub const CAPACITY: u64 = 0xCA9A;
 pub const RESILIENCE: u64 = 0x2E51;
 /// O1 — observability: trace plane, SLO monitor, virtual-latency arms.
 pub const OBS: u64 = 0x0B5E;
-/// T5 — SIMD/batch kernels: vectorized inner loops + multi-frame RX.
-pub const SIMD: u64 = 0x51D4;
 /// S1 — linkd scale bench: the async session engine under `loadgen`
 /// (per-client streams derive via `seedtree::trial_seed(seed,
 /// CLIENT_TAG, k)`).

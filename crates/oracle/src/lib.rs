@@ -13,10 +13,8 @@
 //! * [`correlate`] — the per-lag and scalar sliding correlators that
 //!   `mimonet_dsp`'s lane correlator is checked against.
 //!
-//! The library crates use it only as a dev-dependency, from their
-//! integration tests. `mimonet-bench` links it as the "before" side of
-//! `bench_hotpath` and `bench_simd`, whose golden reports pin the
-//! oracle-vs-production `matches` rows.
+//! Every workspace crate that uses it does so as a dev-dependency, from
+//! its integration tests, so no binary or library links it.
 
 pub mod correlate;
 pub mod receiver;

@@ -99,11 +99,6 @@ impl ReferenceReceiver {
         (out, stats)
     }
 
-    /// [`Self::scan`] returning only the frames.
-    pub fn receive_all(&self, rx: &[Vec<Complex64>]) -> Vec<(usize, RxFrame)> {
-        self.scan(rx).0
-    }
-
     /// Attempts to detect and decode one frame from per-antenna buffers.
     pub fn receive(&self, rx: &[Vec<Complex64>]) -> Result<RxFrame, RxError> {
         if rx.len() != self.cfg.n_rx {

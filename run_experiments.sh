@@ -11,7 +11,7 @@
 # Per-figure wall-clock goes to results/BENCH_sweeps.json.
 set -u
 cd "$(dirname "$0")"
-BINS="fig_sync_metric fig_sync_timing fig_sync_cfo fig_chanest fig_snr_est fig_ber_siso fig_ber_mimo fig_per fig_throughput table_mcs table_fec_gain fig_ablation_pilots fig_ablation_finetiming fig_ablation_soft fig_stbc_vs_sm fig_doppler fig_chaos fig_capacity fig_resilience fig_obs fig_profile bench_hotpath bench_io bench_simd loadgen"
+BINS="fig_sync_metric fig_sync_timing fig_sync_cfo fig_chanest fig_snr_est fig_ber_siso fig_ber_mimo fig_per fig_throughput table_mcs table_fec_gain fig_ablation_pilots fig_ablation_finetiming fig_ablation_soft fig_stbc_vs_sm fig_doppler fig_chaos fig_capacity fig_resilience fig_obs fig_profile bench_io loadgen"
 mkdir -p results
 cargo build -q --release -p mimonet-bench
 

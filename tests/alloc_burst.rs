@@ -1,15 +1,12 @@
 //! Allocation pin for burst generation.
 //!
-//! A counting global allocator wraps `System`. After one warm-up burst,
-//! generating a second `bulk_mimo`-shaped burst (MCS 15, 1500 B PSDU,
-//! identity AWGN at 34 dB) must perform **zero** heap allocations, both
-//! through the two halves (`Transmitter::transmit_into` +
-//! `ChannelSim::apply_into`) and through `burst::generate`, which every
-//! link simulation composes them with.
-//!
-//! This file must contain exactly one `#[test]`: the libtest harness runs
-//! tests on multiple threads, and a concurrent test's allocations would
-//! be charged to the counter.
+//! A counting global allocator (tests/support/counting_alloc.rs) wraps
+//! `System`. After one warm-up burst, generating a second
+//! `bulk_mimo`-shaped burst (MCS 15, 1500 B PSDU, identity AWGN at
+//! 34 dB) must perform **zero** heap allocations, both through the two
+//! halves (`Transmitter::transmit_into` + `ChannelSim::apply_into`) and
+//! through `burst::generate`, which every link simulation composes them
+//! with.
 
 use mimonet::blocks::{LEAD_IN, LEAD_OUT};
 use mimonet::burst::{self, BurstScratch};
@@ -17,51 +14,10 @@ use mimonet::config::TxConfig;
 use mimonet::tx::Transmitter;
 use mimonet_channel::{ChannelConfig, ChannelSim};
 use mimonet_dsp::complex::Complex64;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
-struct CountingAlloc;
-
-static ARMED: AtomicBool = AtomicBool::new(false);
-static ALLOCS: AtomicUsize = AtomicUsize::new(0);
-static REALLOCS: AtomicUsize = AtomicUsize::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
-            REALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
-
-/// Runs `f` with the counter armed and returns (allocations,
-/// reallocations) it made.
-fn counted(f: impl FnOnce()) -> (usize, usize) {
-    ALLOCS.store(0, Ordering::SeqCst);
-    REALLOCS.store(0, Ordering::SeqCst);
-    ARMED.store(true, Ordering::SeqCst);
-    f();
-    ARMED.store(false, Ordering::SeqCst);
-    (
-        ALLOCS.load(Ordering::SeqCst),
-        REALLOCS.load(Ordering::SeqCst),
-    )
-}
+#[path = "support/counting_alloc.rs"]
+mod counting_alloc;
+use counting_alloc::counted;
 
 #[test]
 fn warmed_burst_generation_allocates_nothing() {

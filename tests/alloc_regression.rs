@@ -1,8 +1,9 @@
 //! Allocation-regression pin for the RX hot path.
 //!
-//! A counting global allocator wraps `System`; after one warm-up decode
-//! through a given `RxWorkspace`/`RxFrame` pair, a second decode of the
-//! same capture must perform **zero** heap allocations. Any future change
+//! A counting global allocator (tests/support/counting_alloc.rs) wraps
+//! `System`; after one warm-up decode through a given
+//! `RxWorkspace`/`RxFrame` pair, a second decode of the same capture
+//! must perform **zero** heap allocations. Any future change
 //! that sneaks a `Vec`, `to_vec` or `collect` back into the per-frame
 //! path fails here with the allocation count, not in a profiler weeks
 //! later.
@@ -11,10 +12,6 @@
 //! (`Prepared::Ml::pred`) scales with `points^n_ss` and is rebuilt per
 //! frame by design. The default MMSE path — what every benchmark and
 //! sweep runs — is the one held to zero.
-//!
-//! This file must contain exactly one `#[test]`: the libtest harness runs
-//! tests on multiple threads, and a concurrent test's allocations would
-//! be charged to the counter.
 
 use mimonet::config::TxConfig;
 use mimonet::obs::{frame_trace_id, traced_receive_into, TraceCollector, VirtualLatency};
@@ -23,37 +20,10 @@ use mimonet::tx::Transmitter;
 use mimonet::{Receiver, RxConfig, RxFrame, RxWorkspace};
 use mimonet_channel::{ChannelConfig, ChannelSim};
 use mimonet_dsp::complex::Complex64;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
-struct CountingAlloc;
-
-static ARMED: AtomicBool = AtomicBool::new(false);
-static ALLOCS: AtomicUsize = AtomicUsize::new(0);
-static REALLOCS: AtomicUsize = AtomicUsize::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
-            REALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
+#[path = "support/counting_alloc.rs"]
+mod counting_alloc;
+use counting_alloc::counted;
 
 #[test]
 fn warmed_receive_into_allocates_nothing() {
@@ -93,16 +63,11 @@ fn warmed_receive_into_allocates_nothing() {
             assert_eq!(frame.psdu, psdu, "{mode} warm-up decode");
         }
 
-        ALLOCS.store(0, Ordering::SeqCst);
-        REALLOCS.store(0, Ordering::SeqCst);
-        ARMED.store(true, Ordering::SeqCst);
-        let res = rx.receive_into(&views, &mut ws, &mut frame);
-        ARMED.store(false, Ordering::SeqCst);
+        let mut res = Ok(());
+        let (allocs, reallocs) = counted(|| res = rx.receive_into(&views, &mut ws, &mut frame));
 
         res.unwrap_or_else(|e| panic!("{mode} measured decode: {e:?}"));
         assert_eq!(frame.psdu, psdu, "{mode} measured decode");
-        let allocs = ALLOCS.load(Ordering::SeqCst);
-        let reallocs = REALLOCS.load(Ordering::SeqCst);
         assert_eq!(
             (allocs, reallocs),
             (0, 0),
@@ -132,26 +97,23 @@ fn warmed_receive_into_allocates_nothing() {
         assert_eq!(frame.psdu, psdu);
     }
 
-    ALLOCS.store(0, Ordering::SeqCst);
-    REALLOCS.store(0, Ordering::SeqCst);
-    ARMED.store(true, Ordering::SeqCst);
-    let res = traced_receive_into(
-        &rx,
-        &views,
-        &mut ws,
-        &mut profile,
-        &mut frame,
-        &collector,
-        frame_trace_id(0x0B5E, 2),
-        2,
-    );
-    ARMED.store(false, Ordering::SeqCst);
+    let mut res = Ok(());
+    let (allocs, reallocs) = counted(|| {
+        res = traced_receive_into(
+            &rx,
+            &views,
+            &mut ws,
+            &mut profile,
+            &mut frame,
+            &collector,
+            frame_trace_id(0x0B5E, 2),
+            2,
+        );
+    });
 
     res.expect("traced measured decode");
     assert_eq!(frame.psdu, psdu);
     assert!(!collector.is_empty(), "the traced decode must emit events");
-    let allocs = ALLOCS.load(Ordering::SeqCst);
-    let reallocs = REALLOCS.load(Ordering::SeqCst);
     assert_eq!(
         (allocs, reallocs),
         (0, 0),
@@ -183,11 +145,7 @@ fn warmed_receive_into_allocates_nothing() {
         }
     }
 
-    ALLOCS.store(0, Ordering::SeqCst);
-    REALLOCS.store(0, Ordering::SeqCst);
-    ARMED.store(true, Ordering::SeqCst);
-    rx.receive_batch(&captures, &mut ws, &mut batch);
-    ARMED.store(false, Ordering::SeqCst);
+    let (allocs, reallocs) = counted(|| rx.receive_batch(&captures, &mut ws, &mut batch));
 
     for i in 0..captures.len() {
         assert_eq!(
@@ -196,8 +154,6 @@ fn warmed_receive_into_allocates_nothing() {
             "batch slot {i}"
         );
     }
-    let allocs = ALLOCS.load(Ordering::SeqCst);
-    let reallocs = REALLOCS.load(Ordering::SeqCst);
     assert_eq!(
         (allocs, reallocs),
         (0, 0),

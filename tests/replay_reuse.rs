@@ -1,69 +1,26 @@
 //! Replay buffer reuse: `replay_scan` reads into per-thread buffers that
 //! persist across calls.
 //!
-//! A counting global allocator wraps `System` and charges only the
-//! thread that armed it, so the tests here may run side by side. Once
-//! warmed, replaying the same streams costs the same allocations
-//! whether they were written as 4,096-sample or 256-sample chunks:
-//! nothing is allocated per chunk. Replays of captures that differ in
-//! length and antenna count, one after another on one thread, each
-//! return exactly what `read_capture` + `Receiver::scan` do, so no
-//! stale sample survives in the reused buffers.
+//! A counting global allocator (tests/support/counting_alloc.rs) wraps
+//! `System` and charges only the thread that counts, so the tests here
+//! may run side by side. Once warmed, replaying the same streams costs
+//! the same allocations whether they were written as 4,096-sample or
+//! 256-sample chunks: nothing is allocated per chunk. Replays of
+//! captures that differ in length and antenna count, one after another
+//! on one thread, each return exactly what `read_capture` +
+//! `Receiver::scan` do, so no stale sample survives in the reused
+//! buffers.
 
 use mimonet::config::RxConfig;
 use mimonet::rx::Receiver;
 use mimonet_io::capture::{read_capture, replay_scan, CaptureWriter, CAPTURE_SAMPLE_RATE_HZ};
 use mimonet_io::session::build_link_capture;
 use mimonet_io::wire::{CaptureMeta, SessionConfig};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
 
-struct CountingAlloc;
-
-thread_local! {
-    static ARMED: Cell<bool> = const { Cell::new(false) };
-}
-
-static ALLOCS: AtomicUsize = AtomicUsize::new(0);
-
-fn armed() -> bool {
-    ARMED.try_with(Cell::get).unwrap_or(false)
-}
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if armed() {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if armed() {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
-
-/// Allocations plus reallocations `f` made on this thread. `ALLOCS` is
-/// shared, so only one test here counts.
-fn counted(f: impl FnOnce()) -> usize {
-    ALLOCS.store(0, Ordering::SeqCst);
-    ARMED.with(|a| a.set(true));
-    f();
-    ARMED.with(|a| a.set(false));
-    ALLOCS.load(Ordering::SeqCst)
-}
+#[path = "support/counting_alloc.rs"]
+mod counting_alloc;
+use counting_alloc::counted;
 
 fn session(mcs: u8, n_frames: u32, seed: u64) -> SessionConfig {
     SessionConfig {
@@ -118,8 +75,9 @@ fn warmed_replay_allocates_nothing_per_chunk() {
     std::fs::remove_file(&fine).ok();
     assert_eq!(
         per_coarse, per_fine,
-        "a warmed replay of the same streams must cost the same allocations \
-         in 4096-sample chunks ({per_coarse}) as in 256-sample chunks ({per_fine})"
+        "a warmed replay of the same streams must cost the same \
+         (allocations, reallocations) in 4096-sample chunks ({per_coarse:?}) \
+         as in 256-sample chunks ({per_fine:?})"
     );
 }
 
