@@ -11,12 +11,15 @@
 //! * [`viterbi`] — the closure-driven forward-scatter Viterbi decoder
 //!   that `mimonet_fec::ViterbiDecoder` must match bit for bit;
 //! * [`correlate`] — the per-lag and scalar sliding correlators that
-//!   `mimonet_dsp`'s lane correlator is checked against.
+//!   `mimonet_dsp`'s lane correlator is checked against;
+//! * [`fft`] — the per-stage-table radix-2 loop that `mimonet_dsp::fft::Fft`
+//!   and the OFDM (de)modulator built on it must match bit for bit.
 //!
 //! Every workspace crate that uses it does so as a dev-dependency, from
 //! its integration tests, so no binary or library links it.
 
 pub mod correlate;
+pub mod fft;
 pub mod receiver;
 pub mod viterbi;
 

@@ -161,3 +161,55 @@ fn warmed_receive_into_allocates_nothing() {
          ({allocs} allocations, {reallocs} reallocations)"
     );
 }
+
+/// The `capture_replay` frame shape: 500 B at MCS 9 over 20 dB AWGN,
+/// which is 39 data symbols. The 200 B frame above has 16, a multiple of
+/// the receiver's four-symbol lane groups, so only this frame's last
+/// group (3 symbols and one lane past the frame) is pinned here.
+#[test]
+fn warmed_receive_into_allocates_nothing_on_a_partial_lane_group() {
+    let psdu: Vec<u8> = (0..500u32).map(|i| (i * 7 + 3) as u8).collect();
+    let tx = Transmitter::new(TxConfig::new(9).unwrap());
+    let mut streams = tx.transmit(&psdu).unwrap();
+    for s in &mut streams {
+        let mut padded = vec![Complex64::ZERO; 160];
+        padded.extend_from_slice(s);
+        padded.extend(vec![Complex64::ZERO; 80]);
+        *s = padded;
+    }
+    let mut sim = ChannelSim::new(ChannelConfig::awgn(2, 2, 20.0), 43);
+    let (noisy, _) = sim.apply(&streams);
+    let views: Vec<&[Complex64]> = noisy.iter().map(|a| a.as_slice()).collect();
+
+    let soft = Receiver::new(RxConfig::new(2));
+    let hard = Receiver::new(RxConfig {
+        soft_decoding: false,
+        ..RxConfig::new(2)
+    });
+    let mut ws = RxWorkspace::new();
+    let mut frame = RxFrame::default();
+    for (mode, rx) in [("soft", &soft), ("hard", &hard)] {
+        for _ in 0..2 {
+            rx.receive_into(&views, &mut ws, &mut frame)
+                .unwrap_or_else(|e| panic!("{mode} warm-up decode: {e:?}"));
+            assert_eq!(frame.psdu, psdu, "{mode} warm-up decode");
+        }
+        assert_eq!(
+            frame.frame_end - frame.timing,
+            128 + 240 + 80 + 2 * 80 + 39 * 80,
+            "{mode}: the frame must carry 39 data symbols"
+        );
+
+        let mut res = Ok(());
+        let (allocs, reallocs) = counted(|| res = rx.receive_into(&views, &mut ws, &mut frame));
+
+        res.unwrap_or_else(|e| panic!("{mode} measured decode: {e:?}"));
+        assert_eq!(frame.psdu, psdu, "{mode} measured decode");
+        assert_eq!(
+            (allocs, reallocs),
+            (0, 0),
+            "warmed {mode}-decision Receiver::receive_into must not touch \
+             the heap on a 39-symbol frame ({allocs} allocations, {reallocs} reallocations)"
+        );
+    }
+}

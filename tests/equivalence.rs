@@ -13,7 +13,8 @@
 use mimonet::config::TxConfig;
 use mimonet::tx::Transmitter;
 use mimonet::{Receiver, RxConfig, RxFrame, RxWorkspace};
-use mimonet_channel::{ChannelConfig, ChannelSim, Fading};
+use mimonet_channel::presets::tgn;
+use mimonet_channel::{ChannelConfig, ChannelSim, Fading, TgnModel};
 use mimonet_detect::DetectorKind;
 use mimonet_dsp::complex::Complex64;
 use mimonet_oracle::ReferenceReceiver;
@@ -199,5 +200,92 @@ fn warmed_receive_into_matches_reference() {
         rx.receive_into(&views, &mut ws, &mut frame)
             .expect("receive_into decodes");
         assert_eq!(frame, want, "call {call}");
+    }
+}
+
+/// PSDU lengths whose frames carry `n_sym` ≡ 0, 1, 2, 3 (mod 4) data
+/// symbols (4, 5, 6 and 7 of them) at MCS 9 and MCS 15, with the SNR
+/// each MCS decodes at under TGn-D. The receiver detects data symbols
+/// four at a time, so each length ends its last group at a different
+/// lane.
+const LANE_TAIL_CASES: [(u8, f64, [usize; 4]); 2] = [
+    (9, 30.0, [40, 55, 70, 80]),
+    (15, 38.0, [200, 300, 350, 420]),
+];
+
+/// A 2x2 TGn model D channel (frequency selective, 50 ns RMS delay
+/// spread) with carrier offset `cfo`.
+fn tgn_d(snr: f64, cfo: f64) -> ChannelConfig {
+    let mut chan = tgn(TgnModel::D, 2, 2, snr);
+    chan.cfo_norm = cfo;
+    chan
+}
+
+/// Single-frame receive at every data-symbol count mod 4, on both MCS,
+/// both CFO signs and the linear detectors (ML too at MCS 9, where its
+/// joint constellation is small): each must match the reference and
+/// reach the data symbols (decode, or fail only in FEC).
+#[test]
+fn lane_tails_receive_matches_reference() {
+    let mut seed = 0x7A11u64;
+    for (mcs, snr, lens) in LANE_TAIL_CASES {
+        for len in lens {
+            let psdu: Vec<u8> = (0..len).map(|i| (i * 7 + len) as u8).collect();
+            let streams = padded_frame(mcs, &psdu, 120, 80);
+            for cfo in [0.3, -0.3] {
+                seed += 1;
+                let mut sim = ChannelSim::new(tgn_d(snr, cfo), seed);
+                let (noisy, _) = sim.apply(&streams);
+                let kinds: &[DetectorKind] = if mcs == 9 {
+                    &[DetectorKind::Mmse, DetectorKind::Zf, DetectorKind::Ml]
+                } else {
+                    &[DetectorKind::Mmse, DetectorKind::Zf]
+                };
+                for &kind in kinds {
+                    let cfg = rx_config(2, kind, true, true, true);
+                    let got = Receiver::new(cfg.clone()).receive(&noisy);
+                    let want = ReferenceReceiver::new(cfg).receive(&noisy);
+                    let case = format!("MCS {mcs} {len} B cfo {cfo} {kind} seed {seed}");
+                    assert!(
+                        matches!(want, Ok(_) | Err(mimonet::RxError::Fec)),
+                        "{case}: the reference must reach the data symbols, got {want:?}"
+                    );
+                    assert_eq!(got, want, "{case}");
+                }
+            }
+        }
+    }
+}
+
+/// The same frames back to back in one capture per MCS and CFO sign,
+/// scanned: every frame's data symbols end at a different lane, and the
+/// workspace carries each frame's lane slabs into the next decode.
+#[test]
+fn lane_tails_scan_matches_reference() {
+    let mut seed = 0x5CA7u64;
+    for (mcs, snr, lens) in LANE_TAIL_CASES {
+        let mut capture: Vec<Vec<Complex64>> = vec![vec![Complex64::ZERO; 150]; 2];
+        for len in lens.into_iter().chain(lens.into_iter().rev()) {
+            let psdu: Vec<u8> = (0..len).map(|i| (i * 3 + len) as u8).collect();
+            for (c, s) in capture.iter_mut().zip(padded_frame(mcs, &psdu, 0, 300)) {
+                c.extend(s);
+            }
+        }
+        for cfo in [0.3, -0.3] {
+            seed += 1;
+            let mut sim = ChannelSim::new(tgn_d(snr, cfo), seed);
+            let (noisy, _) = sim.apply(&capture);
+            let cfg = RxConfig::new(2);
+            let (got_frames, got_stats) = Receiver::new(cfg.clone()).scan(&noisy);
+            let (want_frames, want_stats) = ReferenceReceiver::new(cfg).scan(&noisy);
+            let case = format!("MCS {mcs} cfo {cfo} seed {seed}");
+            assert!(
+                want_frames.len() >= 6,
+                "{case}: most frames must decode, got {}",
+                want_frames.len()
+            );
+            assert_eq!(got_frames, want_frames, "{case}");
+            assert_eq!(got_stats, want_stats, "{case}");
+        }
     }
 }
