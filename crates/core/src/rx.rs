@@ -11,9 +11,10 @@
 //! 5. **SNR / noise-variance estimation** from the LTF repetitions.
 //! 6. **L-SIG**, then **HT-SIG** decode (legacy channel estimate + MRC).
 //! 7. **HT-LTF MIMO channel estimation** (P-matrix despreading).
-//! 8. Per data symbol: FFT, **pilot phase tracking**, **ZF/MMSE/ML
-//!    detection** (four symbols per lane call), then per-stream
-//!    deinterleave and stream deparse as one table gather.
+//! 8. Per data symbol: CFO rotation of the FFT window straight into the
+//!    FFT input, FFT, **pilot phase tracking**, **ZF/MMSE/ML detection**
+//!    (four symbols per lane call), then per-stream deinterleave and
+//!    stream deparse as one table gather.
 //! 9. Depuncture → Viterbi (soft or hard) → descramble → PSDU.
 //!
 //! # Hot path & memory discipline
@@ -42,16 +43,20 @@
 //!   [`MAX_FRAME_SPAN`] samples per attempt, which made back-to-back
 //!   scans O(capture²) in copied bytes.
 //! * **Lazy chunked CFO correction.** The CFO-corrected buffers are
-//!   extended only as far as the pipeline actually reads. Chunking is
+//!   extended only as far as the preamble and headers read. Chunking is
 //!   bit-exact because `rotate_antennas` threads the *raw accumulated
 //!   phase* across chunk boundaries — the identical sequence of `phase +=
 //!   step` additions the old whole-buffer pass performed — and it
-//!   computes each sample's phasor once for all antennas.
+//!   computes each sample's phasor once for all antennas. The data
+//!   symbols are not buffered: `DataRotation` carries both phase chains
+//!   on through each symbol, advancing them over the cyclic prefix and
+//!   rotating only the 64 samples the FFT reads, each straight into its
+//!   bit-reversed FFT input slot.
 //!
 //! Per-frame invariants are computed once, not per bit or per antenna:
 //! the interleaver permutation and stream deparser are one cached
 //! gather table per geometry (`rx_gather`), and each pilot-tracking
-//! correction is computed once per carrier and symbol.
+//! correction is computed once per data carrier and symbol.
 
 use crate::config::RxConfig;
 use crate::telemetry::{RxCaptureProfile, RxStage, StageClock, StageProfile};
@@ -66,7 +71,7 @@ use mimonet_dsp::stats::lin_to_db;
 use mimonet_fec::interleaver::Interleaver;
 use mimonet_fec::puncture::depuncture_soft_into;
 use mimonet_fec::{Symbol, ViterbiDecoder};
-use mimonet_frame::carriers::{carrier_to_bin, FFT_LEN, PILOT_CARRIERS};
+use mimonet_frame::carriers::{carrier_to_bin, CP_LEN, FFT_LEN, PILOT_CARRIERS, SYM_LEN};
 use mimonet_frame::mcs::Mcs;
 use mimonet_frame::ofdm::Ofdm;
 use mimonet_frame::pilots::{ht_pilots, legacy_pilots};
@@ -195,17 +200,23 @@ type Geometry = (usize, usize, usize);
 /// Construction is cheap (empty vectors); buffers grow on first use.
 pub struct RxWorkspace {
     detector: Option<PacketDetector>,
-    /// CFO-corrected copies of the input views, extended lazily.
+    /// CFO-corrected copies of the input views, extended lazily through
+    /// the preamble and headers (and as far as a timing search window
+    /// reached). The data symbols' samples are never copied in: the data
+    /// loop rotates each FFT window straight into the FFT input, walking
+    /// on from the carries below (`DataRotation`).
     bufs: Vec<Vec<Complex64>>,
-    /// Samples copied in and coarse-corrected so far.
+    /// Samples copied in and coarse-corrected so far (`bufs`' length).
     corrected_len: usize,
     coarse_corr: f64,
     /// Raw accumulated coarse phase at `corrected_len` — chunk boundary
     /// carry that keeps chunked correction bit-identical to one pass.
     coarse_carry: f64,
     fine_corr: f64,
+    /// Raw accumulated fine phase at `fine_len`.
     fine_carry: f64,
-    /// Samples fine-corrected so far (fine correction starts at the LTF).
+    /// Samples fine-corrected so far (fine correction starts at the LTF);
+    /// never past `corrected_len`.
     fine_len: usize,
     timing: FineTimingScratch,
     legacy_est: Vec<ChannelEstimate>,
@@ -217,10 +228,12 @@ pub struct RxWorkspace {
     /// Fused deinterleave + deparse gathers, one per geometry seen.
     gathers: Vec<(Geometry, Vec<u32>)>,
     obs: Vec<(i32, Complex64, Complex64)>,
-    /// The 4-symbol data path's slabs: FFT bins for 4 symbols × n_rx
-    /// antennas, equalized symbols in scalar push order, and 4 symbols'
-    /// worth of stream-major LLRs (`[lane][s * n_cbpss + ci * n_bpsc +
-    /// b]`). The scalar tail uses lane 0.
+    /// The data loop's four-symbol slabs, one lane per symbol: FFT bins
+    /// (`[lane * n_rx + r]`), equalized symbols in EVM push order
+    /// (`[(lane * n_dc + ci) * n_ss + s]`) and stream-major LLRs
+    /// (`[lane][s * n_cbpss + ci * n_bpsc + b]`), all in the layout
+    /// [`Prepared::apply_x4_into`] reads and writes. A frame's last group
+    /// leaves its lanes past `n_sym` stale; their outputs are ignored.
     bins4: Vec<[Complex64; FFT_LEN]>,
     sym_store: Vec<Complex64>,
     stream_llrs: Vec<f64>,
@@ -340,6 +353,81 @@ impl RxWorkspace {
             self.fine_carry,
         );
         self.fine_len = n;
+    }
+
+    /// Hands the CFO correction over to the data loop: fine-corrects the
+    /// rest of what the coarse pass covered (a Van de Beek search window
+    /// can reach past the data start), so both phase chains stand at
+    /// `corrected_len`, and returns them there.
+    fn data_rotation(&mut self, rx: &[&[Complex64]]) -> DataRotation {
+        self.ensure_fine(rx, self.corrected_len);
+        DataRotation {
+            coarse_step: 2.0 * std::f64::consts::PI * self.coarse_corr / 64.0,
+            fine_step: 2.0 * std::f64::consts::PI * self.fine_corr / 64.0,
+            coarse: self.coarse_carry,
+            fine: self.fine_carry,
+            at: self.corrected_len,
+        }
+    }
+}
+
+/// The two CFO phase chains walking the data symbols, one symbol at a
+/// time, from where the workspace's buffered correction stops.
+///
+/// The chains take the same `phase += step` additions as
+/// [`rotate_antennas`], over every sample, cyclic prefixes included, so
+/// each sample's phases carry the bits a whole-buffer pass gives them.
+/// Only the 64 samples the FFT reads get their two phasors, `(x *
+/// coarse) * fine` as the buffered passes apply them, and each corrected
+/// sample goes straight to its bit-reversed FFT input slot.
+struct DataRotation {
+    coarse_step: f64,
+    fine_step: f64,
+    /// Raw coarse and fine phases at sample `at`.
+    coarse: f64,
+    fine: f64,
+    at: usize,
+}
+
+impl DataRotation {
+    /// Loads the corrected FFT window of the data symbol starting at
+    /// `base` on every antenna into `bins` (one array per antenna), sample
+    /// `j` at `slots[j]` ([`Ofdm::window_slots`]). Symbols must come in
+    /// order. Samples below `at` are read from `bufs`, where an earlier
+    /// stage already corrected them.
+    fn window_into(
+        &mut self,
+        rx: &[&[Complex64]],
+        bufs: &[Vec<Complex64>],
+        base: usize,
+        slots: &[u32],
+        bins: &mut [[Complex64; FFT_LEN]],
+    ) {
+        let end = base + SYM_LEN;
+        let buffered = self.at.clamp(base, end) - base;
+        for j in CP_LEN..buffered {
+            for (b, buf) in bins.iter_mut().zip(bufs) {
+                b[slots[j - CP_LEN] as usize] = buf[base + j];
+            }
+        }
+        let (mut coarse, mut fine) = (self.coarse, self.fine);
+        for _ in buffered..CP_LEN {
+            coarse += self.coarse_step;
+            fine += self.fine_step;
+        }
+        for j in CP_LEN.max(buffered)..SYM_LEN {
+            let pc = Complex64::cis(coarse);
+            let pf = Complex64::cis(fine);
+            coarse += self.coarse_step;
+            fine += self.fine_step;
+            let slot = slots[j - CP_LEN] as usize;
+            for (b, a) in bins.iter_mut().zip(rx) {
+                b[slot] = (a[base + j] * pc) * pf;
+            }
+        }
+        if buffered < SYM_LEN {
+            (self.coarse, self.fine, self.at) = (coarse, fine, end);
+        }
     }
 }
 
@@ -991,7 +1079,7 @@ impl Receiver {
         if data_start + n_sym * 80 > len {
             return Err(RxError::BufferTooShort);
         }
-        ws.ensure_fine(rx, data_start + n_sym * 80);
+        let mut rotation = ws.data_rotation(rx);
 
         let data_carriers = Layout::Ht.data_carriers();
         let n_dc = data_carriers.len();
@@ -1019,6 +1107,7 @@ impl Receiver {
         let chan: &ChannelEstimate = if smoothed { chan_smooth } else { chan };
         let bufs = &bufs[..n_rx];
         let gather = cached_gather(gathers, n_cbpss, n_bpsc, n_ss);
+        let slots = self.ofdm.window_slots();
 
         // The channel is block-fading: hoist the per-carrier detector
         // preparation (matrix inversions, ML hypothesis predictions) out
@@ -1042,13 +1131,15 @@ impl Receiver {
         stream_llrs.clear();
         stream_llrs.resize(4 * sym_llrs, 0.0);
 
-        // FFT of data symbol `sym` on every antenna into `bins`, then
+        // Demodulates data symbol `sym` on every antenna into `bins`, then
         // pilot phase tracking: the phase is shared across antennas, so
-        // each carrier's correction is computed once and applied to all.
+        // each data carrier's correction is computed once and applied to
+        // all. The pilot bins are left as they are: nothing reads them
+        // after the tracker has.
         let mut demod = |sym: usize, bins: &mut [[Complex64; FFT_LEN]]| {
-            let base = data_start + sym * 80;
-            for (slot, b) in bins.iter_mut().zip(bufs) {
-                *slot = self.ofdm.demodulate(&b[base..base + 80], scale56);
+            rotation.window_into(rx, bufs, data_start + sym * SYM_LEN, slots, bins);
+            for b in bins.iter_mut() {
+                self.ofdm.demodulate_loaded(b, scale56);
             }
             if !self.cfg.pilot_tracking {
                 return;
@@ -1070,10 +1161,7 @@ impl Receiver {
                 }
             }
             if let Some(est) = tracker.update(obs) {
-                for k in -28..=28i32 {
-                    if k == 0 {
-                        continue;
-                    }
+                for &k in data_carriers {
                     let bin = carrier_to_bin(k);
                     let c = est.correction(k);
                     for b in bins.iter_mut() {
@@ -1083,96 +1171,28 @@ impl Receiver {
             }
         };
 
-        // Data symbols four at a time: the sequential stages (demod,
-        // pilot tracking) run per symbol in order, then each data carrier
-        // detects all four symbols through the lane detector. Every
-        // per-symbol operation sequence — including the EVM accumulation
-        // order, replayed from `sym_store` — matches the scalar tail loop
-        // below, so the two are bit-identical (`tests/simd_equivalence.rs`).
+        // Data symbols four at a time, the last group of a frame with
+        // `n_sym mod 4` lanes in use: the sequential stages (rotation,
+        // FFT, pilot tracking) run per symbol in order, then each data
+        // carrier detects the group's symbols in one lane call. The EVM
+        // accumulates in symbol-major (sym, ci, s) order, replayed from
+        // `sym_store`, exactly as a symbol-at-a-time loop pushes it.
         let mut sym = 0usize;
-        while sym + 4 <= n_sym {
-            for (lane, bins) in bins4.chunks_exact_mut(n_rx).enumerate() {
+        while sym < n_sym {
+            let lanes = (n_sym - sym).min(4);
+            for (lane, bins) in bins4.chunks_exact_mut(n_rx).take(lanes).enumerate() {
                 demod(sym + lane, bins);
             }
             for (ci, (det, &k)) in prepared.iter().zip(data_carriers).enumerate() {
-                let bin = carrier_to_bin(k);
-                let mut ys = [[Complex64::ZERO; CMat::MAX_DIM]; 4];
-                for (y, bins) in ys.iter_mut().zip(bins4.chunks_exact(n_rx)) {
-                    for (slot, b) in y.iter_mut().zip(bins) {
-                        *slot = b[bin];
-                    }
-                }
-                let mut sym4 = [[Complex64::ZERO; CMat::MAX_DIM]; 4];
-                let mut llr4 = [[0.0f64; CMat::MAX_DIM * 6]; 4];
-                {
-                    let [y0, y1, y2, y3] = &ys;
-                    let [s0, s1, s2, s3] = &mut sym4;
-                    let [l0, l1, l2, l3] = &mut llr4;
-                    det.apply_x4_into(
-                        [&y0[..n_rx], &y1[..n_rx], &y2[..n_rx], &y3[..n_rx]],
-                        [
-                            &mut s0[..n_ss],
-                            &mut s1[..n_ss],
-                            &mut s2[..n_ss],
-                            &mut s3[..n_ss],
-                        ],
-                        [
-                            &mut l0[..n_ss * n_bpsc],
-                            &mut l1[..n_ss * n_bpsc],
-                            &mut l2[..n_ss * n_bpsc],
-                            &mut l3[..n_ss * n_bpsc],
-                        ],
-                    );
-                }
-                for lane in 0..4 {
-                    for s in 0..n_ss {
-                        let dst = lane * sym_llrs + s * n_cbpss + ci * n_bpsc;
-                        stream_llrs[dst..dst + n_bpsc]
-                            .copy_from_slice(&llr4[lane][s * n_bpsc..(s + 1) * n_bpsc]);
-                        sym_store[lane * n_dc * n_ss + ci * n_ss + s] = sym4[lane][s];
-                    }
-                }
+                det.apply_x4_into(bins4, carrier_to_bin(k), ci, sym_store, stream_llrs);
             }
-
-            // EVM accumulation replayed in the scalar loop's
-            // symbol-major (sym, ci, s) order.
-            for &x in sym_store.iter() {
+            for &x in &sym_store[..lanes * n_dc * n_ss] {
                 evm.push_decided(x, mcs.modulation);
             }
-
-            for sl in stream_llrs.chunks_exact(sym_llrs) {
+            for sl in stream_llrs.chunks_exact(sym_llrs).take(lanes) {
                 all_llrs.extend(gather.iter().map(|&i| sl[i as usize]));
             }
-            sym += 4;
-        }
-
-        // The last `n_sym mod 4` symbols, one at a time.
-        let bins = &mut bins4[..n_rx];
-        let sl = &mut stream_llrs[..sym_llrs];
-        while sym < n_sym {
-            demod(sym, bins);
-            // Detect every data carrier with the prepared per-carrier
-            // state, writing LLRs straight into the stream-major slab.
-            for (ci, (det, &k)) in prepared.iter().zip(data_carriers).enumerate() {
-                let mut y = [Complex64::ZERO; CMat::MAX_DIM];
-                for (slot, b) in y.iter_mut().zip(bins.iter()) {
-                    *slot = b[carrier_to_bin(k)];
-                }
-                let mut sym_tmp = [Complex64::ZERO; CMat::MAX_DIM];
-                let mut llr_tmp = [0.0f64; CMat::MAX_DIM * 6];
-                det.apply_into(
-                    &y[..n_rx],
-                    &mut sym_tmp[..n_ss],
-                    &mut llr_tmp[..n_ss * n_bpsc],
-                );
-                for s in 0..n_ss {
-                    let dst = s * n_cbpss + ci * n_bpsc;
-                    sl[dst..dst + n_bpsc].copy_from_slice(&llr_tmp[s * n_bpsc..(s + 1) * n_bpsc]);
-                    evm.push_decided(sym_tmp[s], mcs.modulation);
-                }
-            }
-            all_llrs.extend(gather.iter().map(|&i| sl[i as usize]));
-            sym += 1;
+            sym += lanes;
         }
         clock.lap(profile, RxStage::Equalize);
 

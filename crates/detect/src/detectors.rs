@@ -18,6 +18,7 @@
 
 use crate::linalg::CMat;
 use mimonet_dsp::complex::Complex64;
+use mimonet_frame::carriers::FFT_LEN;
 use mimonet_frame::modulation::Modulation;
 
 /// Detector selection.
@@ -231,9 +232,11 @@ pub enum Prepared {
     Linear {
         /// Combining matrix, `n_ss × n_rx`.
         w: CMat,
-        /// Per-stream unbiasing factor (`1` for ZF); first `n_ss` entries
-        /// are meaningful.
-        mu: [Complex64; CMat::MAX_DIM],
+        /// Per-stream inverse unbiasing factor `mu.inv()` (`mu` is `1` for
+        /// ZF), computed once at prepare time: `x / mu` is by definition
+        /// `x * mu.inv()`, so multiplying by it gives the quotient's exact
+        /// bits. First `n_ss` entries are meaningful.
+        mu_inv: [Complex64; CMat::MAX_DIM],
         /// Per-stream effective noise variance; first `n_ss` entries are
         /// meaningful.
         nv_eff: [f64; CMat::MAX_DIM],
@@ -282,7 +285,9 @@ pub fn prepare(
             }
             Ok(Prepared::Linear {
                 w,
-                mu: [Complex64::ONE; CMat::MAX_DIM],
+                // `ONE.inv()` is `1 - 0i`: the factor `x / ONE` multiplies
+                // by, signed zero included.
+                mu_inv: [Complex64::ONE.inv(); CMat::MAX_DIM],
                 nv_eff,
                 modulation,
             })
@@ -293,7 +298,7 @@ pub fn prepare(
             gram.add_diag(nv);
             let w = gram.inverse().ok_or(DetectError::SingularChannel)?.mul(&hh);
             let wh = w.mul(h);
-            let mut mu = [Complex64::ZERO; CMat::MAX_DIM];
+            let mut mu_inv = [Complex64::ZERO; CMat::MAX_DIM];
             let mut nv_eff = [0.0; CMat::MAX_DIM];
             for s in 0..n_ss {
                 let m = wh[(s, s)];
@@ -308,12 +313,12 @@ pub fn prepare(
                 for r in 0..n_rx {
                     wnorm += w[(s, r)].norm_sqr();
                 }
-                mu[s] = m;
+                mu_inv[s] = m.inv();
                 nv_eff[s] = ((interf + nv * wnorm) / (m_mag * m_mag)).max(1e-15);
             }
             Ok(Prepared::Linear {
                 w,
-                mu,
+                mu_inv,
                 nv_eff,
                 modulation,
             })
@@ -406,7 +411,7 @@ impl Prepared {
         match self {
             Prepared::Linear {
                 w,
-                mu,
+                mu_inv,
                 nv_eff,
                 modulation,
             } => {
@@ -415,7 +420,7 @@ impl Prepared {
                 let mut x = [Complex64::ZERO; CMat::MAX_DIM];
                 w.mul_vec_into(y, &mut x[..n_ss]);
                 for s in 0..n_ss {
-                    let sym = x[s] / mu[s];
+                    let sym = x[s] * mu_inv[s];
                     symbols[s] = sym;
                     modulation.demap_soft_into(
                         sym,
@@ -474,78 +479,114 @@ impl Prepared {
 }
 
 impl Prepared {
-    /// [`Prepared::apply_into`] for four received vectors at once — four
-    /// consecutive OFDM symbols observed on the same prepared carrier, one
-    /// per SIMD lane.
+    /// [`Prepared::apply_into`] for this carrier on four consecutive OFDM
+    /// symbols, one per SIMD lane, read from and written into the
+    /// receiver's four-symbol slabs with no staging copies:
     ///
-    /// The linear combine `W y` and the unbiasing division are a handful
-    /// of scalar complex ops per lane (2×2 matrices at most) and run
-    /// per lane with the exact `apply_into` sequence; the dominant cost,
-    /// the soft demap, then runs all four lanes through
+    /// * `bins` holds the four symbols' demodulated bins, symbol-major
+    ///   (`bins[lane * n_rx + r]` is symbol `lane` at antenna `r`, the
+    ///   layout of [`crate::chanest::estimate_mimo_htltf_into`]); this
+    ///   carrier sits at FFT bin `bin`.
+    /// * `symbols` takes the equalized symbols of all `n_dc` data
+    ///   carriers of the four symbols, `n_dc = symbols.len() / (4 * n_ss)`:
+    ///   lane `l`, stream `s` at `symbols[(l * n_dc + carrier) * n_ss + s]`.
+    /// * `llrs` takes their stream-major LLRs: with `row = n_dc *
+    ///   bits_per`, lane `l`, stream `s`, bit `b` at `llrs[(l * n_ss + s) *
+    ///   row + carrier * bits_per + b]`, so each lane's `n_ss * row` LLRs
+    ///   are one symbol's detector output in interleaver order.
+    ///
+    /// The linear combine `W y` and the unbiasing product run per lane
+    /// with the exact `apply_into` sequence; the soft demap, the dominant
+    /// cost, then runs all four lanes through
     /// [`Modulation::demap_soft_x4_into`]. Every lane's symbols and LLRs
-    /// are bit-identical to a scalar `apply_into` on that lane. ML
-    /// detection has no profitable lane structure (the hypothesis scan
-    /// dominates) and falls back to four scalar applies — still
+    /// are bit-identical to a scalar `apply_into` on that lane's
+    /// observation. Lanes never mix, so a caller with fewer than four
+    /// symbols left can leave any bins in the spare lanes and ignore
+    /// their outputs. ML detection has no profitable lane structure (the
+    /// hypothesis scan dominates) and runs four scalar applies — still
     /// bit-identical.
     ///
     /// # Panics
     ///
-    /// Same contracts as [`Prepared::apply_into`], per lane.
+    /// Panics if `bins` does not hold four symbols of `n_rx` antennas, if
+    /// the slabs are not four symbols of whole carriers, or if `carrier`
+    /// is past their last one.
     pub fn apply_x4_into(
         &self,
-        ys: [&[Complex64]; 4],
-        symbols: [&mut [Complex64]; 4],
-        llrs: [&mut [f64]; 4],
+        bins: &[[Complex64; FFT_LEN]],
+        bin: usize,
+        carrier: usize,
+        symbols: &mut [Complex64],
+        llrs: &mut [f64],
     ) {
+        let n_ss = self.n_ss();
+        let bits_per = self.modulation().bits_per_symbol();
+        let n_dc = symbols.len() / (4 * n_ss);
+        assert!(
+            carrier < n_dc
+                && symbols.len() == 4 * n_dc * n_ss
+                && llrs.len() == symbols.len() * bits_per,
+            "carrier {carrier} outside four-symbol slabs of {} symbols and {} LLRs",
+            symbols.len(),
+            llrs.len()
+        );
+        let row = n_dc * bits_per;
         match self {
             Prepared::Linear {
                 w,
-                mu,
+                mu_inv,
                 nv_eff,
                 modulation,
             } => {
-                let bits_per = modulation.bits_per_symbol();
-                let n_ss = w.rows();
-                let sym_lanes = symbols;
-                let mut llr_lanes = llrs;
-                for lane in 0..4 {
-                    assert_eq!(ys[lane].len(), w.cols(), "one observation per RX antenna");
-                    assert_eq!(sym_lanes[lane].len(), n_ss, "one symbol slot per stream");
-                    assert_eq!(
-                        llr_lanes[lane].len(),
-                        n_ss * bits_per,
-                        "stream-major LLR slab of n_ss * bits_per"
-                    );
-                }
-                let mut x = [[Complex64::ZERO; CMat::MAX_DIM]; 4];
-                for lane in 0..4 {
-                    w.mul_vec_into(ys[lane], &mut x[lane][..n_ss]);
-                }
+                let n_rx = w.cols();
+                assert!(
+                    bins.len() == 4 * n_rx && bin < FFT_LEN,
+                    "bin {bin} of four symbols' bins on {n_rx} antennas"
+                );
                 for s in 0..n_ss {
-                    let mut syms4 = [Complex64::ZERO; 4];
-                    for lane in 0..4 {
-                        let sym = x[lane][s] / mu[s];
-                        syms4[lane] = sym;
-                        sym_lanes[lane][s] = sym;
+                    // `W y` row `s` in `mul_vec_into`'s summation order.
+                    let x: [Complex64; 4] = std::array::from_fn(|lane| {
+                        let mut acc = Complex64::ZERO;
+                        for (r, b) in bins[lane * n_rx..][..n_rx].iter().enumerate() {
+                            acc += w[(s, r)] * b[bin];
+                        }
+                        acc * mu_inv[s]
+                    });
+                    for (lane, &sym) in x.iter().enumerate() {
+                        symbols[(lane * n_dc + carrier) * n_ss + s] = sym;
                     }
-                    let [l0, l1, l2, l3] = &mut llr_lanes;
                     modulation.demap_soft_x4_into(
-                        syms4,
+                        x,
                         nv_eff[s],
-                        [
-                            &mut l0[s * bits_per..][..bits_per],
-                            &mut l1[s * bits_per..][..bits_per],
-                            &mut l2[s * bits_per..][..bits_per],
-                            &mut l3[s * bits_per..][..bits_per],
-                        ],
+                        llrs,
+                        s * row + carrier * bits_per,
+                        n_ss * row,
                     );
                 }
             }
-            Prepared::Ml { .. } => {
-                let [s0, s1, s2, s3] = symbols;
-                let [l0, l1, l2, l3] = llrs;
-                for ((y, sym), llr) in ys.into_iter().zip([s0, s1, s2, s3]).zip([l0, l1, l2, l3]) {
-                    self.apply_into(y, sym, llr);
+            Prepared::Ml { n_rx, .. } => {
+                let n_rx = *n_rx;
+                assert!(
+                    bins.len() == 4 * n_rx && bin < FFT_LEN,
+                    "bin {bin} of four symbols' bins on {n_rx} antennas"
+                );
+                for lane in 0..4 {
+                    let mut y = [Complex64::ZERO; CMat::MAX_DIM];
+                    for (slot, b) in y.iter_mut().zip(&bins[lane * n_rx..(lane + 1) * n_rx]) {
+                        *slot = b[bin];
+                    }
+                    let mut llr = [0.0; CMat::MAX_DIM * MAX_BITS];
+                    let at = (lane * n_dc + carrier) * n_ss;
+                    self.apply_into(
+                        &y[..n_rx],
+                        &mut symbols[at..at + n_ss],
+                        &mut llr[..n_ss * bits_per],
+                    );
+                    for s in 0..n_ss {
+                        let at = (lane * n_ss + s) * row + carrier * bits_per;
+                        llrs[at..at + bits_per]
+                            .copy_from_slice(&llr[s * bits_per..(s + 1) * bits_per]);
+                    }
                 }
             }
         }
@@ -802,6 +843,9 @@ mod tests {
     fn apply_x4_matches_scalar_bit_for_bit() {
         let mut rng = ChaCha8Rng::seed_from_u64(13);
         let h = well_conditioned_h();
+        // Three carriers of two streams per slab, detected at carrier 1
+        // from FFT bin 5; NaN canaries show any write outside its slots.
+        let (n_dc, carrier, bin) = (3, 1, 5);
         for m in [
             Modulation::Bpsk,
             Modulation::Qpsk,
@@ -812,32 +856,21 @@ mod tests {
             for kind in KINDS {
                 let prepared = prepare(kind, &h, 0.11, m).unwrap();
                 for _ in 0..10 {
+                    let mut bins = vec![[C64::ZERO; FFT_LEN]; 4 * 2];
                     let ys: Vec<Vec<C64>> = (0..4)
-                        .map(|_| {
+                        .map(|lane| {
                             let (_, tx) = random_symbols(&mut rng, m, 2);
                             let mut y = h.mul_vec(&tx);
-                            for v in &mut y {
+                            for (r, v) in y.iter_mut().enumerate() {
                                 *v += crandn(&mut rng).scale(0.11f64.sqrt());
+                                bins[lane * 2 + r][bin] = *v;
                             }
                             y
                         })
                         .collect();
-                    let mut syms = [[C64::ZERO; CMat::MAX_DIM]; 4];
-                    let mut llrs = [[0.0; CMat::MAX_DIM * 6]; 4];
-                    {
-                        let [s0, s1, s2, s3] = &mut syms;
-                        let [l0, l1, l2, l3] = &mut llrs;
-                        prepared.apply_x4_into(
-                            [&ys[0], &ys[1], &ys[2], &ys[3]],
-                            [&mut s0[..2], &mut s1[..2], &mut s2[..2], &mut s3[..2]],
-                            [
-                                &mut l0[..2 * bp],
-                                &mut l1[..2 * bp],
-                                &mut l2[..2 * bp],
-                                &mut l3[..2 * bp],
-                            ],
-                        );
-                    }
+                    let mut syms = vec![C64::new(f64::NAN, f64::NAN); 4 * n_dc * 2];
+                    let mut llrs = vec![f64::NAN; 4 * n_dc * 2 * bp];
+                    prepared.apply_x4_into(&bins, bin, carrier, &mut syms, &mut llrs);
                     let mut want_syms = [C64::ZERO; CMat::MAX_DIM];
                     let mut want_llrs = [0.0; CMat::MAX_DIM * 6];
                     for lane in 0..4 {
@@ -847,16 +880,22 @@ mod tests {
                             &mut want_llrs[..2 * bp],
                         );
                         for s in 0..2 {
-                            assert_eq!(syms[lane][s], want_syms[s], "{kind} {m} lane {lane}");
-                        }
-                        for b in 0..2 * bp {
-                            assert_eq!(
-                                llrs[lane][b].to_bits(),
-                                want_llrs[b].to_bits(),
-                                "{kind} {m} lane {lane} bit {b}"
-                            );
+                            let got = syms[(lane * n_dc + carrier) * 2 + s];
+                            assert_eq!(got, want_syms[s], "{kind} {m} lane {lane}");
+                            for b in 0..bp {
+                                let got = llrs[(lane * 2 + s) * n_dc * bp + carrier * bp + b];
+                                assert_eq!(
+                                    got.to_bits(),
+                                    want_llrs[s * bp + b].to_bits(),
+                                    "{kind} {m} lane {lane} stream {s} bit {b}"
+                                );
+                            }
                         }
                     }
+                    let written = syms.iter().filter(|x| !x.is_nan()).count();
+                    assert_eq!(written, 4 * 2, "{kind} {m}: symbol slots written");
+                    let written = llrs.iter().filter(|x| !x.is_nan()).count();
+                    assert_eq!(written, 4 * 2 * bp, "{kind} {m}: LLR slots written");
                 }
             }
         }

@@ -77,6 +77,7 @@ impl EvmSnrEstimator {
 
     /// Adds one equalized observation against its known transmitted symbol
     /// (pilot-aided mode).
+    #[inline]
     pub fn push_known(&mut self, observed: Complex64, transmitted: Complex64) {
         self.err += observed.dist_sqr(transmitted);
         self.sig += transmitted.norm_sqr();
@@ -85,6 +86,7 @@ impl EvmSnrEstimator {
 
     /// Adds one equalized observation, slicing it to the nearest
     /// constellation point (decision-directed mode).
+    #[inline]
     pub fn push_decided(&mut self, observed: Complex64, modulation: Modulation) {
         self.push_known(observed, modulation.decide(observed));
     }

@@ -2,24 +2,29 @@
 //!
 //! OFDM modulation in this workspace uses a 64-point transform, so an
 //! iterative radix-2 kernel with precomputed twiddles is ample. The planner
-//! ([`Fft`]) precomputes bit-reversal permutation and twiddle tables once and
-//! is then reusable (and cheap to clone) for any number of transforms of that
-//! size — the same pattern FFTW/RustFFT planners use.
+//! ([`Fft`]) precomputes the bit-reversal permutation and one flat twiddle
+//! table per direction once, and is then reusable (and cheap to clone) for
+//! any number of transforms of that size — the same pattern FFTW/RustFFT
+//! planners use.
+//!
+//! Every transform runs one butterfly loop: each stage walks its blocks
+//! with `chunks_exact_mut`, splits each block into halves with
+//! `split_at_mut` and zips them with the stage's slice of the flat table.
+//! [`Fft::forward`] and [`Fft::inverse`] first permute their input into
+//! bit-reversed order with a swap prologue. A caller that fills the input
+//! itself can write each sample straight to its bit-reversed slot
+//! ([`Fft::bitrev`]) and call [`Fft::forward_bit_reversed`], which skips
+//! the prologue: the receiver loads its CFO-corrected data windows that
+//! way. The twiddle values and the butterflies' operations are those of
+//! the per-stage-table loop this one replaced, which
+//! `crates/dsp/tests/fft_oracle.rs` checks bit for bit against its
+//! verbatim copy in `mimonet_oracle::fft`.
 //!
 //! Conventions: forward transform uses `exp(-i 2 pi k n / N)` with no
 //! scaling; inverse uses `exp(+i 2 pi k n / N)` scaled by `1/N`, so
 //! `ifft(fft(x)) == x`.
 
 use crate::complex::Complex64;
-
-/// Transform direction.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Direction {
-    /// Time → frequency, `exp(-i...)`, unscaled.
-    Forward,
-    /// Frequency → time, `exp(+i...)`, scaled by `1/N`.
-    Inverse,
-}
 
 /// A planned fixed-size FFT.
 ///
@@ -39,9 +44,10 @@ enum Direction {
 #[derive(Clone, Debug)]
 pub struct Fft {
     n: usize,
-    // twiddles[s] holds the factors for stage with half-size m = 2^s.
-    twiddles_fwd: Vec<Vec<Complex64>>,
-    twiddles_inv: Vec<Vec<Complex64>>,
+    /// Every stage's twiddle factors back to back: the stage whose
+    /// butterflies span `2m` samples reads `[m - 1, 2m - 1)`.
+    twiddles_fwd: Vec<Complex64>,
+    twiddles_inv: Vec<Complex64>,
     bitrev: Vec<u32>,
 }
 
@@ -66,19 +72,15 @@ impl Fft {
             bitrev[0] = 0;
         }
 
-        let mut twiddles_fwd = Vec::with_capacity(stages);
-        let mut twiddles_inv = Vec::with_capacity(stages);
+        let mut twiddles_fwd = Vec::with_capacity(n - 1);
+        let mut twiddles_inv = Vec::with_capacity(n - 1);
         for s in 0..stages {
             let m = 1usize << s; // half the butterfly span at this stage
-            let mut tf = Vec::with_capacity(m);
-            let mut ti = Vec::with_capacity(m);
             for k in 0..m {
                 let theta = std::f64::consts::PI * k as f64 / m as f64;
-                tf.push(Complex64::cis(-theta));
-                ti.push(Complex64::cis(theta));
+                twiddles_fwd.push(Complex64::cis(-theta));
+                twiddles_inv.push(Complex64::cis(theta));
             }
-            twiddles_fwd.push(tf);
-            twiddles_inv.push(ti);
         }
 
         Self {
@@ -102,10 +104,14 @@ impl Fft {
         self.n == 0
     }
 
-    /// The in-place transform behind [`Fft::forward`] and
-    /// [`Fft::inverse`]: bit-reversal permutation, scalar radix-2
-    /// butterflies, then the `1/N` scaling for the inverse.
-    fn run(&self, buf: &mut [Complex64], dir: Direction) {
+    /// The bit-reversal permutation: input sample `j` of a transform sits
+    /// at `buf[bitrev()[j]]` when the butterflies start. The permutation
+    /// is its own inverse.
+    pub fn bitrev(&self) -> &[u32] {
+        &self.bitrev
+    }
+
+    fn check_len(&self, buf: &[Complex64]) {
         assert_eq!(
             buf.len(),
             self.n,
@@ -113,53 +119,61 @@ impl Fft {
             buf.len(),
             self.n
         );
-        let n = self.n;
-        for i in 0..n {
-            let j = self.bitrev[i] as usize;
+    }
+
+    /// The radix-2 butterflies over a buffer in bit-reversed order, stage
+    /// by stage with `twiddles` (one direction's flat table).
+    fn butterflies(&self, buf: &mut [Complex64], twiddles: &[Complex64]) {
+        let mut m = 1;
+        while m < self.n {
+            let tw = &twiddles[m - 1..2 * m - 1];
+            for block in buf.chunks_exact_mut(2 * m) {
+                let (lo, hi) = block.split_at_mut(m);
+                for ((a, b), &w) in lo.iter_mut().zip(hi.iter_mut()).zip(tw) {
+                    let x = *a;
+                    let y = *b * w;
+                    *a = x + y;
+                    *b = x - y;
+                }
+            }
+            m <<= 1;
+        }
+    }
+
+    /// Permutes `buf` into bit-reversed order in place.
+    fn permute(&self, buf: &mut [Complex64]) {
+        for (i, &j) in self.bitrev.iter().enumerate() {
+            let j = j as usize;
             if j > i {
                 buf.swap(i, j);
-            }
-        }
-        if n == 1 {
-            return;
-        }
-
-        let tables = match dir {
-            Direction::Forward => &self.twiddles_fwd,
-            Direction::Inverse => &self.twiddles_inv,
-        };
-        for (s, tw) in tables.iter().enumerate() {
-            let m = 1usize << s; // half span
-            let span = m << 1;
-            let mut base = 0;
-            while base < n {
-                for k in 0..m {
-                    let w = tw[k];
-                    let a = buf[base + k];
-                    let b = buf[base + k + m] * w;
-                    buf[base + k] = a + b;
-                    buf[base + k + m] = a - b;
-                }
-                base += span;
-            }
-        }
-
-        if dir == Direction::Inverse {
-            let inv_n = 1.0 / n as f64;
-            for x in buf.iter_mut() {
-                *x = x.scale(inv_n);
             }
         }
     }
 
     /// In-place forward transform (time → frequency, unscaled).
     pub fn forward(&self, buf: &mut [Complex64]) {
-        self.run(buf, Direction::Forward);
+        self.check_len(buf);
+        self.permute(buf);
+        self.butterflies(buf, &self.twiddles_fwd);
+    }
+
+    /// [`Fft::forward`] of input the caller already loaded in bit-reversed
+    /// order (sample `j` at `buf[self.bitrev()[j]]`): the butterflies
+    /// alone, with no permutation prologue.
+    pub fn forward_bit_reversed(&self, buf: &mut [Complex64]) {
+        self.check_len(buf);
+        self.butterflies(buf, &self.twiddles_fwd);
     }
 
     /// In-place inverse transform (frequency → time, scaled by `1/N`).
     pub fn inverse(&self, buf: &mut [Complex64]) {
-        self.run(buf, Direction::Inverse);
+        self.check_len(buf);
+        self.permute(buf);
+        self.butterflies(buf, &self.twiddles_inv);
+        let inv_n = 1.0 / self.n as f64;
+        for x in buf.iter_mut() {
+            *x = x.scale(inv_n);
+        }
     }
 }
 
@@ -338,6 +352,22 @@ mod tests {
         let f = Fft::new(8);
         let mut b = vec![C64::ZERO; 4];
         f.forward(&mut b);
+    }
+
+    #[test]
+    fn forward_bit_reversed_skips_only_the_permutation() {
+        let f = Fft::new(64);
+        let x: Vec<C64> = (0..64)
+            .map(|i| C64::new((i as f64 * 0.3).sin(), -(i as f64)))
+            .collect();
+        let mut want = x.clone();
+        f.forward(&mut want);
+        let mut loaded = vec![C64::ZERO; 64];
+        for (j, &slot) in f.bitrev().iter().enumerate() {
+            loaded[slot as usize] = x[j];
+        }
+        f.forward_bit_reversed(&mut loaded);
+        assert_eq!(loaded, want);
     }
 
     #[test]

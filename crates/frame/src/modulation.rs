@@ -158,9 +158,9 @@ impl Modulation {
     /// [`Self::axis_level`] produces for each index's bit pattern.
     fn axis_levels(w: usize) -> &'static [f64] {
         match w {
-            1 => &[-1.0, 1.0],
-            2 => &[-3.0, 3.0, -1.0, 1.0],
-            3 => &[-7.0, 7.0, -1.0, 1.0, -5.0, 5.0, -3.0, 3.0],
+            1 => &AXIS_1,
+            2 => &AXIS_2,
+            3 => &AXIS_3,
             n => panic!("unsupported axis width {n}"),
         }
     }
@@ -205,26 +205,29 @@ impl Modulation {
     /// share [`Self::axis_levels`], whose entries match [`Self::axis_level`]
     /// bit for bit — but without materializing the bit vector, so the
     /// per-symbol EVM accumulation in the RX hot loop never allocates.
+    ///
+    /// Each axis keeps `demap_hard`'s rule, the first strict minimum in
+    /// `axis_levels` order, but over a fixed-size level table and with
+    /// selects rather than branches: which level wins follows the noise,
+    /// so a branch per level mispredicts often.
+    #[inline]
     pub fn decide(self, y: Complex64) -> Complex64 {
-        let wi = self.i_axis_bits();
-        let wq = self.bits_per_symbol() - wi;
         let k = self.kmod();
-        let nearest_level = |v: f64, w: usize| -> f64 {
-            let mut best = 0.0;
-            let mut bd = f64::INFINITY;
-            for &lvl0 in Self::axis_levels(w) {
-                let lvl = lvl0 * k;
-                let d = (v - lvl) * (v - lvl);
-                if d < bd {
-                    bd = d;
-                    best = lvl;
-                }
-            }
-            best
-        };
-        let re = nearest_level(y.re, wi);
-        let im = if wq > 0 { nearest_level(y.im, wq) } else { 0.0 };
-        Complex64::new(re, im)
+        match self {
+            Modulation::Bpsk => Complex64::new(nearest_level(y.re, &AXIS_1, k), 0.0),
+            Modulation::Qpsk => Complex64::new(
+                nearest_level(y.re, &AXIS_1, k),
+                nearest_level(y.im, &AXIS_1, k),
+            ),
+            Modulation::Qam16 => Complex64::new(
+                nearest_level(y.re, &AXIS_2, k),
+                nearest_level(y.im, &AXIS_2, k),
+            ),
+            Modulation::Qam64 => Complex64::new(
+                nearest_level(y.re, &AXIS_3, k),
+                nearest_level(y.im, &AXIS_3, k),
+            ),
+        }
     }
 
     /// Max-log LLR demapping of one symbol.
@@ -287,7 +290,9 @@ impl Modulation {
     }
 
     /// [`Self::demap_soft_into`] for four symbols at once, one per SIMD
-    /// lane. All four share `noise_var` (they come from the same prepared
+    /// lane, written straight into four rows of a caller's LLR slab: lane
+    /// `l`'s LLRs go to `out[at + l * lane_stride..][..bits_per_symbol]`.
+    /// All four share `noise_var` (they come from the same prepared
     /// carrier), and each lane runs the exact scalar operation sequence —
     /// same squared distances, same `f64::min` scan over the axis levels,
     /// same final division — so every lane's LLRs are bit-identical to a
@@ -295,58 +300,118 @@ impl Modulation {
     ///
     /// # Panics
     ///
-    /// Panics if any output slice's length is not `self.bits_per_symbol()`.
+    /// Panics if the rows overlap (`lane_stride < bits_per_symbol`) or the
+    /// last one runs past the end of `out`.
+    #[inline]
     pub fn demap_soft_x4_into(
         self,
         ys: [Complex64; 4],
         noise_var: f64,
-        outs: [&mut [f64]; 4],
-    ) -> [&mut [f64]; 4] {
-        for out in &outs {
-            assert_eq!(
-                out.len(),
-                self.bits_per_symbol(),
-                "{self:?} demaps {} LLRs at a time",
-                self.bits_per_symbol()
-            );
-        }
+        out: &mut [f64],
+        at: usize,
+        lane_stride: usize,
+    ) {
+        let bits = self.bits_per_symbol();
+        assert!(
+            lane_stride >= bits && at + 3 * lane_stride + bits <= out.len(),
+            "{self:?} demaps {bits} LLRs per lane: rows {lane_stride} apart from {at} \
+             do not fit a slab of {}",
+            out.len()
+        );
         let nv = F64x4::splat(noise_var.max(1e-12));
-        let wi = self.i_axis_bits();
-        let wq = self.bits_per_symbol() - wi;
         let k = self.kmod();
-        let mut outs = outs;
-        let mut axis_llrs = |v: F64x4, w: usize, at: usize| {
-            let levels = Self::axis_levels(w);
-            // The squared distances are a pure function of (v, level), so
-            // computing each one once and re-scanning per bit feeds every
-            // `min` the exact values the scalar per-bit recomputation
-            // produces — bit-identical, at a third of the multiplies.
-            let mut ds = [F64x4::ZERO; 8];
-            for (idx, &lvl0) in levels.iter().enumerate() {
-                let diff = v - F64x4::splat(lvl0 * k);
-                ds[idx] = diff * diff;
-            }
-            for bit in 0..w {
-                let mut d0 = F64x4::splat(f64::INFINITY);
-                let mut d1 = F64x4::splat(f64::INFINITY);
-                for (idx, &d) in ds.iter().enumerate().take(levels.len()) {
-                    if (idx >> bit) & 1 == 0 {
-                        d0 = d0.min(d);
-                    } else {
-                        d1 = d1.min(d);
-                    }
-                }
-                let llr = (d1 - d0) / nv;
-                for (lane, out) in outs.iter_mut().enumerate() {
-                    out[at + bit] = llr.lane(lane);
+        let re = F64x4([ys[0].re, ys[1].re, ys[2].re, ys[3].re]);
+        let im = F64x4([ys[0].im, ys[1].im, ys[2].im, ys[3].im]);
+        let rows = |llrs: &[F64x4], out: &mut [f64]| {
+            for (lane, row) in out[at..].chunks_mut(lane_stride).take(4).enumerate() {
+                for (slot, llr) in row[..llrs.len()].iter_mut().zip(llrs) {
+                    *slot = llr.lane(lane);
                 }
             }
         };
-        axis_llrs(F64x4([ys[0].re, ys[1].re, ys[2].re, ys[3].re]), wi, 0);
-        if wq > 0 {
-            axis_llrs(F64x4([ys[0].im, ys[1].im, ys[2].im, ys[3].im]), wq, wi);
+        match self {
+            Modulation::Bpsk => {
+                let mut llrs = [F64x4::ZERO; 1];
+                axis_llrs_x4(re, &AXIS_1, k, nv, &mut llrs);
+                rows(&llrs, out);
+            }
+            Modulation::Qpsk => {
+                let mut llrs = [F64x4::ZERO; 2];
+                let (i, q) = llrs.split_at_mut(1);
+                axis_llrs_x4(re, &AXIS_1, k, nv, i);
+                axis_llrs_x4(im, &AXIS_1, k, nv, q);
+                rows(&llrs, out);
+            }
+            Modulation::Qam16 => {
+                let mut llrs = [F64x4::ZERO; 4];
+                let (i, q) = llrs.split_at_mut(2);
+                axis_llrs_x4(re, &AXIS_2, k, nv, i);
+                axis_llrs_x4(im, &AXIS_2, k, nv, q);
+                rows(&llrs, out);
+            }
+            Modulation::Qam64 => {
+                let mut llrs = [F64x4::ZERO; 6];
+                let (i, q) = llrs.split_at_mut(3);
+                axis_llrs_x4(re, &AXIS_3, k, nv, i);
+                axis_llrs_x4(im, &AXIS_3, k, nv, q);
+                rows(&llrs, out);
+            }
         }
-        outs
+    }
+}
+
+/// Gray axis levels of widths 1, 2 and 3 bits, unscaled, in
+/// [`Modulation::axis_levels`] order.
+const AXIS_1: [f64; 2] = [-1.0, 1.0];
+const AXIS_2: [f64; 4] = [-3.0, 3.0, -1.0, 1.0];
+const AXIS_3: [f64; 8] = [-7.0, 7.0, -1.0, 1.0, -5.0, 5.0, -3.0, 3.0];
+
+/// [`Modulation::decide`]'s search on one axis: the first level (scaled
+/// by `k`) at strictly the smallest squared distance from `v`, taken
+/// with selects.
+#[inline(always)]
+fn nearest_level<const N: usize>(v: f64, levels: &[f64; N], k: f64) -> f64 {
+    let mut best = 0.0;
+    let mut bd = f64::INFINITY;
+    for &lvl0 in levels {
+        let lvl = lvl0 * k;
+        let d = (v - lvl) * (v - lvl);
+        let closer = d < bd;
+        best = if closer { lvl } else { best };
+        bd = if closer { d } else { bd };
+    }
+    best
+}
+
+/// One axis of [`Modulation::demap_soft_x4_into`]: the max-log LLRs of
+/// the `log2(N)` bits on that axis into `llrs[bit]`, one lane per symbol.
+/// The squared distances are a pure function of (v, level), so computing
+/// each one once and re-scanning per bit feeds every `min` the exact
+/// values the scalar per-bit recomputation produces — bit-identical, at a
+/// fraction of the multiplies.
+#[inline(always)]
+fn axis_llrs_x4<const N: usize>(
+    v: F64x4,
+    levels: &[f64; N],
+    k: f64,
+    nv: F64x4,
+    llrs: &mut [F64x4],
+) {
+    let ds: [F64x4; N] = std::array::from_fn(|idx| {
+        let diff = v - F64x4::splat(levels[idx] * k);
+        diff * diff
+    });
+    for (bit, llr) in llrs.iter_mut().enumerate() {
+        let mut d0 = F64x4::splat(f64::INFINITY);
+        let mut d1 = F64x4::splat(f64::INFINITY);
+        for (idx, &d) in ds.iter().enumerate() {
+            if (idx >> bit) & 1 == 0 {
+                d0 = d0.min(d);
+            } else {
+                d1 = d1.min(d);
+            }
+        }
+        *llr = (d1 - d0) / nv;
     }
 }
 
@@ -618,14 +683,12 @@ mod tests {
                     )
                 });
                 for nv in [0.0, 1e-13, 0.21, 3.7] {
-                    let mut lanes = [[0.0; 6]; 4];
-                    let [l0, l1, l2, l3] = &mut lanes;
-                    m.demap_soft_x4_into(
-                        ys,
-                        nv,
-                        [&mut l0[..nb], &mut l1[..nb], &mut l2[..nb], &mut l3[..nb]],
-                    );
-                    for (lane, got) in lanes.iter().enumerate() {
+                    // Rows 9 apart from offset 2, so a write to the wrong
+                    // row or offset lands on a NaN canary or misses.
+                    let mut slab = [f64::NAN; 2 + 3 * 9 + 6];
+                    m.demap_soft_x4_into(ys, nv, &mut slab, 2, 9);
+                    for lane in 0..4 {
+                        let got = &slab[2 + lane * 9..][..nb];
                         let mut want = [0.0; 6];
                         m.demap_soft_into(ys[lane], nv, &mut want[..nb]);
                         for b in 0..nb {
@@ -645,13 +708,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "demaps")]
     fn demap_x4_wrong_length_panics() {
-        let mut bufs = [[0.0; 6]; 4];
-        let [b0, b1, b2, b3] = &mut bufs;
-        Modulation::Qam64.demap_soft_x4_into(
-            [C64::ZERO; 4],
-            0.1,
-            [&mut b0[..], &mut b1[..], &mut b2[..], &mut b3[..5]],
-        );
+        // Four 6-LLR rows 6 apart need 24 slots.
+        Modulation::Qam64.demap_soft_x4_into([C64::ZERO; 4], 0.1, &mut [0.0; 23], 0, 6);
     }
 
     #[test]

@@ -88,16 +88,7 @@ impl Ofdm {
             CP_LEN + FFT_LEN,
             symbol.len()
         );
-        let mut bins = [Complex64::ZERO; FFT_LEN];
-        bins.copy_from_slice(&symbol[CP_LEN..]);
-        self.fft.forward(&mut bins);
-        // The planner's inverse() already folds in 1/N, so the forward
-        // transform undoes it exactly; only the caller's scale remains.
-        let k = 1.0 / scale;
-        for b in &mut bins {
-            *b = b.scale(k);
-        }
-        bins
+        self.demodulate_window(&symbol[CP_LEN..], scale)
     }
 
     /// FFT of a bare 64-sample window (no cyclic prefix), same scaling as
@@ -110,13 +101,32 @@ impl Ofdm {
             "FFT window must be {FFT_LEN} samples"
         );
         let mut bins = [Complex64::ZERO; FFT_LEN];
-        bins.copy_from_slice(window);
-        self.fft.forward(&mut bins);
+        for (b, &j) in bins.iter_mut().zip(self.window_slots()) {
+            *b = window[j as usize];
+        }
+        self.demodulate_loaded(&mut bins, scale);
+        bins
+    }
+
+    /// The FFT input slot of each window sample: a caller that produces
+    /// the window itself writes sample `j` to `bins[window_slots()[j]]`
+    /// and hands `bins` to [`Ofdm::demodulate_loaded`], with no copy or
+    /// permutation in between.
+    pub fn window_slots(&self) -> &[u32] {
+        self.fft.bitrev()
+    }
+
+    /// [`Ofdm::demodulate_window`] of a window already loaded into `bins`
+    /// in [`Ofdm::window_slots`] order, in place: the same bins, bit for
+    /// bit.
+    pub fn demodulate_loaded(&self, bins: &mut [Complex64; FFT_LEN], scale: f64) {
+        self.fft.forward_bit_reversed(bins);
+        // The planner's inverse() already folds in 1/N, so the forward
+        // transform undoes it exactly; only the caller's scale remains.
         let k = 1.0 / scale;
-        for b in &mut bins {
+        for b in bins {
             *b = b.scale(k);
         }
-        bins
     }
 
     /// Scale that gives an OFDM symbol of `n_occupied` unit-power carriers

@@ -6,10 +6,11 @@
 //! of a vectorized kernel owns one independent output (a lag, a symbol,
 //! an observation) and performs the scalar operation sequence exactly,
 //! so outputs are compared with `to_bits`/`PartialEq` on raw `f64`s. The
-//! receiver runs the lane kernels. The scalar detector and demapper
-//! (`apply_into`, `demap_soft_into`) are library code, since they decode
-//! the last `n_sym mod 4` symbols of a frame; the scalar correlator and
-//! the reference receiver are oracles from `mimonet-oracle`.
+//! receiver runs the lane kernels on every data symbol. The scalar
+//! detector and demapper (`apply_into`, `demap_soft_into`) stay public
+//! library API and are the lane kernels' oracles here; the scalar
+//! correlator and the reference receiver are oracles from
+//! `mimonet-oracle`.
 
 use mimonet::config::TxConfig;
 use mimonet::tx::Transmitter;
@@ -18,6 +19,7 @@ use mimonet_channel::{ChannelConfig, ChannelSim};
 use mimonet_detect::{prepare, CMat, DetectorKind, Prepared};
 use mimonet_dsp::complex::Complex64;
 use mimonet_dsp::correlate::normalized_cross_correlate_into;
+use mimonet_frame::carriers::FFT_LEN;
 use mimonet_frame::Modulation;
 use mimonet_oracle::correlate::normalized_cross_correlate_scalar_into;
 use mimonet_oracle::ReferenceReceiver;
@@ -57,16 +59,14 @@ fn demap_lanes_match(m: Modulation, nv: f64, ys: [Complex64; 4]) -> bool {
         m.demap_soft_into(y, nv, &mut want[lane * bp..(lane + 1) * bp]);
     }
     let mut got = vec![0.0f64; 4 * bp];
-    let (o0, rest) = got.split_at_mut(bp);
-    let (o1, rest) = rest.split_at_mut(bp);
-    let (o2, o3) = rest.split_at_mut(bp);
-    let _ = m.demap_soft_x4_into(ys, nv, [o0, o1, o2, o3]);
+    m.demap_soft_x4_into(ys, nv, &mut got, 0, bp);
     want.iter().zip(&got).all(|(x, y)| bits_eq(*x, *y))
 }
 
 /// Detects four observations with four scalar `apply_into` calls and
-/// with one `apply_x4_into` call; true when every symbol and LLR agrees
-/// bit for bit.
+/// with one `apply_x4_into` call (the observations placed at one FFT bin
+/// of a four-symbol bin slab, the outputs in one carrier's slabs); true
+/// when every symbol and LLR agrees bit for bit.
 fn detect_lanes_match(prep: &Prepared, ys: [&[Complex64]; 4]) -> bool {
     let n_ss = prep.n_ss();
     let bp = prep.modulation().bits_per_symbol();
@@ -79,15 +79,17 @@ fn detect_lanes_match(prep: &Prepared, ys: [&[Complex64]; 4]) -> bool {
             &mut want_llrs[lane * n_ss * bp..(lane + 1) * n_ss * bp],
         );
     }
+    const BIN: usize = 9;
+    let n_rx = ys[0].len();
+    let mut bins = vec![[Complex64::ZERO; FFT_LEN]; 4 * n_rx];
+    for (lane, y) in ys.iter().enumerate() {
+        for (r, &v) in y.iter().enumerate() {
+            bins[lane * n_rx + r][BIN] = v;
+        }
+    }
     let mut got_syms = vec![Complex64::ZERO; 4 * n_ss];
     let mut got_llrs = vec![0.0f64; 4 * n_ss * bp];
-    let (s0, rest) = got_syms.split_at_mut(n_ss);
-    let (s1, rest) = rest.split_at_mut(n_ss);
-    let (s2, s3) = rest.split_at_mut(n_ss);
-    let (l0, rest) = got_llrs.split_at_mut(n_ss * bp);
-    let (l1, rest) = rest.split_at_mut(n_ss * bp);
-    let (l2, l3) = rest.split_at_mut(n_ss * bp);
-    prep.apply_x4_into(ys, [s0, s1, s2, s3], [l0, l1, l2, l3]);
+    prep.apply_x4_into(&bins, BIN, 0, &mut got_syms, &mut got_llrs);
     want_syms
         .iter()
         .zip(&got_syms)
