@@ -520,8 +520,16 @@ impl Prepared {
         llrs: &mut [f64],
     ) {
         let n_ss = self.n_ss();
+        let n_rx = match self {
+            Prepared::Linear { w, .. } => w.cols(),
+            Prepared::Ml { n_rx, .. } => *n_rx,
+        };
         let bits_per = self.modulation().bits_per_symbol();
         let n_dc = symbols.len() / (4 * n_ss);
+        assert!(
+            bins.len() == 4 * n_rx && bin < FFT_LEN,
+            "bin {bin} of four symbols' bins on {n_rx} antennas"
+        );
         assert!(
             carrier < n_dc
                 && symbols.len() == 4 * n_dc * n_ss
@@ -538,11 +546,6 @@ impl Prepared {
                 nv_eff,
                 modulation,
             } => {
-                let n_rx = w.cols();
-                assert!(
-                    bins.len() == 4 * n_rx && bin < FFT_LEN,
-                    "bin {bin} of four symbols' bins on {n_rx} antennas"
-                );
                 for s in 0..n_ss {
                     // `W y` row `s` in `mul_vec_into`'s summation order.
                     let x: [Complex64; 4] = std::array::from_fn(|lane| {
@@ -564,12 +567,7 @@ impl Prepared {
                     );
                 }
             }
-            Prepared::Ml { n_rx, .. } => {
-                let n_rx = *n_rx;
-                assert!(
-                    bins.len() == 4 * n_rx && bin < FFT_LEN,
-                    "bin {bin} of four symbols' bins on {n_rx} antennas"
-                );
+            Prepared::Ml { .. } => {
                 for lane in 0..4 {
                     let mut y = [Complex64::ZERO; CMat::MAX_DIM];
                     for (slot, b) in y.iter_mut().zip(&bins[lane * n_rx..(lane + 1) * n_rx]) {

@@ -14,11 +14,10 @@
 //! bit-reversed order with a swap prologue. A caller that fills the input
 //! itself can write each sample straight to its bit-reversed slot
 //! ([`Fft::bitrev`]) and call [`Fft::forward_bit_reversed`], which skips
-//! the prologue: the receiver loads its CFO-corrected data windows that
-//! way. The twiddle values and the butterflies' operations are those of
-//! the per-stage-table loop this one replaced, which
-//! `crates/dsp/tests/fft_oracle.rs` checks bit for bit against its
-//! verbatim copy in `mimonet_oracle::fft`.
+//! the prologue: `Ofdm`'s demodulators gather their windows that way, and
+//! the receiver writes its CFO-corrected data windows straight to those
+//! slots. `crates/dsp/tests/fft_oracle.rs` checks every output bit for
+//! bit against the per-stage-table oracle loop in `mimonet_oracle::fft`.
 //!
 //! Conventions: forward transform uses `exp(-i 2 pi k n / N)` with no
 //! scaling; inverse uses `exp(+i 2 pi k n / N)` scaled by `1/N`, so
