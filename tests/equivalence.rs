@@ -289,3 +289,36 @@ fn lane_tails_scan_matches_reference() {
         }
     }
 }
+
+/// Without fine timing the receiver refines timing with a Van de Beek
+/// search over the 480 samples after the L-LTF. With one HT-LTF (one
+/// stream) that window reaches past the start of the data symbols, so
+/// the first data windows are partly corrected before the data loop
+/// starts. SISO and 1x2 frames at MCS 0 and 3, at three CFOs.
+#[test]
+fn vdb_window_past_the_data_start_matches_reference() {
+    let mut seed = 0x7DB0u64;
+    for (mcs, len) in [(0u8, 60usize), (3, 200)] {
+        let psdu: Vec<u8> = (0..len).map(|i| (i * 11 + 5) as u8).collect();
+        let streams = padded_frame(mcs, &psdu, 120, 80);
+        for (n_rx, fading) in [(1, Fading::Ideal), (2, Fading::RayleighFlat)] {
+            for cfo in [0.0, 0.21, -0.33] {
+                seed += 1;
+                let mut chan = ChannelConfig::awgn(1, n_rx, 25.0);
+                chan.fading = fading;
+                chan.cfo_norm = cfo;
+                let mut sim = ChannelSim::new(chan, seed);
+                let (noisy, _) = sim.apply(&streams);
+                let cfg = rx_config(n_rx, DetectorKind::Mmse, true, false, true);
+                let got = Receiver::new(cfg.clone()).receive(&noisy);
+                let want = ReferenceReceiver::new(cfg).receive(&noisy);
+                let case = format!("MCS {mcs} 1x{n_rx} cfo {cfo} seed {seed}");
+                assert!(
+                    matches!(want, Ok(_) | Err(mimonet::RxError::Fec)),
+                    "{case}: the reference must reach the data symbols, got {want:?}"
+                );
+                assert_eq!(got, want, "{case}");
+            }
+        }
+    }
+}
