@@ -15,6 +15,7 @@ use mimonet_io::netchaos::{ChaosProxy, FaultClass};
 use mimonet_io::resilience::RetryPolicy;
 use mimonet_io::session::{
     corrupted_frames, run_session, run_session_observed, Scheduler, SessionObserver,
+    MAX_SESSION_FRAMES,
 };
 use mimonet_io::wire::{
     read_msg, write_msg, SessionConfig, WireMsg, METRICS_JSON, METRICS_PROMETHEUS, WIRE_VERSION,
@@ -498,8 +499,42 @@ fn token_budget_meters_data_frames_and_resume_drains_the_rest() {
         collected, local.decoded,
         "metered replay must reassemble losslessly"
     );
+
+    // A resume past the last frame streams no data frames: the whole
+    // budget is left, nothing was queued and nothing more is shed.
+    let shed_before = server.stats().shed_total();
+    write_msg(
+        client.stream_mut(),
+        &WireMsg::SessionResume {
+            token: first.token,
+            next_frame: 9,
+        },
+    )
+    .unwrap();
+    loop {
+        match read_msg(client.stream_mut()).unwrap() {
+            WireMsg::FrameDecoded(f) => panic!("resume past the end streamed frame {}", f.index),
+            WireMsg::Telemetry { .. } => break,
+            _ => {}
+        }
+    }
+    assert_eq!(server.stats().session_tokens(), 2);
+    assert_eq!(server.stats().session_queue_highwater(), 0);
+    assert_eq!(server.stats().shed_total(), shed_before);
     client.close().unwrap();
     server.shutdown();
+
+    // Unlimited budget (the default): every frame streams out of a
+    // budget of the per-session frame cap.
+    let unlimited = EngineServer::bind("127.0.0.1:0").unwrap();
+    let mut client = LinkClient::connect(unlimited.local_addr()).unwrap();
+    assert_eq!(client.run_session(&c).unwrap().frames, local.decoded);
+    let stats = unlimited.stats();
+    assert_eq!(stats.session_tokens(), u64::from(MAX_SESSION_FRAMES) - 6);
+    assert_eq!(stats.session_queue_highwater(), 6);
+    assert_eq!(stats.shed_total(), 0);
+    client.close().unwrap();
+    unlimited.shutdown();
 }
 
 #[test]
@@ -572,6 +607,34 @@ fn engine_metrics_are_lint_clean_and_expose_the_token_plane() {
         })
         .unwrap();
 
+    // Every exported series after that one connection's one untraced
+    // 5-frame session under a budget of 2: 2 frames sent, 3 shed, the
+    // session parked for resume. How many batch calls decoded its 5
+    // frames depends on worker timing, so that value is a range.
+    let wire_version = u64::from(WIRE_VERSION);
+    #[rustfmt::skip]
+    let series: [(&str, &str, &str, u64, u64); 19] = [
+        ("mimonet_connections_total", "counter", "TCP connections accepted", 1, 1),
+        ("mimonet_sessions_started_total", "counter", "Session requests received", 1, 1),
+        ("mimonet_sessions_ok_total", "counter", "Sessions that ran and streamed results", 1, 1),
+        ("mimonet_sessions_failed_total", "counter", "Sessions refused or failed", 0, 0),
+        ("mimonet_sessions_resumed_total", "counter", "Sessions resumed from a stored token", 0, 0),
+        ("mimonet_shed_frames_total", "counter", "Decoded frames withheld under overload shedding", 0, 0),
+        ("mimonet_protocol_errors_total", "counter", "Connections ended by wire faults or protocol violations", 0, 0),
+        ("mimonet_active_sessions", "gauge", "Sessions executing right now", 0, 0),
+        ("mimonet_resumable_sessions", "gauge", "Completed sessions parked for resumption", 1, 1),
+        ("mimonet_session_queue_highwater", "gauge", "Reply-queue high-water mark of the latest session", 2, 2),
+        ("mimonet_slo_evaluations_total", "counter", "Traced sessions graded against the default link SLO", 0, 0),
+        ("mimonet_slo_breaches_total", "counter", "SLO objectives breached across graded sessions", 0, 0),
+        ("mimonet_wire_version", "gauge", "Wire protocol version this daemon speaks", wire_version, wire_version),
+        ("linkd_session_tokens", "gauge", "Token budget remaining after the latest streamed session", 0, 0),
+        ("linkd_shed_total", "counter", "Data frames shed (overload shedding + token-budget drops)", 3, 3),
+        ("linkd_engine_shards", "gauge", "I/O shards multiplexing connections", 2, 2),
+        ("linkd_engine_compute_workers", "gauge", "Compute workers draining the session/decode queues", 2, 2),
+        ("linkd_decode_batches_total", "counter", "Cross-session receive_batch calls issued by the decode plane", 1, 5),
+        ("linkd_decode_batched_frames_total", "counter", "Frames decoded through cross-session batches", 5, 5),
+    ];
+
     let (fmt, prom) = client.metrics(METRICS_PROMETHEUS).unwrap();
     assert_eq!(fmt, METRICS_PROMETHEUS);
     assert_eq!(
@@ -579,28 +642,41 @@ fn engine_metrics_are_lint_clean_and_expose_the_token_plane() {
         Vec::<String>::new(),
         "engine exposition must pass its own lint"
     );
-    assert!(prom.contains("mimonet_sessions_ok_total 1"));
-    assert!(prom.contains("# TYPE linkd_session_tokens gauge"));
-    assert!(prom.contains("linkd_session_tokens 0"));
-    assert!(prom.contains("# TYPE linkd_shed_total counter"));
-    assert!(prom.contains("linkd_shed_total 3"));
-    assert!(prom.contains("linkd_decode_batches_total"));
+    // Each series is `# HELP`, `# TYPE` and its sample, in that order;
+    // the series themselves may come in any order.
+    let lines: Vec<&str> = prom.lines().collect();
+    assert_eq!(lines.len(), 3 * series.len(), "exposition:\n{prom}");
+    let mut exported: Vec<&str> = Vec::new();
+    for block in lines.chunks(3) {
+        let (name, value) = block[2].split_once(' ').expect("a sample line");
+        let (_, kind, help, lo, hi) = *series
+            .iter()
+            .find(|s| s.0 == name)
+            .unwrap_or_else(|| panic!("unexpected series {name}"));
+        assert_eq!(block[0], format!("# HELP {name} {help}"));
+        assert_eq!(block[1], format!("# TYPE {name} {kind}"));
+        let value: u64 = value.parse().expect("an integer sample");
+        assert!((lo..=hi).contains(&value), "{name} = {value}");
+        exported.push(name);
+    }
+    exported.sort_unstable();
+    exported.dedup();
+    assert_eq!(exported.len(), series.len(), "every series exactly once");
 
     let (fmt, json) = client.metrics(METRICS_JSON).unwrap();
     assert_eq!(fmt, METRICS_JSON);
     let v = serde::json::from_str(&json).expect("metrics JSON parses");
-    match &v {
-        serde::Value::Object(fields) => {
-            let get = |name: &str| {
-                fields
-                    .iter()
-                    .find(|(k, _)| k == name)
-                    .map(|(_, v)| v.clone())
-            };
-            assert_eq!(get("linkd_shed_total"), Some(serde::Value::U64(3)));
-            assert_eq!(get("mimonet_sessions_ok_total"), Some(serde::Value::U64(1)));
+    let serde::Value::Object(fields) = &v else {
+        panic!("metrics JSON must be an object, got {v:?}");
+    };
+    assert_eq!(fields.len(), series.len(), "metrics JSON: {json}");
+    for (name, _, _, lo, hi) in series {
+        match fields.iter().find(|(k, _)| k == name) {
+            Some((_, serde::Value::U64(value))) => {
+                assert!((lo..=hi).contains(value), "{name} = {value}")
+            }
+            other => panic!("{name} missing or not a u64 in metrics JSON: {other:?}"),
         }
-        other => panic!("metrics JSON must be an object, got {other:?}"),
     }
     client.close().unwrap();
     server.shutdown();
