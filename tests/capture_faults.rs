@@ -102,15 +102,17 @@ fn frame_starts(bytes: &[u8]) -> Vec<usize> {
     starts
 }
 
-/// A capture file holding `bytes`, removed on drop.
+/// A capture file holding `bytes`, removed on drop. It sits straight in
+/// the temp dir, named by the pid and `name`, so the run leaves nothing
+/// behind and no test removes what a parallel sibling is writing.
 struct TempCapture(PathBuf);
 
 impl TempCapture {
     fn new(name: &str, bytes: &[u8]) -> Self {
-        let dir =
-            std::env::temp_dir().join(format!("mimonet_capture_faults_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(format!("{name}.iqcap"));
+        let path = std::env::temp_dir().join(format!(
+            "mimonet_capture_faults_{}_{name}.iqcap",
+            std::process::id()
+        ));
         std::fs::write(&path, bytes).unwrap();
         Self(path)
     }
