@@ -16,8 +16,8 @@
 //!    ([`corrupted_frames`]): goodput and p99 session latency versus
 //!    session count, with a hard zero-corruption assertion.
 //! 3. **Overload point** — rerun the largest fleet against an engine
-//!    whose per-session token budget is deliberately too small: the
-//!    DropNewest budget queue sheds exactly
+//!    whose per-session token budget is deliberately too small: each
+//!    reply streams its first `budget` frames and sheds the rest, exactly
 //!    `sum_k(frames_k - budget)` frames, a closed-form drop count the
 //!    report asserts and the golden pins.
 //!
@@ -391,7 +391,8 @@ fn main() {
     }
 
     // Overload point: the largest fleet against a starved token budget.
-    // DropNewest semantics make the shed count closed-form.
+    // Each reply sheds every frame past its budget, so the shed count is
+    // closed-form.
     let n_over = *sweep.last().expect("nonempty sweep");
     let over_cfg = EngineConfig {
         session_token_budget: budget,

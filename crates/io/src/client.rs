@@ -35,8 +35,8 @@ pub enum ClientError {
     Wire(WireError),
     /// The server refused or aborted the request with a typed report.
     Server {
-        /// Machine-matchable kind (`"bad-config"`, `"session-graph"`,
-        /// `"transport-*"`, `"give-up-*"`, `"resume-unknown-token"`).
+        /// Machine-matchable kind (`"bad-config"`, `"transport-*"`,
+        /// `"give-up-*"`, `"resume-unknown-token"`).
         kind: String,
         /// Human-readable detail.
         detail: String,
@@ -107,6 +107,28 @@ pub struct SessionResult {
     pub trace: Vec<TraceEvent>,
 }
 
+/// The error for a reply other than the one expected: the server's
+/// typed report when it sent one, else a protocol error reading
+/// `{context}{msg:?}`.
+fn unexpected(msg: WireMsg, context: &str) -> ClientError {
+    match msg {
+        WireMsg::ErrorReport {
+            kind,
+            detail,
+            session,
+            give_up,
+            span,
+        } => ClientError::Server {
+            kind,
+            detail,
+            session,
+            give_up,
+            span,
+        },
+        other => ClientError::Protocol(format!("{context}{other:?}")),
+    }
+}
+
 /// In-flight reply state that must survive a connection cut: the resume
 /// token and every frame delivered so far.
 #[derive(Clone, Debug, Default)]
@@ -152,22 +174,7 @@ impl LinkClient {
             WireMsg::Hello { version } => Err(ClientError::Protocol(format!(
                 "server speaks wire version {version}, client speaks {WIRE_VERSION}"
             ))),
-            WireMsg::ErrorReport {
-                kind,
-                detail,
-                session,
-                give_up,
-                span,
-            } => Err(ClientError::Server {
-                kind,
-                detail,
-                session,
-                give_up,
-                span,
-            }),
-            other => Err(ClientError::Protocol(format!(
-                "expected Hello, got {other:?}"
-            ))),
+            other => Err(unexpected(other, "expected Hello, got ")),
         }
     }
 
@@ -202,22 +209,7 @@ impl LinkClient {
         write_msg(&mut self.stream, &WireMsg::HealthProbe)?;
         match read_msg(&mut self.stream)? {
             WireMsg::Health(h) => Ok(h),
-            WireMsg::ErrorReport {
-                kind,
-                detail,
-                session,
-                give_up,
-                span,
-            } => Err(ClientError::Server {
-                kind,
-                detail,
-                session,
-                give_up,
-                span,
-            }),
-            other => Err(ClientError::Protocol(format!(
-                "expected Health, got {other:?}"
-            ))),
+            other => Err(unexpected(other, "expected Health, got ")),
         }
     }
 
@@ -229,22 +221,7 @@ impl LinkClient {
         write_msg(&mut self.stream, &WireMsg::MetricsProbe { format })?;
         match read_msg(&mut self.stream)? {
             WireMsg::Metrics { format, body } => Ok((format, body)),
-            WireMsg::ErrorReport {
-                kind,
-                detail,
-                session,
-                give_up,
-                span,
-            } => Err(ClientError::Server {
-                kind,
-                detail,
-                session,
-                give_up,
-                span,
-            }),
-            other => Err(ClientError::Protocol(format!(
-                "expected Metrics, got {other:?}"
-            ))),
+            other => Err(unexpected(other, "expected Metrics, got ")),
         }
     }
 
@@ -293,26 +270,7 @@ impl LinkClient {
                     telemetry_json,
                 } => state.updates.push((round, telemetry_json)),
                 WireMsg::Trace { events } => state.trace.extend(events),
-                WireMsg::ErrorReport {
-                    kind,
-                    detail,
-                    session,
-                    give_up,
-                    span,
-                } => {
-                    return Err(ClientError::Server {
-                        kind,
-                        detail,
-                        session,
-                        give_up,
-                        span,
-                    })
-                }
-                other => {
-                    return Err(ClientError::Protocol(format!(
-                        "unexpected reply: {other:?}"
-                    )))
-                }
+                other => return Err(unexpected(other, "unexpected reply: ")),
             }
         }
     }
@@ -512,7 +470,7 @@ enum Classified {
 fn classify(e: &ClientError) -> Classified {
     match e {
         ClientError::Server { kind, detail, .. } => match kind.as_str() {
-            "bad-config" | "session-graph" => Classified::Fatal {
+            "bad-config" => Classified::Fatal {
                 kind: kind.clone(),
                 detail: detail.clone(),
             },

@@ -15,14 +15,12 @@
 //! A `SessionRequest` marks the connection **busy** and hands the
 //! session to the compute plane; further client messages queue in the
 //! read buffer until the completion comes back, so each connection runs
-//! one session at a time without parking a thread. Data frames stream
-//! through a per-session [`BoundedQueue`] sized by the token budget with
-//! [`OverflowPolicy::DropNewest`]: frames beyond the budget are shed
-//! (counted, resumable later), control frames never are.
+//! one session at a time without parking a thread. Each reply streams
+//! at most the token budget's worth of data frames: frames beyond it
+//! are shed (counted, resumable later), control frames never are.
 
 use super::compute::{Completion, ComputePlane, SessionRun};
 use super::EngineShared;
-use crate::queue::{BoundedQueue, OverflowPolicy};
 use crate::resilience::Deadline;
 use crate::session::MAX_SESSION_FRAMES;
 use crate::store::StoredSession;
@@ -370,50 +368,30 @@ impl Conn {
             token,
             resumed_from: from,
         });
-        let remaining = session.frames.len().saturating_sub(from as usize);
+        let frames = &session.frames[from as usize..];
+        let remaining = frames.len() as u64;
+        let stats = &shared.stats;
         if shed {
             // Overload: withhold the bulky data frames, keep control
             // flowing; the client re-fetches via resume later.
-            shared
-                .stats
-                .shed_frames
-                .fetch_add(remaining as u64, Ordering::Relaxed);
-            shared
-                .stats
-                .shed_total
-                .fetch_add(remaining as u64, Ordering::Relaxed);
+            stats.shed_frames.fetch_add(remaining, Ordering::Relaxed);
+            stats.shed_total.fetch_add(remaining, Ordering::Relaxed);
         } else {
-            // Token budget: one token per data frame, enforced by the
-            // reply queue's capacity + DropNewest policy — the drop
-            // counter *is* the shed accounting.
-            let budget = if shared.config.session_token_budget == 0 {
-                MAX_SESSION_FRAMES as usize
-            } else {
-                shared.config.session_token_budget as usize
+            // Token budget: one token per data frame. The first `sent`
+            // frames stream and the rest are shed, so the reply holds at
+            // most `sent` data frames queued.
+            let budget = match shared.config.session_token_budget {
+                0 => u64::from(MAX_SESSION_FRAMES),
+                b => u64::from(b),
             };
-            let queue: BoundedQueue<crate::wire::DecodedFrame> =
-                BoundedQueue::new(budget.max(1), OverflowPolicy::DropNewest);
-            for frame in session.frames.iter().skip(from as usize) {
-                queue.push(frame.clone());
-            }
-            let mut sent = 0u64;
-            while let Some(frame) = queue.try_pop() {
-                self.pending.push_back(WireMsg::FrameDecoded(frame));
-                sent += 1;
-            }
-            let dropped = queue.stats().dropped();
-            shared
-                .stats
+            let sent = remaining.min(budget);
+            let streamed = frames[..sent as usize].iter().cloned();
+            self.pending.extend(streamed.map(WireMsg::FrameDecoded));
+            stats
                 .shed_total
-                .fetch_add(dropped, Ordering::Relaxed);
-            shared
-                .stats
-                .session_tokens
-                .store(budget as u64 - sent, Ordering::Relaxed);
-            shared
-                .stats
-                .session_queue_highwater
-                .store(queue.stats().highwater(), Ordering::Relaxed);
+                .fetch_add(remaining - sent, Ordering::Relaxed);
+            stats.session_tokens.store(budget - sent, Ordering::Relaxed);
+            stats.session_queue_highwater.store(sent, Ordering::Relaxed);
         }
         self.pending.push_back(WireMsg::SessionStats {
             stats_json: session.stats_json.clone(),

@@ -38,10 +38,9 @@
 //!   a decode turn serves whichever sessions have bursts waiting.
 //! * **Admission + shedding**: a hard session cap answers
 //!   `give-up-overload`; above the shed threshold data frames are
-//!   withheld (control always flows); per-session token budgets meter
-//!   data frames through a [`crate::queue::BoundedQueue`] with
-//!   [`crate::queue::OverflowPolicy::DropNewest`], every drop counted in
-//!   `linkd_shed_total` and resumable later.
+//!   withheld (control always flows); a per-session token budget caps
+//!   the data frames each reply or resume streams, and every frame past
+//!   it is counted in `linkd_shed_total` and resumable later.
 //!
 //! Per-session output (`FrameDecoded` stream + `LinkStats` JSON) is
 //! byte-identical to an in-process [`crate::session::run_session`] of the
@@ -82,8 +81,8 @@ pub struct EngineConfig {
     /// `FrameDecoded` streaming (data) but keeps control frames flowing.
     pub shed_threshold: u32,
     /// Per-session token budget: data frames streamed per session (or
-    /// resume). 0 = unlimited. Frames beyond the budget are shed via the
-    /// reply queue's `DropNewest` policy and stay retrievable by resume.
+    /// resume). 0 = unlimited. Frames beyond the budget are shed and stay
+    /// retrievable by resume.
     pub session_token_budget: u32,
     /// Completed session outcomes retained for resumption (LRU evicted).
     pub resume_capacity: usize,
@@ -110,73 +109,66 @@ impl Default for EngineConfig {
     }
 }
 
-/// Engine-wide counters, shared with monitors via `Arc`: connections,
-/// session outcomes, shedding, the token-budget and batching planes, and
-/// SLO grading.
-#[derive(Debug, Default)]
-pub struct EngineStats {
-    pub(crate) connections: AtomicU64,
-    pub(crate) sessions_started: AtomicU64,
-    pub(crate) sessions_ok: AtomicU64,
-    pub(crate) sessions_failed: AtomicU64,
-    pub(crate) sessions_resumed: AtomicU64,
-    /// Data frames withheld by overload shedding (threshold-driven).
-    pub(crate) shed_frames: AtomicU64,
-    /// Every shed data frame: overload shed + token-budget drops.
-    pub(crate) shed_total: AtomicU64,
-    pub(crate) protocol_errors: AtomicU64,
-    pub(crate) active_sessions: AtomicU64,
-    /// Token budget remaining after the most recently streamed session.
-    pub(crate) session_tokens: AtomicU64,
-    pub(crate) session_queue_highwater: AtomicU64,
-    /// Cross-session `receive_batch` calls issued by the decode plane.
-    pub(crate) decode_batches: AtomicU64,
-    /// Frames decoded through those batch calls.
-    pub(crate) decode_batched_frames: AtomicU64,
-    pub(crate) slo_evaluations: AtomicU64,
-    pub(crate) slo_breaches: AtomicU64,
-}
+/// Declares the engine's counters once: each row is a field of
+/// [`EngineStats`], a getter of the same name documented by its help
+/// text, and one exported series (kind, name, help).
+macro_rules! engine_metrics {
+    ($( $field:ident: $kind:ident $name:literal $help:literal, )*) => {
+        /// Engine-wide counters, shared with monitors via `Arc`:
+        /// connections, session outcomes, shedding, the token-budget and
+        /// batching planes, and SLO grading.
+        #[derive(Debug, Default)]
+        pub struct EngineStats {
+            $( pub(crate) $field: AtomicU64, )*
+        }
 
-macro_rules! getters {
-    ($( $(#[$doc:meta])* $name:ident ),* $(,)?) => {
-        $( $(#[$doc])* pub fn $name(&self) -> u64 { self.$name.load(Ordering::Relaxed) } )*
+        impl EngineStats {
+            $(
+                #[doc = $help]
+                pub fn $field(&self) -> u64 {
+                    self.$field.load(Ordering::Relaxed)
+                }
+            )*
+
+            /// One typed sample per counter, in table order.
+            fn samples(&self) -> impl Iterator<Item = MetricSample> + '_ {
+                [$((MetricKind::$kind, $name, $help, self.$field())),*]
+                    .into_iter()
+                    .map(|(kind, name, help, value)| MetricSample { name, kind, help, value })
+            }
+        }
     };
 }
 
-impl EngineStats {
-    getters! {
-        /// Connections accepted.
-        connections,
-        /// Session requests received.
-        sessions_started,
-        /// Sessions that ran and streamed results.
-        sessions_ok,
-        /// Sessions refused (bad config, overload) or failed.
-        sessions_failed,
-        /// Sessions resumed from a stored token.
-        sessions_resumed,
-        /// Data frames withheld by overload shedding.
-        shed_frames,
-        /// Every shed data frame (overload shed + token-budget drops).
-        shed_total,
-        /// Connections ended by wire faults or protocol violations.
-        protocol_errors,
-        /// Sessions in the compute plane right now.
-        active_sessions,
-        /// Token budget remaining after the latest streamed session.
-        session_tokens,
-        /// Reply-queue high-water mark of the latest session.
-        session_queue_highwater,
-        /// Cross-session FEC batch calls.
-        decode_batches,
-        /// Frames decoded through cross-session batches.
-        decode_batched_frames,
-        /// Traced sessions graded against the default link SLO.
-        slo_evaluations,
-        /// SLO objectives breached across graded sessions.
-        slo_breaches,
-    }
+engine_metrics! {
+    connections: Counter "mimonet_connections_total" "TCP connections accepted",
+    sessions_started: Counter "mimonet_sessions_started_total" "Session requests received",
+    sessions_ok: Counter "mimonet_sessions_ok_total" "Sessions that ran and streamed results",
+    sessions_failed: Counter "mimonet_sessions_failed_total" "Sessions refused or failed",
+    sessions_resumed: Counter "mimonet_sessions_resumed_total"
+        "Sessions resumed from a stored token",
+    shed_frames: Counter "mimonet_shed_frames_total"
+        "Decoded frames withheld under overload shedding",
+    protocol_errors: Counter "mimonet_protocol_errors_total"
+        "Connections ended by wire faults or protocol violations",
+    active_sessions: Gauge "mimonet_active_sessions" "Sessions executing right now",
+    session_queue_highwater: Gauge "mimonet_session_queue_highwater"
+        "Reply-queue high-water mark of the latest session",
+    slo_evaluations: Counter "mimonet_slo_evaluations_total"
+        "Traced sessions graded against the default link SLO",
+    slo_breaches: Counter "mimonet_slo_breaches_total"
+        "SLO objectives breached across graded sessions",
+    session_tokens: Gauge "linkd_session_tokens"
+        "Token budget remaining after the latest streamed session",
+    shed_total: Counter "linkd_shed_total"
+        "Data frames shed (overload shedding + token-budget drops)",
+    decode_batches: Counter "linkd_decode_batches_total"
+        "Cross-session receive_batch calls issued by the decode plane",
+    decode_batched_frames: Counter "linkd_decode_batched_frames_total"
+        "Frames decoded through cross-session batches",
+}
 
+impl EngineStats {
     /// Mean frames per cross-session decode batch (0 when none ran yet).
     pub fn mean_batch_frames(&self) -> f64 {
         let batches = self.decode_batches();
@@ -212,128 +204,31 @@ impl EngineShared {
         }
     }
 
-    /// The engine's full metrics surface, one typed sample per series —
-    /// the single source both wire formats render from, so Prometheus
-    /// and JSON snapshots can never disagree on a value.
+    /// The engine's full metrics surface, one typed sample per series:
+    /// the counter table, then the four gauges read from elsewhere. Both
+    /// wire formats render from it, so Prometheus and JSON snapshots can
+    /// never disagree on a value.
     pub(crate) fn metric_samples(&self) -> Vec<MetricSample> {
-        let s = &self.stats;
-        vec![
-            MetricSample {
-                name: "mimonet_connections_total",
-                kind: MetricKind::Counter,
-                help: "TCP connections accepted",
-                value: s.connections(),
-            },
-            MetricSample {
-                name: "mimonet_sessions_started_total",
-                kind: MetricKind::Counter,
-                help: "Session requests received",
-                value: s.sessions_started(),
-            },
-            MetricSample {
-                name: "mimonet_sessions_ok_total",
-                kind: MetricKind::Counter,
-                help: "Sessions that ran and streamed results",
-                value: s.sessions_ok(),
-            },
-            MetricSample {
-                name: "mimonet_sessions_failed_total",
-                kind: MetricKind::Counter,
-                help: "Sessions refused or failed",
-                value: s.sessions_failed(),
-            },
-            MetricSample {
-                name: "mimonet_sessions_resumed_total",
-                kind: MetricKind::Counter,
-                help: "Sessions resumed from a stored token",
-                value: s.sessions_resumed(),
-            },
-            MetricSample {
-                name: "mimonet_shed_frames_total",
-                kind: MetricKind::Counter,
-                help: "Decoded frames withheld under overload shedding",
-                value: s.shed_frames(),
-            },
-            MetricSample {
-                name: "mimonet_protocol_errors_total",
-                kind: MetricKind::Counter,
-                help: "Connections ended by wire faults or protocol violations",
-                value: s.protocol_errors(),
-            },
-            MetricSample {
-                name: "mimonet_active_sessions",
-                kind: MetricKind::Gauge,
-                help: "Sessions executing right now",
-                value: s.active_sessions(),
-            },
-            MetricSample {
-                name: "mimonet_resumable_sessions",
-                kind: MetricKind::Gauge,
-                help: "Completed sessions parked for resumption",
-                value: self.store.lock().unwrap().len() as u64,
-            },
-            MetricSample {
-                name: "mimonet_session_queue_highwater",
-                kind: MetricKind::Gauge,
-                help: "Reply-queue high-water mark of the latest session",
-                value: s.session_queue_highwater(),
-            },
-            MetricSample {
-                name: "mimonet_slo_evaluations_total",
-                kind: MetricKind::Counter,
-                help: "Traced sessions graded against the default link SLO",
-                value: s.slo_evaluations(),
-            },
-            MetricSample {
-                name: "mimonet_slo_breaches_total",
-                kind: MetricKind::Counter,
-                help: "SLO objectives breached across graded sessions",
-                value: s.slo_breaches(),
-            },
-            MetricSample {
-                name: "mimonet_wire_version",
-                kind: MetricKind::Gauge,
-                help: "Wire protocol version this daemon speaks",
-                value: WIRE_VERSION as u64,
-            },
-            // Token-budget, shedding, and batching planes.
-            MetricSample {
-                name: "linkd_session_tokens",
-                kind: MetricKind::Gauge,
-                help: "Token budget remaining after the latest streamed session",
-                value: s.session_tokens(),
-            },
-            MetricSample {
-                name: "linkd_shed_total",
-                kind: MetricKind::Counter,
-                help: "Data frames shed (overload shedding + token-budget drops)",
-                value: s.shed_total(),
-            },
-            MetricSample {
-                name: "linkd_engine_shards",
-                kind: MetricKind::Gauge,
-                help: "I/O shards multiplexing connections",
-                value: self.config.shards as u64,
-            },
-            MetricSample {
-                name: "linkd_engine_compute_workers",
-                kind: MetricKind::Gauge,
-                help: "Compute workers draining the session/decode queues",
-                value: self.config.compute_workers as u64,
-            },
-            MetricSample {
-                name: "linkd_decode_batches_total",
-                kind: MetricKind::Counter,
-                help: "Cross-session receive_batch calls issued by the decode plane",
-                value: s.decode_batches(),
-            },
-            MetricSample {
-                name: "linkd_decode_batched_frames_total",
-                kind: MetricKind::Counter,
-                help: "Frames decoded through cross-session batches",
-                value: s.decode_batched_frames(),
-            },
-        ]
+        let gauge = |name, help, value| MetricSample {
+            name,
+            kind: MetricKind::Gauge,
+            help,
+            value,
+        };
+        let resumable = self
+            .store
+            .lock()
+            .expect("no thread panics holding the resume store")
+            .len() as u64;
+        let (shards, workers) = (self.config.shards, self.config.compute_workers);
+        #[rustfmt::skip]
+        let gauges = [
+            gauge("mimonet_resumable_sessions", "Completed sessions parked for resumption", resumable),
+            gauge("mimonet_wire_version", "Wire protocol version this daemon speaks", WIRE_VERSION.into()),
+            gauge("linkd_engine_shards", "I/O shards multiplexing connections", shards as u64),
+            gauge("linkd_engine_compute_workers", "Compute workers draining the session/decode queues", workers as u64),
+        ];
+        self.stats.samples().chain(gauges).collect()
     }
 
     pub(crate) fn prometheus_text(&self) -> String {

@@ -53,8 +53,8 @@ pub use capture::{
 pub use client::{ClientError, LinkClient, ResilientClient, ResilientOutcome, SessionResult};
 pub use engine::{EngineConfig, EngineServer, EngineStats};
 pub use net::{
-    transport_error, TcpChunkSink, TcpChunkSource, TransportConfig, TransportStats, UdpChunkSink,
-    UdpChunkSource,
+    transport_error, ChunkSource, TcpChunkSink, TcpChunkSource, TransportConfig, TransportStats,
+    UdpChunkSink, UdpChunkSource,
 };
 pub use netchaos::{ChaosProxy, ChaosSpec, ChaosStats, FaultClass, UdpChaosProxy};
 pub use queue::{BoundedQueue, OverflowPolicy, PushOutcome, QueueStats, QueueTimeout};

@@ -12,7 +12,8 @@
 //! on purpose: dropping is *semantics* (it changes what the receiver
 //! decodes), so the accounting must survive `telemetry-off` builds. The
 //! transport blocks mirror the count into
-//! `BlockTelemetry::queue_drops` so `fig_profile` sees it too.
+//! `BlockTelemetry::queue_drops`, so an instrumented flowgraph sees it
+//! too.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -746,24 +746,31 @@ pub fn encode(msg: &WireMsg) -> Vec<u8> {
     frame
 }
 
-/// Decodes one frame from the front of `buf`, returning the message and
-/// the number of bytes consumed. `buf` must hold the complete frame.
-pub fn decode(buf: &[u8]) -> Result<(WireMsg, usize), WireError> {
-    if buf.len() < HEADER_LEN {
-        return Err(WireError::Truncated { context: "header" });
+/// Checks a frame header's magic, version and payload length, in that
+/// order; returns its type code and payload length.
+fn parse_header(header: &[u8; HEADER_LEN]) -> Result<(u16, usize), WireError> {
+    let [m0, m1, m2, m3, v0, v1, t0, t1, l0, l1, l2, l3] = *header;
+    if [m0, m1, m2, m3] != MAGIC {
+        return Err(WireError::BadMagic([m0, m1, m2, m3]));
     }
-    if buf[..4] != MAGIC {
-        return Err(WireError::BadMagic(buf[..4].try_into().unwrap()));
-    }
-    let version = u16::from_le_bytes(buf[4..6].try_into().unwrap());
+    let version = u16::from_le_bytes([v0, v1]);
     if version != WIRE_VERSION {
         return Err(WireError::UnsupportedVersion(version));
     }
-    let type_code = u16::from_le_bytes(buf[6..8].try_into().unwrap());
-    let len = u32::from_le_bytes(buf[8..12].try_into().unwrap()) as usize;
+    let len = u32::from_le_bytes([l0, l1, l2, l3]) as usize;
     if len > MAX_PAYLOAD {
         return Err(WireError::TooLarge(len));
     }
+    Ok((u16::from_le_bytes([t0, t1]), len))
+}
+
+/// Decodes one frame from the front of `buf`, returning the message and
+/// the number of bytes consumed. `buf` must hold the complete frame.
+pub fn decode(buf: &[u8]) -> Result<(WireMsg, usize), WireError> {
+    let header = buf
+        .first_chunk()
+        .ok_or(WireError::Truncated { context: "header" })?;
+    let (type_code, len) = parse_header(header)?;
     let total = HEADER_LEN + len + TRAILER_LEN;
     if buf.len() < total {
         return Err(WireError::Truncated { context: "payload" });
@@ -819,18 +826,7 @@ pub(crate) fn read_frame<R: Read>(
             Err(e) => return Err(e.into()),
         }
     }
-    if header[..4] != MAGIC {
-        return Err(WireError::BadMagic(header[..4].try_into().unwrap()));
-    }
-    let version = u16::from_le_bytes(header[4..6].try_into().unwrap());
-    if version != WIRE_VERSION {
-        return Err(WireError::UnsupportedVersion(version));
-    }
-    let type_code = u16::from_le_bytes(header[6..8].try_into().unwrap());
-    let len = u32::from_le_bytes(header[8..12].try_into().unwrap()) as usize;
-    if len > MAX_PAYLOAD {
-        return Err(WireError::TooLarge(len));
-    }
+    let (type_code, len) = parse_header(&header)?;
     let want = len + TRAILER_LEN;
     payload.clear();
     payload.reserve(want.min(READ_RESERVE));
