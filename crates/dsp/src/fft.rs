@@ -121,19 +121,18 @@ impl Fft {
     }
 
     /// The radix-2 butterflies over a buffer in bit-reversed order, stage
-    /// by stage with `twiddles` (one direction's flat table).
+    /// by stage with `twiddles` (one direction's flat table). The stages
+    /// of one, two and four butterflies per block run with a fixed block
+    /// size, which the compiler unrolls; larger stages share one loop.
     fn butterflies(&self, buf: &mut [Complex64], twiddles: &[Complex64]) {
         let mut m = 1;
         while m < self.n {
             let tw = &twiddles[m - 1..2 * m - 1];
-            for block in buf.chunks_exact_mut(2 * m) {
-                let (lo, hi) = block.split_at_mut(m);
-                for ((a, b), &w) in lo.iter_mut().zip(hi.iter_mut()).zip(tw) {
-                    let x = *a;
-                    let y = *b * w;
-                    *a = x + y;
-                    *b = x - y;
-                }
+            match m {
+                1 => stage(buf, 1, tw),
+                2 => stage(buf, 2, tw),
+                4 => stage(buf, 4, tw),
+                _ => stage(buf, m, tw),
             }
             m <<= 1;
         }
@@ -172,6 +171,22 @@ impl Fft {
         let inv_n = 1.0 / self.n as f64;
         for x in buf.iter_mut() {
             *x = x.scale(inv_n);
+        }
+    }
+}
+
+/// One butterfly stage over a buffer in bit-reversed order: each block of
+/// `2m` samples joins `lo[k]` and `hi[k]·tw[k]` for `k < m`. Always
+/// inlined, so a call with a literal `m` runs a fixed-size block.
+#[inline(always)]
+fn stage(buf: &mut [Complex64], m: usize, tw: &[Complex64]) {
+    for block in buf.chunks_exact_mut(2 * m) {
+        let (lo, hi) = block.split_at_mut(m);
+        for ((a, b), &w) in lo.iter_mut().zip(hi.iter_mut()).zip(tw) {
+            let x = *a;
+            let y = *b * w;
+            *a = x + y;
+            *b = x - y;
         }
     }
 }

@@ -4,10 +4,10 @@
 //! are written so LLVM autovectorizes them into packed instructions on
 //! any target (SSE2 pairs, AVX quads, NEON pairs) — no `std::simd`
 //! nightly feature, no external crate, no target-feature detection.
-//! The one kernel in the workspace that does detect a CPU feature is the
-//! FEC search (`mimonet_fec::viterbi`): on x86-64 CPUs with AVX2 it runs
-//! an intrinsics form, picked once per decode, whose survivors and
-//! metrics are bit-identical to its portable loop's.
+//! The FEC search (`mimonet_fec::viterbi`) does detect CPU features: on
+//! x86-64 it runs an intrinsics form, AVX-512F where the CPU has it, else
+//! AVX2, picked once per decode, whose survivors and metrics are
+//! bit-identical to its portable loop's.
 //!
 //! **The bit-identity rule.** Every vectorized kernel in this workspace
 //! assigns one *independent output* per lane (a correlation lag, a

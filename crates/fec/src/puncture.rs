@@ -38,6 +38,17 @@ impl CodeRate {
         }
     }
 
+    /// Offsets of the kept positions within one period of
+    /// [`CodeRate::pattern`], ascending.
+    fn kept_offsets(self) -> &'static [usize] {
+        match self {
+            CodeRate::R1_2 => &[0, 1],
+            CodeRate::R2_3 => &[0, 1, 2],
+            CodeRate::R3_4 => &[0, 1, 2, 5],
+            CodeRate::R5_6 => &[0, 1, 2, 5, 6, 9],
+        }
+    }
+
     /// Numerator of the rate (data bits per period).
     pub fn k(self) -> usize {
         match self {
@@ -159,17 +170,23 @@ pub fn depuncture_soft_into(
         rate,
         mother_len
     );
+    // Erasures everywhere, then each period's inputs to its kept offsets;
+    // a partial last period keeps a prefix of the table.
     out.clear();
-    out.reserve(mother_len);
-    let p = rate.pattern();
-    let mut it = punctured.iter();
-    out.extend((0..mother_len).map(|i| {
-        if p[i % p.len()] {
-            *it.next().unwrap()
-        } else {
-            0.0
+    out.resize(mother_len, 0.0);
+    let (period, kept) = (rate.pattern().len(), rate.kept_offsets());
+    let body = mother_len / period * kept.len();
+    let mut blocks = out.chunks_exact_mut(period);
+    let inputs = punctured[..body].chunks_exact(kept.len());
+    for (block, llrs) in blocks.by_ref().zip(inputs) {
+        for (&k, &llr) in kept.iter().zip(llrs) {
+            block[k] = llr;
         }
-    }));
+    }
+    let last = blocks.into_remainder();
+    for (&k, &llr) in kept.iter().zip(&punctured[body..]) {
+        last[k] = llr;
+    }
 }
 
 #[cfg(test)]
@@ -210,6 +227,8 @@ mod tests {
             // Period covers 2*k mother bits and keeps n of them.
             assert_eq!(p.len(), 2 * r.k());
             assert_eq!(p.iter().filter(|&&b| b).count(), r.n());
+            let kept: Vec<usize> = (0..p.len()).filter(|&i| p[i]).collect();
+            assert_eq!(r.kept_offsets(), kept, "rate {r}");
         }
     }
 

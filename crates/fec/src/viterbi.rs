@@ -11,15 +11,15 @@
 //!   [`ViterbiDecoder`] for why the decisions are identical).
 //!
 //! Both run one branchless search, a butterfly add-compare-select over
-//! the 64 trellis states (see [`ViterbiDecoder`]). It has two forms: a
-//! portable loop that LLVM autovectorizes, and on x86-64 CPUs with AVX2
-//! an intrinsics form that handles four butterflies per register,
-//! picked at run time per decode ([`kernel`] names the one in use). Both
-//! forms produce the same survivors and final metrics, bit for bit, and
-//! their decoded bits are identical to the naive forward scatter kept as
-//! the oracle in the dev-only `mimonet-oracle` crate
-//! (`mimonet_oracle::viterbi`), which this crate's integration tests and
-//! proptests compare it against.
+//! the 64 trellis states (see [`ViterbiDecoder`]). It has three forms: a
+//! portable loop that LLVM autovectorizes, and on x86-64 two intrinsics
+//! forms, eight butterflies per register on CPUs with AVX-512F and four
+//! on CPUs with AVX2. Each decode runs the widest form the CPU has,
+//! picked at run time ([`kernel`] names it). All three produce the same
+//! survivors and final metrics, bit for bit, and their decoded bits are
+//! identical to the naive forward scatter kept as the oracle in the
+//! dev-only `mimonet-oracle` crate (`mimonet_oracle::viterbi`), which
+//! this crate's integration tests and proptests compare it against.
 //!
 //! Punctured positions are passed as *erasures*: [`Symbol::Erased`] for hard
 //! input, LLR 0.0 for soft input — both contribute nothing to any branch
@@ -153,9 +153,10 @@ const NEG: f64 = f64::NEG_INFINITY;
 /// is −∞: each is one `max`. No lane branches on its data and lanes
 /// never mix, so the loop autovectorizes under the
 /// [`F64x4`](mimonet_dsp::simd::F64x4) bit-identity rule. On x86-64 CPUs
-/// with AVX2 the same operations run as intrinsics, four butterflies per
-/// 256-bit register (`vmaxpd` is the strict select), with the same
-/// survivor words and final metrics. The survivors and decoded bits are
+/// the same operations run as intrinsics, eight butterflies per 512-bit
+/// register with AVX-512F, else four per 256-bit register with AVX2
+/// (`vmaxpd` is the strict select in both), with the same survivor words
+/// and final metrics. The survivors and decoded bits are
 /// identical to the naive forward scatter kept as the oracle
 /// `mimonet_oracle::viterbi`:
 ///
@@ -288,12 +289,15 @@ impl ViterbiDecoder {
 }
 
 /// Names the form of the forward search that [`ViterbiDecoder`] runs on
-/// this CPU: `"avx2"` on x86-64 CPUs with AVX2, `"baseline"` everywhere
-/// else. Both forms make the same decisions; this only says which one a
-/// measured speed came from.
+/// this CPU: `"avx512"` on x86-64 CPUs with AVX-512F, `"avx2"` on other
+/// x86-64 CPUs with AVX2, `"baseline"` everywhere else. All three forms
+/// make the same decisions; this only says which one a measured speed
+/// came from.
 pub fn kernel() -> &'static str {
     #[cfg(target_arch = "x86_64")]
-    if avx2::detected() {
+    if avx512::detected() {
+        return "avx512";
+    } else if avx2::detected() {
         return "avx2";
     }
     "baseline"
@@ -301,10 +305,13 @@ pub fn kernel() -> &'static str {
 
 /// Runs the forward search over `llrs`, one trellis step per pair, into
 /// `survivor` (one row per step), and returns the final path metrics. It
-/// takes the AVX2 form where the CPU has it, else the baseline loop.
+/// takes the AVX-512F form where the CPU has it, else the AVX2 form where
+/// the CPU has that, else the baseline loop.
 fn forward(tr: &Trellis, llrs: &[f64], survivor: &mut [[u64; SURV_WORDS]]) -> [f64; NUM_STATES] {
     #[cfg(target_arch = "x86_64")]
-    if let Some(metric) = avx2::forward(tr, llrs, survivor) {
+    if let Some(metric) = avx512::forward(tr, llrs, survivor) {
+        return metric;
+    } else if let Some(metric) = avx2::forward(tr, llrs, survivor) {
         return metric;
     }
     forward_baseline(tr, llrs, survivor)
@@ -569,6 +576,159 @@ mod avx2 {
         let m = _mm256_max_pd(c1, s0);
         let valid = _mm256_cmp_pd::<_CMP_GT_OQ>(m, floor);
         (m, _mm256_castpd_si256(g1), _mm256_castpd_si256(valid))
+    }
+}
+
+/// The AVX-512F form of the forward search: eight butterflies per 512-bit
+/// register. As in the AVX2 form, every state goes through
+/// [`acs_step`]'s IEEE operations in the same order and `vmaxpd` is the
+/// strict select, so survivors and final metrics are bit-identical to the
+/// baseline loop's.
+#[cfg(target_arch = "x86_64")]
+mod avx512 {
+    use super::{Trellis, HALF, NEG, NUM_STATES, SURV_WORDS};
+    use std::arch::x86_64::*;
+
+    /// Butterfly groups per step: group `g` is butterflies `8g..8g + 8`.
+    const GROUPS: usize = HALF / 8;
+    /// Registers per set of 64 metrics: register `i` holds states
+    /// `8i..8i + 8`.
+    const REGS: usize = NUM_STATES / 8;
+
+    /// Whether this CPU runs the AVX-512F form.
+    pub(super) fn detected() -> bool {
+        std::is_x86_feature_detected!("avx512f")
+    }
+
+    /// [`super::forward`] in the AVX-512F form, or `None` if the CPU lacks
+    /// AVX-512F.
+    pub(super) fn forward(
+        tr: &Trellis,
+        llrs: &[f64],
+        survivor: &mut [[u64; SURV_WORDS]],
+    ) -> Option<[f64; NUM_STATES]> {
+        if !detected() {
+            return None;
+        }
+        assert_eq!(survivor.len(), llrs.len() / 2, "one survivor row per step");
+        // SAFETY: the CPU has AVX-512F, checked just above.
+        Some(unsafe { search(tr, llrs, survivor) })
+    }
+
+    /// The search itself. Code without AVX-512F enabled may call it only
+    /// after checking that the CPU has AVX-512F, as [`forward`] does.
+    #[target_feature(enable = "avx512f")]
+    fn search(tr: &Trellis, llrs: &[f64], survivor: &mut [[u64; SURV_WORDS]]) -> [f64; NUM_STATES] {
+        // Group g's `use_q` and `negate` masks, one lane per butterfly.
+        let mut masks = [[_mm512_setzero_si512(); 2]; GROUPS];
+        for g in 0..GROUPS {
+            let js = 8 * g..8 * g + 8;
+            masks[g] = [lanes(&tr.use_q[js.clone()]), lanes(&tr.negate[js])];
+        }
+        let floor = _mm512_set1_pd(tr.floor);
+        let mut metric = &mut [_mm512_set1_pd(NEG); REGS];
+        metric[0] = _mm512_setr_pd(0.0, NEG, NEG, NEG, NEG, NEG, NEG, NEG); // the zero state
+        let mut next = &mut [_mm512_set1_pd(NEG); REGS];
+        for (pair, surv) in llrs.chunks_exact(2).zip(survivor.iter_mut()) {
+            step(
+                &masks,
+                floor,
+                metric,
+                0.5 * pair[0],
+                0.5 * pair[1],
+                next,
+                surv,
+            );
+            std::mem::swap(&mut metric, &mut next);
+        }
+        let mut out = [NEG; NUM_STATES];
+        for (chunk, &v) in out.chunks_exact_mut(8).zip(metric.iter()) {
+            // SAFETY: `chunk` is eight contiguous, writable f64s; the store
+            // needs no alignment.
+            unsafe { _mm512_storeu_pd(chunk.as_mut_ptr(), v) };
+        }
+        out
+    }
+
+    /// Eight `Trellis` mask words as the lanes of one register.
+    #[target_feature(enable = "avx512f")]
+    fn lanes(m: &[u64]) -> __m512i {
+        _mm512_setr_epi64(
+            m[0] as i64,
+            m[1] as i64,
+            m[2] as i64,
+            m[3] as i64,
+            m[4] as i64,
+            m[5] as i64,
+            m[6] as i64,
+            m[7] as i64,
+        )
+    }
+
+    /// One [`super::acs_step`]: group `g` reads registers `2g`, `2g + 1`
+    /// and writes next states `8g..8g + 8` (register `g`) and
+    /// `32 + 8g..32 + 8g + 8` (register `4 + g`).
+    #[target_feature(enable = "avx512f")]
+    fn step(
+        masks: &[[__m512i; 2]; GROUPS],
+        floor: __m512d,
+        metric: &[__m512d; REGS],
+        a0: f64,
+        b0: f64,
+        next: &mut [__m512d; REGS],
+        surv: &mut [u64; SURV_WORDS],
+    ) {
+        let p = (a0 + b0).to_bits();
+        let pq = _mm512_set1_epi64((p ^ (a0 - b0).to_bits()) as i64);
+        let p = _mm512_set1_epi64(p as i64);
+        // Lanes 0, 2, …, 14 and 1, 3, …, 15 of a register pair.
+        let even = _mm512_setr_epi64(0, 2, 4, 6, 8, 10, 12, 14);
+        let odd = _mm512_setr_epi64(1, 3, 5, 7, 9, 11, 13, 15);
+        let (g1_bit, valid_bit) = (_mm512_set1_epi64(1), _mm512_set1_epi64(2));
+        // Lane `l` of group `g` is survivor word `l`, and its next states
+        // `j` and `j + 32` are bytes g and g + 4, as in `acs_step`: `lo`
+        // gathers bytes 0..4 and `hi` bytes 4..8, each taking g = 3, 2,
+        // 1, 0 by shifting its words up a byte.
+        let (mut lo, mut hi) = (_mm512_setzero_si512(), _mm512_setzero_si512());
+        for g in (0..GROUPS).rev() {
+            let [use_q, negate] = masks[g];
+            let r = _mm512_castsi512_pd(_mm512_xor_si512(
+                _mm512_xor_si512(p, _mm512_and_si512(pq, use_q)),
+                negate,
+            ));
+            // States 16g..16g + 16 split into m0 = m[2j] and
+            // m1 = m[2j + 1], j = 8g..8g + 8 in natural order.
+            let (a, b) = (metric[2 * g], metric[2 * g + 1]);
+            let m0 = _mm512_permutex2var_pd(a, even, b);
+            let m1 = _mm512_permutex2var_pd(a, odd, b);
+            let (n, g1, valid) = compare_select(_mm512_add_pd(m0, r), _mm512_sub_pd(m1, r), floor);
+            next[g] = n;
+            lo = _mm512_slli_epi64::<8>(lo);
+            lo = _mm512_mask_or_epi64(lo, g1, lo, g1_bit);
+            lo = _mm512_mask_or_epi64(lo, valid, lo, valid_bit);
+            let (n, g1, valid) = compare_select(_mm512_sub_pd(m0, r), _mm512_add_pd(m1, r), floor);
+            next[GROUPS + g] = n;
+            hi = _mm512_slli_epi64::<8>(hi);
+            hi = _mm512_mask_or_epi64(hi, g1, hi, g1_bit);
+            hi = _mm512_mask_or_epi64(hi, valid, hi, valid_bit);
+        }
+        let words = _mm512_or_si512(lo, _mm512_slli_epi64::<32>(hi));
+        // SAFETY: `surv` is eight contiguous, writable u64s, written as one
+        // 64-byte store that needs no alignment.
+        unsafe { _mm512_storeu_si512(surv.as_mut_ptr().cast(), words) };
+    }
+
+    /// [`super::compare_select`] on eight states: `vmaxpd` returns its
+    /// second operand on NaN or when the first is not greater, exactly
+    /// the strict select, and `_CMP_GT_OQ` is the strict, NaN-false `>`.
+    /// Returns the metrics and the lane masks `g1` and `valid`.
+    #[target_feature(enable = "avx512f")]
+    fn compare_select(c0: __m512d, c1: __m512d, floor: __m512d) -> (__m512d, __mmask8, __mmask8) {
+        let s0 = _mm512_max_pd(c0, floor);
+        let g1 = _mm512_cmp_pd_mask::<_CMP_GT_OQ>(c1, s0);
+        let m = _mm512_max_pd(c1, s0);
+        let valid = _mm512_cmp_pd_mask::<_CMP_GT_OQ>(m, floor);
+        (m, g1, valid)
     }
 }
 
@@ -879,58 +1039,83 @@ mod tests {
         }
     }
 
-    /// The AVX2 form and the baseline loop on the same streams: equal
-    /// survivor words, bit-equal final metrics, and equal decoded bits
-    /// terminated and unterminated. Skips the AVX2 half, with a note, on
-    /// CPUs without AVX2.
+    /// Every wide form the CPU has (AVX2, AVX-512F) and the baseline loop
+    /// on the same streams: equal survivor words, bit-equal final metrics,
+    /// and equal decoded bits terminated and unterminated. A form the CPU
+    /// lacks is skipped with a note, and `kernel()` must name the form the
+    /// dispatch picks.
     #[test]
     fn avx2_form_matches_baseline_loop_bit_for_bit() {
         #[cfg(target_arch = "x86_64")]
         {
+            type Form = fn(&Trellis, &[f64], &mut [[u64; SURV_WORDS]]) -> Option<[f64; NUM_STATES]>;
+            let forms: [(&str, &str, Form); 2] = [
+                ("avx2", "AVX2", avx2::forward),
+                ("avx512", "AVX-512F", avx512::forward),
+            ];
             let tr = trellis();
             let mut rng = Xorshift(0x5EED_AF20);
+            let mut ran = [false; 2];
             let (mut streams, mut total_steps) = (0, 0);
-            for case in 0..200u64 {
+            for case in 0..202u64 {
                 let steps = match case {
                     0..=3 => 0,
                     4..=7 => 1,
                     8..=11 => TAIL_BITS,
                     12..=15 => 1500,
+                    // One `bulk_mimo` frame: 24 symbols of 520 data bits.
+                    16..=17 => 12_480,
                     _ => rng.below(1501) as usize,
                 };
                 let kind = case % 4;
                 let llrs = forms_stream(&mut rng, kind, steps);
                 let mut surv_base = vec![[0u64; SURV_WORDS]; steps];
-                let mut surv_avx2 = vec![[!0u64; SURV_WORDS]; steps];
                 let base = forward_baseline(tr, &llrs, &mut surv_base);
-                let Some(wide) = avx2::forward(tr, &llrs, &mut surv_avx2) else {
-                    println!("viterbi forms: this CPU lacks AVX2; the AVX2 form was not run");
-                    return;
-                };
-                let what = format!("case {case}, kind {kind}, {steps} steps");
-                assert_eq!(surv_base, surv_avx2, "survivor words, {what}");
-                assert_eq!(
-                    base.map(f64::to_bits),
-                    wide.map(f64::to_bits),
-                    "metrics, {what}"
-                );
-                for terminated in [false, true] {
-                    if terminated && steps < TAIL_BITS {
+                for ((name, _, form), ran) in forms.iter().zip(&mut ran) {
+                    let mut surv_wide = vec![[!0u64; SURV_WORDS]; steps];
+                    let Some(wide) = form(tr, &llrs, &mut surv_wide) else {
                         continue;
+                    };
+                    *ran = true;
+                    let what = format!("{name} form, case {case}, kind {kind}, {steps} steps");
+                    assert_eq!(surv_base, surv_wide, "survivor words, {what}");
+                    assert_eq!(
+                        base.map(f64::to_bits),
+                        wide.map(f64::to_bits),
+                        "metrics, {what}"
+                    );
+                    for terminated in [false, true] {
+                        if terminated && steps < TAIL_BITS {
+                            continue;
+                        }
+                        let (mut bits_base, mut bits_wide) = (Vec::new(), Vec::new());
+                        traceback(&surv_base, &base, terminated, &mut bits_base);
+                        traceback(&surv_wide, &wide, terminated, &mut bits_wide);
+                        assert_eq!(bits_base, bits_wide, "decoded bits, {what}");
                     }
-                    let (mut bits_base, mut bits_avx2) = (Vec::new(), Vec::new());
-                    traceback(&surv_base, &base, terminated, &mut bits_base);
-                    traceback(&surv_avx2, &wide, terminated, &mut bits_avx2);
-                    assert_eq!(bits_base, bits_avx2, "decoded bits, {what}");
                 }
                 streams += 1;
                 total_steps += steps;
             }
-            assert_eq!(kernel(), "avx2");
-            println!(
-                "viterbi forms: avx2 form compared with the baseline loop \
-                 on {streams} streams, {total_steps} trellis steps"
-            );
+            // The dispatch takes the widest form the CPU has.
+            let picked = match ran {
+                [_, true] => "avx512",
+                [true, false] => "avx2",
+                [false, false] => "baseline",
+            };
+            assert_eq!(kernel(), picked);
+            for ((name, feature, _), ran) in forms.iter().zip(ran) {
+                if ran {
+                    println!(
+                        "viterbi forms: {name} form compared with the baseline loop \
+                         on {streams} streams, {total_steps} trellis steps"
+                    );
+                } else {
+                    println!(
+                        "viterbi forms: this CPU lacks {feature}; the {name} form was not run"
+                    );
+                }
+            }
         }
         #[cfg(not(target_arch = "x86_64"))]
         println!("viterbi forms: not x86-64; only the baseline loop exists");

@@ -7,7 +7,9 @@ use mimonet_fec::bits::{bits_to_bytes, bytes_to_bits};
 use mimonet_fec::conv::encode_terminated;
 use mimonet_fec::crc::{append_fcs, check_fcs};
 use mimonet_fec::interleaver::Interleaver;
-use mimonet_fec::puncture::{depuncture_hard, depuncture_soft, puncture, CodeRate};
+use mimonet_fec::puncture::{
+    depuncture_hard, depuncture_soft, depuncture_soft_into, puncture, CodeRate,
+};
 use mimonet_fec::scrambler::Scrambler;
 use mimonet_fec::viterbi::{
     decode_hard, decode_hard_unterminated, decode_soft, Symbol, ViterbiDecoder,
@@ -107,7 +109,13 @@ proptest! {
     }
 
     #[test]
-    fn puncture_depuncture_positions_are_consistent(data in bits(1..200), r in rate()) {
+    fn puncture_depuncture_positions_are_consistent(
+        data in bits(1..200),
+        r in rate(),
+        cut in 0usize..10,
+        llrs in prop::collection::vec(prop_oneof![-8.0..8.0f64, hostile_llr()], 410),
+        stale in prop::collection::vec(prop_oneof![-8.0..8.0f64, hostile_llr()], 0..600),
+    ) {
         let coded = encode_terminated(&data);
         let tx = puncture(&coded, r);
         prop_assert_eq!(tx.len(), r.coded_len(coded.len()));
@@ -122,6 +130,25 @@ proptest! {
         // Erasure count matches the rate arithmetic.
         let erased = rx.iter().filter(|s| matches!(s, Symbol::Erased)).count();
         prop_assert_eq!(erased, coded.len() - tx.len());
+
+        // Soft depuncturing of a mother length that may end mid-period,
+        // into a reused vector of stale values: the hard stream's kept
+        // positions carry the LLRs in order with their bits (−0.0 and NaN
+        // included), and its erasures are +0.0.
+        let mother_len = coded.len() - cut;
+        let llrs = &llrs[..r.coded_len(mother_len)];
+        let mut out = stale;
+        depuncture_soft_into(llrs, r, mother_len, &mut out);
+        prop_assert_eq!(out.len(), mother_len);
+        let mut kept = llrs.iter();
+        for (i, (x, s)) in out.iter().zip(&rx).enumerate() {
+            let want = match s {
+                Symbol::Bit(_) => *kept.next().expect("one LLR per kept position"),
+                Symbol::Erased => 0.0,
+            };
+            prop_assert_eq!(x.to_bits(), want.to_bits(), "position {}", i);
+        }
+        prop_assert_eq!(kept.len(), 0);
     }
 
     #[test]
