@@ -22,24 +22,13 @@
 //! pins.
 
 use mimonet::obs::{SloCounts, SloSpec, TraceCollector, TraceEvent, VirtualLatency};
-use mimonet::{LinkTracer, TraceEventKind};
+use mimonet::{LinkTracer, RxStage, TraceEventKind};
 use mimonet_bench::report::FigureReport;
 use mimonet_bench::{seeds, BenchOpts};
 use mimonet_io::session::{run_session_observed, Scheduler, SessionObserver};
 use mimonet_io::wire::SessionConfig;
 use serde::{Serialize, Value};
 use std::sync::Arc;
-
-/// The RX stages the SLO monitor bounds, lifecycle order.
-const STAGES: [TraceEventKind; 7] = [
-    TraceEventKind::Detect,
-    TraceEventKind::Sync,
-    TraceEventKind::SnrEst,
-    TraceEventKind::Header,
-    TraceEventKind::ChanEst,
-    TraceEventKind::Equalize,
-    TraceEventKind::Fec,
-];
 
 fn session(n_frames: u32) -> SessionConfig {
     SessionConfig {
@@ -123,10 +112,12 @@ fn main() {
     );
     let reg_slo = spec.evaluate(&reg_events, &reg_counts);
 
-    let x: Vec<f64> = STAGES.iter().map(|k| k.code() as f64).collect();
-    let base_p99: Vec<f64> = STAGES.iter().map(|&k| p99_ns(&base_events, k)).collect();
-    let reg_p99: Vec<f64> = STAGES.iter().map(|&k| p99_ns(&reg_events, k)).collect();
-    for (i, k) in STAGES.iter().enumerate() {
+    // The RX stages the SLO monitor bounds, lifecycle order.
+    let stages = RxStage::ALL.map(TraceEventKind::of_stage);
+    let x: Vec<f64> = stages.iter().map(|k| k.code() as f64).collect();
+    let base_p99: Vec<f64> = stages.iter().map(|&k| p99_ns(&base_events, k)).collect();
+    let reg_p99: Vec<f64> = stages.iter().map(|&k| p99_ns(&reg_events, k)).collect();
+    for (i, k) in stages.iter().enumerate() {
         println!(
             "{:<10} p99 baseline {:>12.0} ns   regression {:>12.0} ns",
             k.name(),

@@ -35,11 +35,7 @@ pub struct LinkTracer {
     pub root: u64,
 }
 
-/// Silence prepended to each burst so detection has a noise floor to rise
-/// from.
-pub const LEAD_IN: usize = 160;
-/// Silence appended so channel tails ring out inside the burst.
-pub const LEAD_OUT: usize = 80;
+pub use crate::burst::{LEAD_IN, LEAD_OUT};
 
 /// Samples per frame burst (frame + lead-in + lead-out) for a PSDU size.
 pub fn frame_burst_len(tx_cfg: &TxConfig, psdu_len: usize) -> usize {

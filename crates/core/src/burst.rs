@@ -14,6 +14,16 @@ use mimonet_channel::{ChannelSim, ChannelTruth};
 use mimonet_dsp::complex::Complex64;
 use std::time::Instant;
 
+/// Silence before a burst's first frame, samples, so packet detection has
+/// a noise floor to rise from.
+pub const LEAD_IN: usize = 160;
+/// Silence after a one-frame link burst's frame, samples, so channel tails
+/// ring out inside the burst.
+pub const LEAD_OUT: usize = 80;
+/// Silence after each frame of a multi-frame capture or scenario round,
+/// samples.
+pub const GAP: usize = 240;
+
 /// The transmitted burst, one buffer per TX antenna, kept between calls
 /// to [`generate`] so its capacity is reused, and the timing of the last
 /// call.

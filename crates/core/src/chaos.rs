@@ -12,7 +12,7 @@
 //! with the sweep engine's [`mix`](mimonet_dsp::seedtree::mix), so a
 //! chaos sweep is bit-identical at any `--threads` count.
 
-use crate::burst::{self, BurstScratch};
+use crate::burst::{self, BurstScratch, GAP, LEAD_IN};
 use crate::config::{RxConfig, TxConfig};
 use crate::link::LinkStats;
 use crate::rx::Receiver;
@@ -25,40 +25,33 @@ use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-/// Configuration for one chaos capture.
+/// PSDU length of every chaos frame, octets.
+const PAYLOAD_LEN: usize = 80;
+
+/// Configuration for one chaos capture: `n_frames` frames of 80-octet
+/// PSDUs, the first [`LEAD_IN`] samples into the capture and each
+/// followed by [`GAP`] samples of silence, scanned by a default receiver
+/// sized to the channel.
 #[derive(Clone, Debug)]
 pub struct ChaosConfig {
     /// MCS index for every frame.
     pub mcs: u8,
-    /// PSDU length per frame, octets.
-    pub payload_len: usize,
     /// Frames in the capture.
     pub n_frames: usize,
-    /// Silence between frames, samples.
-    pub gap: usize,
-    /// Silence before the first frame, samples.
-    pub lead_in: usize,
     /// Channel between the radios.
     pub channel: ChannelConfig,
-    /// Receiver settings.
-    pub rx: RxConfig,
     /// The fault schedule specification.
     pub faults: FaultSpec,
 }
 
 impl ChaosConfig {
     /// A chaos capture of `n_frames` frames at `mcs` over `channel` with
-    /// `faults`; receiver sized to the channel.
+    /// `faults`.
     pub fn new(mcs: u8, n_frames: usize, channel: ChannelConfig, faults: FaultSpec) -> Self {
-        let rx = RxConfig::new(channel.n_rx);
         Self {
             mcs,
-            payload_len: 80,
             n_frames,
-            gap: 240,
-            lead_in: 160,
             channel,
-            rx,
             faults,
         }
     }
@@ -104,7 +97,7 @@ pub fn run_chaos_capture_profiled(
 
     // --- The multi-frame capture through the channel ---
     let psdus: Vec<Vec<u8>> = (0..cfg.n_frames)
-        .map(|_| (0..cfg.payload_len).map(|_| rng.gen()).collect())
+        .map(|_| (0..PAYLOAD_LEN).map(|_| rng.gen()).collect())
         .collect();
     let mut sim = ChannelSim::new(
         cfg.channel.clone(),
@@ -115,19 +108,19 @@ pub fn run_chaos_capture_profiled(
         &tx,
         &mut sim,
         &psdus,
-        cfg.lead_in,
-        cfg.gap,
+        LEAD_IN,
+        GAP,
         &mut BurstScratch::default(),
         &mut rx_streams,
     )
     .expect("valid PSDU");
     // (sample span in the capture, PSDU) per frame.
-    let frame_len = tx.frame_len(cfg.payload_len);
+    let frame_len = tx.frame_len(PAYLOAD_LEN);
     let sent: Vec<((usize, usize), Vec<u8>)> = psdus
         .into_iter()
         .enumerate()
         .map(|(k, psdu)| {
-            let start = cfg.lead_in + k * (frame_len + cfg.gap);
+            let start = LEAD_IN + k * (frame_len + GAP);
             ((start, start + frame_len), psdu)
         })
         .collect();
@@ -142,7 +135,7 @@ pub fn run_chaos_capture_profiled(
     let report = sched.apply(&mut rx_streams);
 
     // --- Scan and score ---
-    let receiver = Receiver::new(cfg.rx.clone());
+    let receiver = Receiver::new(RxConfig::new(cfg.channel.n_rx));
     let ev_base = cap.events.len();
     let (frames, scan) = receiver.scan_profiled(&rx_streams, cap);
     stats.recovery.record_events(report.events.len() as u64);

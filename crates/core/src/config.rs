@@ -42,14 +42,6 @@ pub struct RxConfig {
     /// Channel-estimate frequency smoothing half-width (0 = off). Only
     /// applied when HT-SIG advertises smoothing.
     pub smoothing: usize,
-    /// Nominal SNR assumption for the Van de Beek rho weight used by the
-    /// fallback timing refinement, in dB. Mild mismatch is harmless.
-    pub vdb_snr_db: f64,
-    /// Samples to back the FFT window into the cyclic prefix (standard
-    /// receiver practice: keeps the window tail away from the symbol
-    /// transition, where multipath tails and front-end filter smearing
-    /// live). Must stay below `CP_LEN` minus the channel delay spread.
-    pub timing_backoff: usize,
 }
 
 impl RxConfig {
@@ -63,8 +55,6 @@ impl RxConfig {
             pilot_tracking: true,
             fine_timing: true,
             smoothing: 0,
-            vdb_snr_db: 10.0,
-            timing_backoff: 3,
         }
     }
 }
@@ -87,7 +77,6 @@ mod tests {
         assert_eq!(cfg.detector, DetectorKind::Mmse);
         assert!(cfg.soft_decoding && cfg.pilot_tracking && cfg.fine_timing);
         assert_eq!(cfg.smoothing, 0);
-        assert_eq!(cfg.timing_backoff, 3);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 use crate::burst::{self, BurstScratch};
 use crate::config::{RxConfig, TxConfig};
 use crate::metrics::{BerCounter, PerCounter, RecoveryCounter};
-use crate::rx::{Receiver, RxError};
+use crate::rx::{Receiver, RxError, TIMING_BACKOFF};
 use crate::telemetry::{FrameOutcomes, StageProfile};
 use crate::tx::Transmitter;
 use mimonet_channel::{ChannelConfig, ChannelSim};
@@ -27,10 +27,6 @@ pub struct LinkConfig {
     pub channel: ChannelConfig,
     /// Receiver settings.
     pub rx: RxConfig,
-    /// Silence before the frame (samples).
-    pub lead_in: usize,
-    /// Silence after the frame (samples).
-    pub lead_out: usize,
 }
 
 impl LinkConfig {
@@ -44,8 +40,6 @@ impl LinkConfig {
             payload_len,
             channel,
             rx,
-            lead_in: 160,
-            lead_out: 80,
         }
     }
 }
@@ -183,8 +177,8 @@ impl LinkSim {
             &self.tx,
             &mut self.chan,
             std::slice::from_ref(&psdu),
-            self.cfg.lead_in,
-            self.cfg.lead_out,
+            burst::LEAD_IN,
+            burst::LEAD_OUT,
             &mut self.burst,
             &mut self.rx_streams,
         )
@@ -200,8 +194,8 @@ impl LinkSim {
                 if truth.tdl.is_none() {
                     // The receiver deliberately backs its window into the
                     // CP; measure against the position it *aims* for.
-                    let intended = self.cfg.lead_in as f64 + truth.timing_offset + 160.0 + 32.0
-                        - self.cfg.rx.timing_backoff as f64;
+                    let intended = burst::LEAD_IN as f64 + truth.timing_offset + 160.0 + 32.0
+                        - TIMING_BACKOFF as f64;
                     stats.timing_error.push(frame.timing as f64 - intended);
                 }
 
@@ -255,20 +249,6 @@ impl LinkSim {
         let mut stats = LinkStats::default();
         for _ in 0..n {
             self.run_frame(&mut stats);
-        }
-        stats
-    }
-
-    /// Runs frames until `min_bit_errors` payload bit errors have been
-    /// observed or `max_frames` exhausted — standard practice for
-    /// waterfall BER curves where the error rate spans decades.
-    pub fn run_until_errors(&mut self, min_bit_errors: u64, max_frames: usize) -> LinkStats {
-        let mut stats = LinkStats::default();
-        for _ in 0..max_frames {
-            self.run_frame(&mut stats);
-            if stats.payload_ber.errors() >= min_bit_errors {
-                break;
-            }
         }
         stats
     }

@@ -566,22 +566,10 @@ impl SloSpec {
     pub fn link_default() -> Self {
         Self {
             name: "link-default".into(),
-            p99_stage_ns: TraceEventKind::ALL
-                .iter()
-                .filter(|k| {
-                    matches!(
-                        k,
-                        TraceEventKind::Detect
-                            | TraceEventKind::Sync
-                            | TraceEventKind::SnrEst
-                            | TraceEventKind::Header
-                            | TraceEventKind::ChanEst
-                            | TraceEventKind::Equalize
-                            | TraceEventKind::Fec
-                    )
-                })
-                .map(|&k| (k, k.base_virtual_ns() * 3))
-                .collect(),
+            p99_stage_ns: RxStage::ALL
+                .map(TraceEventKind::of_stage)
+                .map(|k| (k, k.base_virtual_ns() * 3))
+                .into(),
             max_drop_rate: Some(0.02),
             max_resume_rate: Some(0.5),
             min_completion: Some(0.95),

@@ -170,6 +170,16 @@ impl std::error::Error for RxError {}
 /// long capture.
 pub const MAX_FRAME_SPAN: usize = 1_700_000;
 
+/// Samples the receiver backs its FFT window into the cyclic prefix
+/// (standard receiver practice: keeps the window tail away from the
+/// symbol transition, where multipath tails and front-end filter smearing
+/// live). Must stay below `CP_LEN` minus the channel delay spread.
+pub const TIMING_BACKOFF: usize = 3;
+
+/// Nominal SNR, dB, behind the Van de Beek rho weight of the fallback
+/// timing refinement (`fine_timing` off). Mild mismatch is harmless.
+pub const VDB_SNR_DB: f64 = 10.0;
+
 /// Robustness statistics from one [`Receiver::scan`] pass.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ScanStats {
@@ -910,7 +920,7 @@ impl Receiver {
             let win_hi = (win_lo + 480).min(len);
             if win_hi >= win_lo + 160 {
                 ws.ensure_coarse(rx, win_hi);
-                let vdb = VanDeBeek::new(64, 16, self.cfg.vdb_snr_db);
+                let vdb = VanDeBeek::new(64, 16, VDB_SNR_DB);
                 match with_views(&ws.bufs[..n_rx], win_lo, win_hi, |w| vdb.estimate(w)) {
                     Some(est) => {
                         // Signed residue in (−40, 40]: how far the detected
@@ -929,7 +939,7 @@ impl Receiver {
         // window shifts identically, so the channel estimate absorbs the
         // resulting phase ramp, while the window tail stays clear of the
         // symbol transition.
-        let ltf_start = ltf_start.saturating_sub(self.cfg.timing_backoff);
+        let ltf_start = ltf_start.saturating_sub(TIMING_BACKOFF);
         if ltf_start + 128 > len {
             return Err(RxError::BufferTooShort);
         }

@@ -39,7 +39,7 @@
 //! single-trial shard each.
 
 use crate::adapt::{RateController, SnrThresholdTable};
-use crate::burst::{self, BurstScratch};
+use crate::burst::{self, BurstScratch, GAP, LEAD_IN};
 use crate::config::{RxConfig, TxConfig};
 use crate::link::LinkStats;
 use crate::rx::Receiver;
@@ -54,10 +54,6 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{json, toml, Serialize, Value};
 
-/// Samples of silence before each frame (matches the chaos harness).
-const LEAD_IN: usize = 160;
-/// Samples of silence after each frame.
-const LEAD_OUT: usize = 240;
 /// Sample rate the airtime math assumes (20 Msps).
 const SAMPLES_PER_US: f64 = 20.0;
 
@@ -526,7 +522,7 @@ impl ScenarioSpec {
             &mut chan,
             std::slice::from_ref(&psdu),
             LEAD_IN,
-            LEAD_OUT,
+            GAP,
             &mut BurstScratch::default(),
             &mut rx,
         )

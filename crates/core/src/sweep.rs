@@ -177,49 +177,6 @@ pub struct ShardCtx {
     pub trial_offset: usize,
 }
 
-/// Live progress snapshot passed to the progress callback.
-#[derive(Clone, Copy, Debug)]
-pub struct Progress {
-    /// Shards completed so far (across all points).
-    pub shards_done: usize,
-    /// Total shards the sweep scheduled.
-    pub total_shards: usize,
-    /// Trials completed so far.
-    pub trials_done: usize,
-    /// Wall-clock time since the sweep started.
-    pub elapsed: Duration,
-}
-
-impl Progress {
-    /// Aggregate trial throughput so far.
-    pub fn trials_per_sec(&self) -> f64 {
-        let s = self.elapsed.as_secs_f64();
-        if s > 0.0 {
-            self.trials_done as f64 / s
-        } else {
-            0.0
-        }
-    }
-}
-
-/// Options for [`SweepSpec::run_opts`].
-pub struct RunOpts<'a, S> {
-    /// Early-stop predicate on a point's cumulative statistics, checked
-    /// after each in-order shard fold.
-    pub stop: Option<&'a (dyn Fn(&S) -> bool + Sync)>,
-    /// Called after every completed shard (from worker threads).
-    pub progress: Option<&'a (dyn Fn(Progress) + Sync)>,
-}
-
-impl<S> Default for RunOpts<'_, S> {
-    fn default() -> Self {
-        Self {
-            stop: None,
-            progress: None,
-        }
-    }
-}
-
 /// A declarative Monte-Carlo sweep: a grid of points × trials per point.
 #[derive(Clone, Debug)]
 pub struct SweepSpec<P> {
@@ -302,34 +259,20 @@ impl<P> SweepSpec<P> {
         S: Merge,
         F: Fn(&P, &ShardCtx, &mut S) + Sync,
     {
-        self.run_opts(shard_fn, RunOpts::default())
+        self.run_until(shard_fn, |_: &S| false)
     }
 
     /// Runs with early stopping: a point finishes after the first shard
     /// (in shard order) whose cumulative statistics satisfy `stop`.
+    ///
+    /// The engine: scoped worker pool over an atomic task queue, with
+    /// per-point in-order folding.
     pub fn run_until<S, F, Q>(&self, shard_fn: F, stop: Q) -> SweepResult<S>
     where
         P: Sync,
         S: Merge,
         F: Fn(&P, &ShardCtx, &mut S) + Sync,
         Q: Fn(&S) -> bool + Sync,
-    {
-        self.run_opts(
-            shard_fn,
-            RunOpts {
-                stop: Some(&stop),
-                progress: None,
-            },
-        )
-    }
-
-    /// The engine: scoped worker pool over an atomic task queue, with
-    /// per-point in-order folding.
-    pub fn run_opts<S, F>(&self, shard_fn: F, opts: RunOpts<'_, S>) -> SweepResult<S>
-    where
-        P: Sync,
-        S: Merge,
-        F: Fn(&P, &ShardCtx, &mut S) + Sync,
     {
         struct PointState<S> {
             /// Completed shards not yet folded, indexed by shard.
@@ -363,8 +306,6 @@ impl<P> SweepSpec<P> {
             .collect();
 
         let next_task = AtomicUsize::new(0);
-        let shards_done = AtomicUsize::new(0);
-        let trials_done = AtomicUsize::new(0);
 
         std::thread::scope(|scope| {
             for _ in 0..threads.max(1) {
@@ -408,24 +349,11 @@ impl<P> SweepSpec<P> {
                             let shard = state.pending[f].take().expect("checked above");
                             state.merged.merge(&shard);
                             state.folded_trials += self.shard_trials(f);
-                            if let Some(stop) = opts.stop {
-                                if stop(&state.merged) {
-                                    state.stop_at = Some(f);
-                                }
+                            if stop(&state.merged) {
+                                state.stop_at = Some(f);
                             }
                             state.frontier += 1;
                         }
-                    }
-
-                    let done = shards_done.fetch_add(1, Ordering::Relaxed) + 1;
-                    let trials = trials_done.fetch_add(ctx.trials, Ordering::Relaxed) + ctx.trials;
-                    if let Some(progress) = opts.progress {
-                        progress(Progress {
-                            shards_done: done,
-                            total_shards,
-                            trials_done: trials,
-                            elapsed: start.elapsed(),
-                        });
                     }
                 });
             }
@@ -589,29 +517,6 @@ mod tests {
         assert_eq!(b.trials_run, vec![20]);
         assert_eq!(a.stats[0].per.ok(), b.stats[0].per.ok());
         assert!(a.stats[0].per.sent() == 20);
-    }
-
-    #[test]
-    fn progress_callback_reaches_total() {
-        let max_seen = std::sync::atomic::AtomicUsize::new(0);
-        let spec = tiny_spec(2);
-        spec.run_opts(
-            |&snr: &f64, ctx, stats: &mut LinkStats| {
-                link_shard(
-                    LinkConfig::new(8, 40, ChannelConfig::awgn(2, 2, snr)),
-                    ctx,
-                    stats,
-                )
-            },
-            RunOpts {
-                stop: None,
-                progress: Some(&|p: Progress| {
-                    max_seen.fetch_max(p.shards_done, Ordering::Relaxed);
-                    assert!(p.total_shards == 9);
-                }),
-            },
-        );
-        assert_eq!(max_seen.load(Ordering::Relaxed), 9);
     }
 
     #[test]

@@ -68,7 +68,8 @@ impl std::fmt::Display for DetectError {
 
 impl std::error::Error for DetectError {}
 
-/// Detects the spatial streams on one subcarrier.
+/// Detects the spatial streams on one subcarrier: [`prepare`] then
+/// [`Prepared::apply`], for a caller with a single observation.
 ///
 /// * `h` — `n_rx × n_ss` channel estimate.
 /// * `y` — received frequency-domain samples, one per RX antenna.
@@ -83,134 +84,7 @@ pub fn detect(
     modulation: Modulation,
 ) -> Result<Vec<StreamDecision>, DetectError> {
     assert_eq!(y.len(), h.rows(), "one observation per RX antenna");
-    let nv = noise_var.max(1e-12);
-    match kind {
-        DetectorKind::Zf => zf(h, y, nv, modulation),
-        DetectorKind::Mmse => mmse(h, y, nv, modulation),
-        DetectorKind::Ml => Ok(ml(h, y, nv, modulation)),
-    }
-}
-
-fn zf(
-    h: &CMat,
-    y: &[Complex64],
-    noise_var: f64,
-    modulation: Modulation,
-) -> Result<Vec<StreamDecision>, DetectError> {
-    let hh = h.hermitian();
-    let gram = hh.mul(h); // n_ss × n_ss
-    let ginv = gram.inverse().ok_or(DetectError::SingularChannel)?;
-    let x = ginv.mul(&hh).mul_vec(y);
-    let n_ss = h.cols();
-    Ok((0..n_ss)
-        .map(|s| {
-            // Post-ZF noise variance on stream s.
-            let nv_s = noise_var * ginv[(s, s)].re.max(1e-15);
-            StreamDecision {
-                symbol: x[s],
-                llrs: modulation.demap_soft(x[s], nv_s),
-            }
-        })
-        .collect())
-}
-
-fn mmse(
-    h: &CMat,
-    y: &[Complex64],
-    noise_var: f64,
-    modulation: Modulation,
-) -> Result<Vec<StreamDecision>, DetectError> {
-    let hh = h.hermitian();
-    let mut gram = hh.mul(h);
-    gram.add_diag(noise_var);
-    // The regularized Gram matrix is positive definite, hence invertible.
-    let w = gram.inverse().ok_or(DetectError::SingularChannel)?.mul(&hh);
-    let x = w.mul_vec(y);
-    let wh = w.mul(h); // bias/interference matrix
-    let n_ss = h.cols();
-    let n_rx = h.rows();
-    Ok((0..n_ss)
-        .map(|s| {
-            let mu = wh[(s, s)];
-            let mu_mag = mu.abs().max(1e-15);
-            // Residual interference from other streams plus filtered noise.
-            let mut interf = 0.0;
-            for j in 0..n_ss {
-                if j != s {
-                    interf += wh[(s, j)].norm_sqr();
-                }
-            }
-            let mut wnorm = 0.0;
-            for r in 0..n_rx {
-                wnorm += w[(s, r)].norm_sqr();
-            }
-            let nv_s = (interf + noise_var * wnorm) / (mu_mag * mu_mag);
-            let unbiased = x[s] / mu;
-            StreamDecision {
-                symbol: unbiased,
-                llrs: modulation.demap_soft(unbiased, nv_s.max(1e-15)),
-            }
-        })
-        .collect())
-}
-
-fn ml(h: &CMat, y: &[Complex64], noise_var: f64, modulation: Modulation) -> Vec<StreamDecision> {
-    let n_ss = h.cols();
-    let n_rx = h.rows();
-    let points = modulation.constellation();
-    let m = points.len();
-    let bits_per = modulation.bits_per_symbol();
-    let n_hyp = m.pow(n_ss as u32);
-
-    // For every joint hypothesis, the squared distance ||y - Hx||^2.
-    // min-distance bookkeeping per (stream, bit, value).
-    let mut best_overall = f64::INFINITY;
-    let mut best_idx = vec![0usize; n_ss];
-    let mut min0 = vec![vec![f64::INFINITY; bits_per]; n_ss];
-    let mut min1 = vec![vec![f64::INFINITY; bits_per]; n_ss];
-
-    let mut idx = vec![0usize; n_ss];
-    for hyp in 0..n_hyp {
-        // Decode hypothesis into per-stream constellation indices.
-        let mut rem = hyp;
-        for slot in idx.iter_mut() {
-            *slot = rem % m;
-            rem /= m;
-        }
-        // Distance.
-        let mut d = 0.0;
-        for r in 0..n_rx {
-            let mut pred = Complex64::ZERO;
-            for (s, &pi) in idx.iter().enumerate() {
-                pred += h[(r, s)] * points[pi];
-            }
-            d += y[r].dist_sqr(pred);
-        }
-        if d < best_overall {
-            best_overall = d;
-            best_idx.copy_from_slice(&idx);
-        }
-        for (s, &pi) in idx.iter().enumerate() {
-            for b in 0..bits_per {
-                if (pi >> b) & 1 == 0 {
-                    if d < min0[s][b] {
-                        min0[s][b] = d;
-                    }
-                } else if d < min1[s][b] {
-                    min1[s][b] = d;
-                }
-            }
-        }
-    }
-
-    (0..n_ss)
-        .map(|s| StreamDecision {
-            symbol: points[best_idx[s]],
-            llrs: (0..bits_per)
-                .map(|b| (min1[s][b] - min0[s][b]) / noise_var)
-                .collect(),
-        })
-        .collect()
+    Ok(prepare(kind, h, noise_var, modulation)?.apply(y))
 }
 
 /// A detector with per-carrier precomputation hoisted out of the
@@ -219,8 +93,8 @@ fn ml(h: &CMat, y: &[Complex64], noise_var: f64, modulation: Modulation) -> Vec<
 /// On a block-fading channel `H(k)` is constant for the whole frame, so
 /// the linear combining matrices (ZF/MMSE) and the ML hypothesis
 /// predictions `H s` only need computing once per carrier; [`Prepared::apply`]
-/// then runs per received symbol. Results are identical to [`detect`] —
-/// the equivalence test below enforces it.
+/// then runs per received symbol. It is the only detector implementation:
+/// [`detect`] prepares one and applies it once.
 // The inline stack matrices intentionally make the Linear variant big:
 // boxing them would put a heap allocation back into the per-carrier
 // prepare path the zero-alloc contract forbids.
@@ -793,13 +667,10 @@ mod tests {
                     let a = detect(kind, &h, &y, 0.07, m).unwrap();
                     let b = prepared.apply(&y);
                     for (da, db) in a.iter().zip(&b) {
-                        assert!(da.symbol.dist(db.symbol) < 1e-9, "{kind} {m}");
-                        for (la, lb) in da.llrs.iter().zip(&db.llrs) {
-                            assert!(
-                                (la - lb).abs() <= 1e-9 * (1.0 + la.abs()),
-                                "{kind} {m}: {la} vs {lb}"
-                            );
-                        }
+                        assert_eq!(da.symbol.re.to_bits(), db.symbol.re.to_bits(), "{kind} {m}");
+                        assert_eq!(da.symbol.im.to_bits(), db.symbol.im.to_bits(), "{kind} {m}");
+                        let bits = |l: &[f64]| l.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                        assert_eq!(bits(&da.llrs), bits(&db.llrs), "{kind} {m}");
                     }
                 }
             }

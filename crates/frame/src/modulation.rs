@@ -202,9 +202,9 @@ impl Modulation {
 
     /// Hard decision as a constellation point: the nearest transmit symbol
     /// to `y`. Exactly `map_bits(&demap_hard(y))` — the per-axis searches
-    /// share [`Self::axis_levels`], whose entries match [`Self::axis_level`]
-    /// bit for bit — but without materializing the bit vector, so the
-    /// per-symbol EVM accumulation in the RX hot loop never allocates.
+    /// share `axis_levels`, whose entries match `axis_level` bit for bit —
+    /// but without materializing the bit vector, so the per-symbol EVM
+    /// accumulation in the RX hot loop never allocates.
     ///
     /// Each axis keeps `demap_hard`'s rule, the first strict minimum in
     /// `axis_levels` order, but over a fixed-size level table and with

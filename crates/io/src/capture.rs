@@ -425,16 +425,25 @@ mod tests {
         ));
     }
 
+    /// A pid-suffixed file in the temp dir, removed on drop.
+    struct TempPath(std::path::PathBuf);
+
+    impl Drop for TempPath {
+        fn drop(&mut self) {
+            std::fs::remove_file(&self.0).ok();
+        }
+    }
+
     #[test]
     fn file_round_trip() {
-        let dir = std::env::temp_dir().join("mimonet_io_capture_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("roundtrip.iqcap");
+        let path = TempPath(std::env::temp_dir().join(format!(
+            "mimonet_io_capture_{}_roundtrip.iqcap",
+            std::process::id()
+        )));
         let streams = vec![ramp(500, 0.5)];
-        write_capture(&path, &meta(1), &streams).unwrap();
-        let (m, back) = read_capture(&path).unwrap();
+        write_capture(&path.0, &meta(1), &streams).unwrap();
+        let (m, back) = read_capture(&path.0).unwrap();
         assert_eq!(m.n_ant, 1);
         assert_eq!(back, streams);
-        std::fs::remove_file(&path).ok();
     }
 }

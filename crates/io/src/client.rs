@@ -340,13 +340,11 @@ impl ResilientClient {
     /// policy allows, resuming the session wherever a cut left it.
     pub fn run(&mut self, cfg: &SessionConfig) -> Result<ResilientOutcome, GiveUp> {
         let mut state = ReplyState::default();
-        let mut attempts = 0u32;
         let mut resumes = 0u32;
         let mut slept = Duration::ZERO;
-        let mut last_error = String::new();
-        for attempt in 0..self.policy.max_attempts {
+        let mut attempt = 0u32;
+        loop {
             self.breaker.allow()?;
-            attempts += 1;
             let resuming = state.token != 0;
             if resuming {
                 resumes += 1;
@@ -383,7 +381,7 @@ impl ResilientClient {
                     }
                     return Ok(ResilientOutcome {
                         result,
-                        attempts,
+                        attempts: attempt + 1,
                         resumes,
                     });
                 }
@@ -399,23 +397,18 @@ impl ResilientClient {
                         Classified::DropToken => state.token = 0,
                         Classified::Retry => {}
                     }
-                    last_error = e.to_string();
+                    let Some(delay) = self.policy.backoff(attempt, slept) else {
+                        return Err(GiveUp::RetryBudgetExhausted {
+                            attempts: attempt + 1,
+                            last_error: e.to_string(),
+                        });
+                    };
+                    std::thread::sleep(delay);
+                    slept += delay;
+                    attempt += 1;
                 }
             }
-            let delay = self.policy.delay(attempt);
-            slept += delay;
-            if slept > self.policy.sleep_budget {
-                return Err(GiveUp::RetryBudgetExhausted {
-                    attempts,
-                    last_error,
-                });
-            }
-            std::thread::sleep(delay);
         }
-        Err(GiveUp::RetryBudgetExhausted {
-            attempts,
-            last_error,
-        })
     }
 
     /// One connection's worth of progress: dial, request or resume,
@@ -479,5 +472,43 @@ fn classify(e: &ClientError) -> Classified {
             _ => Classified::Retry,
         },
         ClientError::Wire(_) | ClientError::Protocol(_) => Classified::Retry,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::TcpListener;
+    use std::time::Instant;
+
+    #[test]
+    fn a_refused_last_attempt_gives_up_without_a_further_backoff() {
+        // Reserve a port, then close it so every dial is refused at once.
+        let dead = {
+            let l = TcpListener::bind("127.0.0.1:0").unwrap();
+            l.local_addr().unwrap()
+        };
+        let policy = RetryPolicy {
+            max_attempts: 2,
+            base: Duration::from_millis(200),
+            max_delay: Duration::from_secs(1),
+            sleep_budget: Duration::from_secs(10),
+            jitter_salt: 5,
+        };
+        let (d0, d1) = (policy.delay(0), policy.delay(1));
+        let mut client = ResilientClient::new(dead, policy);
+        let start = Instant::now();
+        let err = client.run(&SessionConfig::default()).unwrap_err();
+        let elapsed = start.elapsed();
+        assert_eq!(err.kind(), "give-up-retry-budget", "{err}");
+        // One backoff between the two attempts, none after the last.
+        assert!(
+            elapsed >= d0,
+            "{elapsed:?} is shorter than the backoff {d0:?}"
+        );
+        assert!(
+            elapsed < d0 + d1 / 2,
+            "{elapsed:?}: the client slept a backoff ({d1:?}) after its last attempt"
+        );
     }
 }

@@ -42,6 +42,19 @@ const WRITE_HIGH_WATER: usize = 256 * 1024;
 /// Read chunk size per `read` call.
 const READ_CHUNK: usize = 64 * 1024;
 
+/// A connection-level `ErrorReport`: untraced, scoped to `session`
+/// (0 = none), with the `GiveUp` kind `give_up` (empty when it is not
+/// a give-up).
+fn error_report(kind: impl Into<String>, detail: String, session: u64, give_up: &str) -> WireMsg {
+    WireMsg::ErrorReport {
+        kind: kind.into(),
+        detail,
+        session,
+        give_up: give_up.into(),
+        span: 0,
+    }
+}
+
 /// What a connection needs from its surroundings to service events.
 pub(crate) struct Ctx<'a> {
     pub shared: &'a EngineShared,
@@ -115,13 +128,12 @@ impl Conn {
         }
         if self.deadline.as_ref().is_some_and(Deadline::expired) {
             let budget = ctx.shared.config.connection_deadline.unwrap_or_default();
-            self.pending.push_back(WireMsg::ErrorReport {
-                kind: "give-up-deadline".into(),
-                detail: format!("connection exceeded its {budget:?} service budget"),
-                session: 0,
-                give_up: "give-up-deadline".into(),
-                span: 0,
-            });
+            self.pending.push_back(error_report(
+                "give-up-deadline",
+                format!("connection exceeded its {budget:?} service budget"),
+                0,
+                "give-up-deadline",
+            ));
             self.closing = true;
             self.flush(ctx);
         }
@@ -177,13 +189,8 @@ impl Conn {
                         .protocol_errors
                         .fetch_add(1, Ordering::Relaxed);
                     let report = crate::net::transport_error(&e);
-                    self.pending.push_back(WireMsg::ErrorReport {
-                        kind: report.kind,
-                        detail: report.detail,
-                        session: 0,
-                        give_up: String::new(),
-                        span: 0,
-                    });
+                    self.pending
+                        .push_back(error_report(report.kind, report.detail, 0, ""));
                     self.closing = true;
                     break;
                 }
@@ -208,13 +215,12 @@ impl Conn {
                 }
                 WireMsg::Hello { version } => {
                     shared.stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                    self.pending.push_back(WireMsg::ErrorReport {
-                        kind: "transport-desync".into(),
-                        detail: format!("wire version {version}, server speaks {WIRE_VERSION}"),
-                        session: 0,
-                        give_up: String::new(),
-                        span: 0,
-                    });
+                    self.pending.push_back(error_report(
+                        "transport-desync",
+                        format!("wire version {version}, server speaks {WIRE_VERSION}"),
+                        0,
+                        "",
+                    ));
                     self.closing = true;
                 }
                 _ => {
@@ -263,13 +269,12 @@ impl Conn {
                         self.stream_stored(token, from, &s, false, shared);
                     }
                     None => {
-                        self.pending.push_back(WireMsg::ErrorReport {
-                            kind: "resume-unknown-token".into(),
-                            detail: format!("no stored session for token {token:#x}"),
-                            session: token,
-                            give_up: String::new(),
-                            span: 0,
-                        });
+                        self.pending.push_back(error_report(
+                            "resume-unknown-token",
+                            format!("no stored session for token {token:#x}"),
+                            token,
+                            "",
+                        ));
                     }
                 }
             }
@@ -282,16 +287,15 @@ impl Conn {
                 if active > u64::from(shared.config.max_sessions) {
                     shared.stats.active_sessions.fetch_sub(1, Ordering::Relaxed);
                     shared.stats.sessions_failed.fetch_add(1, Ordering::Relaxed);
-                    self.pending.push_back(WireMsg::ErrorReport {
-                        kind: "give-up-overload".into(),
-                        detail: format!(
+                    self.pending.push_back(error_report(
+                        "give-up-overload",
+                        format!(
                             "{active} active sessions exceed the cap of {}",
                             shared.config.max_sessions
                         ),
-                        session: 0,
-                        give_up: "give-up-overload".into(),
-                        span: 0,
-                    });
+                        0,
+                        "give-up-overload",
+                    ));
                     return;
                 }
                 let shed = active > u64::from(shared.config.shed_threshold);
@@ -304,25 +308,23 @@ impl Conn {
                     Err(e) => {
                         shared.stats.active_sessions.fetch_sub(1, Ordering::Relaxed);
                         shared.stats.sessions_failed.fetch_add(1, Ordering::Relaxed);
-                        self.pending.push_back(WireMsg::ErrorReport {
-                            kind: "bad-config".into(),
-                            detail: e.to_string(),
-                            session: 0,
-                            give_up: "give-up-fatal".into(),
-                            span: 0,
-                        });
+                        self.pending.push_back(error_report(
+                            "bad-config",
+                            e.to_string(),
+                            0,
+                            "give-up-fatal",
+                        ));
                     }
                 }
             }
             other => {
                 shared.stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                self.pending.push_back(WireMsg::ErrorReport {
-                    kind: "transport-desync".into(),
-                    detail: format!("unexpected message: {other:?}"),
-                    session: 0,
-                    give_up: String::new(),
-                    span: 0,
-                });
+                self.pending.push_back(error_report(
+                    "transport-desync",
+                    format!("unexpected message: {other:?}"),
+                    0,
+                    "",
+                ));
                 self.closing = true;
             }
         }

@@ -57,7 +57,7 @@ pub use net::{
     UdpChunkSink, UdpChunkSource,
 };
 pub use netchaos::{ChaosProxy, ChaosSpec, ChaosStats, FaultClass, UdpChaosProxy};
-pub use queue::{BoundedQueue, OverflowPolicy, PushOutcome, QueueStats, QueueTimeout};
+pub use queue::{BoundedQueue, OverflowPolicy, PushOutcome, QueueStats};
 pub use resilience::{CircuitBreaker, Deadline, GiveUp, RetryPolicy};
 pub use store::{SessionStore, StoredSession};
 

@@ -43,37 +43,15 @@ pub struct TransportConfig {
     pub queue_depth: usize,
     /// What a full source queue does to fresh chunks.
     pub policy: OverflowPolicy,
-    /// Connection attempts before the TCP sink gives up.
-    pub connect_retries: u32,
-    /// First retry delay; doubles per attempt (with deterministic
-    /// jitter — see [`RetryPolicy::delay`]).
-    pub backoff_base: Duration,
-    /// Retry delay ceiling.
-    pub backoff_max: Duration,
-    /// Hard cap on *cumulative* backoff sleep across all connect
-    /// attempts; exhaustion surfaces as a typed `give-up-retry-budget`
-    /// [`BlockError`].
-    pub retry_budget: Duration,
-    /// Salt for the deterministic retry jitter. Give concurrent clients
-    /// distinct salts (e.g. `seedtree::fnv1a` of their identity) so
-    /// their reconnect storms de-synchronize.
-    pub jitter_salt: u64,
+    /// The TCP sink's connect-retry policy: jittered backoff under a hard
+    /// attempt and sleep budget; exhaustion surfaces as a typed
+    /// `give-up-retry-budget` [`BlockError`]. Give concurrent clients
+    /// distinct `jitter_salt`s (e.g. `seedtree::fnv1a` of their identity)
+    /// so their reconnect storms de-synchronize.
+    pub retry: RetryPolicy,
     /// Socket read timeout — the cadence at which reader threads notice
     /// a stop request.
     pub read_timeout: Duration,
-}
-
-impl TransportConfig {
-    /// The connect-retry policy this config describes.
-    pub fn retry_policy(&self) -> RetryPolicy {
-        RetryPolicy {
-            max_attempts: self.connect_retries.saturating_add(1),
-            base: self.backoff_base,
-            max_delay: self.backoff_max,
-            sleep_budget: self.retry_budget,
-            jitter_salt: self.jitter_salt,
-        }
-    }
 }
 
 impl Default for TransportConfig {
@@ -82,11 +60,13 @@ impl Default for TransportConfig {
             chunk_len: 4096,
             queue_depth: 32,
             policy: OverflowPolicy::DropOldest,
-            connect_retries: 5,
-            backoff_base: Duration::from_millis(50),
-            backoff_max: Duration::from_secs(1),
-            retry_budget: Duration::from_secs(10),
-            jitter_salt: 0,
+            retry: RetryPolicy {
+                max_attempts: 6,
+                base: Duration::from_millis(50),
+                max_delay: Duration::from_secs(1),
+                sleep_budget: Duration::from_secs(10),
+                jitter_salt: 0,
+            },
             read_timeout: Duration::from_millis(100),
         }
     }
@@ -139,12 +119,6 @@ pub fn transport_error(e: &WireError) -> BlockError {
         _ => "transport-desync",
     };
     BlockError::new(kind, e.to_string())
-}
-
-/// The jittered backoff delay before connect retry `attempt`.
-#[cfg(test)]
-fn backoff_delay(cfg: &TransportConfig, attempt: u32) -> Duration {
-    cfg.retry_policy().delay(attempt)
 }
 
 /// `Read` adapter that turns socket read timeouts into retries and a
@@ -246,7 +220,6 @@ impl TcpChunkSink {
         // budget; exhaustion is the typed give-up, not a bare
         // disconnect, so callers can tell "peer refused" from "we
         // stopped trying".
-        let policy = self.cfg.retry_policy();
         match TcpStream::connect(&self.addr) {
             Ok(s) => {
                 s.set_nodelay(true).ok();
@@ -261,15 +234,14 @@ impl TcpChunkSink {
                 Ok(true)
             }
             Err(e) => {
-                let delay = policy.delay(self.attempt);
-                self.attempt += 1;
-                if self.attempt >= policy.max_attempts || self.slept + delay > policy.sleep_budget {
+                let Some(delay) = self.cfg.retry.backoff(self.attempt, self.slept) else {
                     let give_up = GiveUp::RetryBudgetExhausted {
-                        attempts: self.attempt,
+                        attempts: self.attempt + 1,
                         last_error: format!("connect to {} failed: {e}", self.addr),
                     };
                     return Err(BlockError::new(give_up.kind(), give_up.to_string()));
-                }
+                };
+                self.attempt += 1;
                 self.backoff_until = Some(Instant::now() + delay);
                 self.slept += delay;
                 Ok(false)
@@ -657,10 +629,7 @@ impl ChunkSource {
 
     fn mirror_drops(&mut self) {
         if let Some(t) = &self.tel {
-            // Overflow drops and bounded-push timeouts are both shed
-            // load; the block's telemetry counts them on one counter.
-            let stats = self.shared.queue.stats();
-            let dropped = stats.dropped() + stats.timeouts();
+            let dropped = self.shared.queue.stats().dropped();
             if dropped > self.reported_drops {
                 t.queue_drops.add(dropped - self.reported_drops);
                 self.reported_drops = dropped;
@@ -690,10 +659,6 @@ impl SourceStatsView {
     /// Chunks lost to queue overflow.
     pub fn queue_dropped(&self) -> u64 {
         self.shared.queue.stats().dropped()
-    }
-    /// Queue occupancy high-water mark.
-    pub fn queue_highwater(&self) -> u64 {
-        self.shared.queue.stats().highwater()
     }
 }
 
@@ -908,21 +873,21 @@ mod tests {
 
     #[test]
     fn backoff_doubles_caps_and_jitters_deterministically() {
-        let cfg = TransportConfig::default();
+        let retry = TransportConfig::default().retry;
         for (attempt, nominal_ms) in [(0u32, 50u64), (1, 100), (2, 200), (10, 1000)] {
-            let d = backoff_delay(&cfg, attempt);
+            let d = retry.delay(attempt);
             let nominal = Duration::from_millis(nominal_ms);
             // Full jitter lands in [nominal/2, nominal] and is a pure
             // function of (salt, attempt).
             assert!(d >= nominal / 2 && d <= nominal, "attempt {attempt}: {d:?}");
-            assert_eq!(d, backoff_delay(&cfg, attempt));
+            assert_eq!(d, retry.delay(attempt));
         }
         // Distinct salts de-synchronize reconnect storms.
-        let other = TransportConfig {
+        let other = RetryPolicy {
             jitter_salt: 99,
-            ..TransportConfig::default()
+            ..retry.clone()
         };
-        assert!((0..6).any(|a| backoff_delay(&cfg, a) != backoff_delay(&other, a)));
+        assert!((0..6).any(|a| retry.delay(a) != other.delay(a)));
     }
 
     #[test]
@@ -931,11 +896,9 @@ mod tests {
             let l = TcpListener::bind("127.0.0.1:0").unwrap();
             l.local_addr().unwrap()
         };
-        let cfg = TransportConfig {
-            connect_retries: 3,
-            backoff_base: Duration::from_millis(30),
-            ..TransportConfig::default()
-        };
+        let mut cfg = TransportConfig::default();
+        cfg.retry.max_attempts = 4;
+        cfg.retry.base = Duration::from_millis(30);
         let mut sink = TcpChunkSink::new(dead.to_string(), 1, cfg);
 
         // First step: fails fast (loopback refuses), schedules backoff.
@@ -987,11 +950,9 @@ mod tests {
             let l = TcpListener::bind("127.0.0.1:0").unwrap();
             l.local_addr().unwrap()
         };
-        let cfg = TransportConfig {
-            connect_retries: 1,
-            backoff_base: Duration::from_millis(5),
-            ..TransportConfig::default()
-        };
+        let mut cfg = TransportConfig::default();
+        cfg.retry.max_attempts = 2;
+        cfg.retry.base = Duration::from_millis(5);
         let mut sink = TcpChunkSink::new(dead.to_string(), 1, cfg);
         let err = sink.ensure_connected().unwrap_err();
         assert_eq!(err.kind, "give-up-retry-budget");
@@ -1005,10 +966,13 @@ mod tests {
             l.local_addr().unwrap()
         };
         let cfg = TransportConfig {
-            connect_retries: 1000,
-            backoff_base: Duration::from_millis(20),
-            backoff_max: Duration::from_millis(20),
-            retry_budget: Duration::from_millis(50),
+            retry: RetryPolicy {
+                max_attempts: 1001,
+                base: Duration::from_millis(20),
+                max_delay: Duration::from_millis(20),
+                sleep_budget: Duration::from_millis(50),
+                jitter_salt: 0,
+            },
             ..TransportConfig::default()
         };
         let mut sink = TcpChunkSink::new(dead.to_string(), 1, cfg);
@@ -1035,12 +999,12 @@ mod tests {
             let msg = read_msg(&mut s).unwrap();
             matches!(msg, WireMsg::IqChunk(_))
         });
-        let cfg = TransportConfig {
-            connect_retries: 10,
-            backoff_base: Duration::from_millis(20),
+        let mut cfg = TransportConfig {
             chunk_len: 4,
             ..TransportConfig::default()
         };
+        cfg.retry.max_attempts = 11;
+        cfg.retry.base = Duration::from_millis(20);
         let mut sink = TcpChunkSink::new(addr.to_string(), 1, cfg);
         sink.send_chunk(vec![vec![Complex64::new(1.0, 2.0); 4]])
             .unwrap();

@@ -32,23 +32,6 @@ pub enum OverflowPolicy {
     DropOldest,
 }
 
-/// A bounded wait for queue space expired — the typed alternative to
-/// [`OverflowPolicy::Block`]'s unbounded wait. Carries how long the
-/// producer waited so the caller can log or escalate.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct QueueTimeout {
-    /// How long the producer waited before giving up.
-    pub waited: Duration,
-}
-
-impl std::fmt::Display for QueueTimeout {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "queue full after waiting {:?}", self.waited)
-    }
-}
-
-impl std::error::Error for QueueTimeout {}
-
 /// Outcome of a [`BoundedQueue::push`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PushOutcome {
@@ -74,7 +57,6 @@ pub struct QueueStats {
     pushed: AtomicU64,
     popped: AtomicU64,
     dropped: AtomicU64,
-    timeouts: AtomicU64,
     highwater: AtomicU64,
 }
 
@@ -90,11 +72,6 @@ impl QueueStats {
     /// Items lost to overflow (either drop policy).
     pub fn dropped(&self) -> u64 {
         self.dropped.load(Ordering::Relaxed)
-    }
-    /// [`BoundedQueue::push_timeout`] calls that gave up waiting — each
-    /// one is an item the producer had to shed or re-route.
-    pub fn timeouts(&self) -> u64 {
-        self.timeouts.load(Ordering::Relaxed)
     }
     /// Highest occupancy observed since construction.
     pub fn highwater(&self) -> u64 {
@@ -192,46 +169,6 @@ impl<T> BoundedQueue<T> {
         outcome
     }
 
-    /// Enqueues like [`push`](Self::push), but under
-    /// [`OverflowPolicy::Block`] waits at most `timeout` for space
-    /// instead of blocking forever. On expiry the item is discarded and
-    /// a typed [`QueueTimeout`] is returned; the `timeouts` stat counts
-    /// it. Under the drop policies this is exactly `push` (they never
-    /// wait).
-    pub fn push_timeout(&self, item: T, timeout: Duration) -> Result<PushOutcome, QueueTimeout> {
-        if self.policy != OverflowPolicy::Block {
-            return Ok(self.push(item));
-        }
-        let start = std::time::Instant::now();
-        let mut g = self.inner.lock().unwrap();
-        while g.items.len() >= self.capacity && !g.closed {
-            let waited = start.elapsed();
-            let Some(left) = timeout.checked_sub(waited) else {
-                self.stats.timeouts.fetch_add(1, Ordering::Relaxed);
-                return Err(QueueTimeout { waited });
-            };
-            let (guard, res) = self.not_full.wait_timeout(g, left).unwrap();
-            g = guard;
-            if res.timed_out() && g.items.len() >= self.capacity && !g.closed {
-                self.stats.timeouts.fetch_add(1, Ordering::Relaxed);
-                return Err(QueueTimeout {
-                    waited: start.elapsed(),
-                });
-            }
-        }
-        if g.closed {
-            return Ok(PushOutcome::Closed);
-        }
-        g.items.push_back(item);
-        self.stats.pushed.fetch_add(1, Ordering::Relaxed);
-        self.stats
-            .highwater
-            .fetch_max(g.items.len() as u64, Ordering::Relaxed);
-        drop(g);
-        self.not_empty.notify_one();
-        Ok(PushOutcome::Accepted)
-    }
-
     /// Dequeues without waiting.
     pub fn try_pop(&self) -> Option<T> {
         let mut g = self.inner.lock().unwrap();
@@ -267,11 +204,6 @@ impl<T> BoundedQueue<T> {
         self.inner.lock().unwrap().closed = true;
         self.not_empty.notify_all();
         self.not_full.notify_all();
-    }
-
-    /// `true` once closed (items may still be queued).
-    pub fn is_closed(&self) -> bool {
-        self.inner.lock().unwrap().closed
     }
 
     /// `true` when closed and fully drained — the consumer's end-of-stream.
@@ -346,50 +278,6 @@ mod tests {
         assert_eq!(t.join().unwrap(), None);
         assert_eq!(q.push(9), PushOutcome::Closed);
         assert!(q.is_terminated());
-    }
-
-    #[test]
-    fn push_timeout_returns_typed_error_and_counts_it() {
-        let q = BoundedQueue::new(1, OverflowPolicy::Block);
-        assert_eq!(
-            q.push_timeout(1, Duration::from_millis(5)),
-            Ok(PushOutcome::Accepted)
-        );
-        let err = q.push_timeout(2, Duration::from_millis(5)).unwrap_err();
-        assert!(err.waited >= Duration::from_millis(5));
-        assert_eq!(q.stats().timeouts(), 1);
-        assert_eq!(q.stats().pushed(), 1);
-        // Space frees up: the next bounded push succeeds.
-        assert_eq!(q.try_pop(), Some(1));
-        assert_eq!(
-            q.push_timeout(3, Duration::from_millis(5)),
-            Ok(PushOutcome::Accepted)
-        );
-        assert_eq!(q.stats().timeouts(), 1);
-    }
-
-    #[test]
-    fn push_timeout_succeeds_once_a_consumer_frees_space() {
-        let q = Arc::new(BoundedQueue::new(1, OverflowPolicy::Block));
-        q.push(0);
-        let q2 = q.clone();
-        let t = std::thread::spawn(move || q2.push_timeout(1, Duration::from_secs(5)));
-        std::thread::sleep(Duration::from_millis(20));
-        assert_eq!(q.try_pop(), Some(0));
-        assert_eq!(t.join().unwrap(), Ok(PushOutcome::Accepted));
-        assert_eq!(q.try_pop(), Some(1));
-        assert_eq!(q.stats().timeouts(), 0);
-    }
-
-    #[test]
-    fn push_timeout_under_drop_policy_never_waits() {
-        let q = BoundedQueue::new(1, OverflowPolicy::DropNewest);
-        q.push(1);
-        assert_eq!(
-            q.push_timeout(2, Duration::from_secs(10)),
-            Ok(PushOutcome::DroppedNewest)
-        );
-        assert_eq!(q.stats().timeouts(), 0);
     }
 
     #[test]

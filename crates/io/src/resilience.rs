@@ -204,9 +204,20 @@ impl RetryPolicy {
         capped.mul_f64(0.5 + frac / 2.0)
     }
 
+    /// The give-up rule every retry loop in the crate shares. After
+    /// attempt `attempt` (0-based) failed, with `slept` of backoff already
+    /// spent, returns the delay to sleep before the next attempt, or
+    /// `None` to give up: retry only while `attempt + 1 < max_attempts`
+    /// and `slept + delay(attempt) <= sleep_budget`.
+    pub fn backoff(&self, attempt: u32, slept: Duration) -> Option<Duration> {
+        let delay = self.delay(attempt);
+        (attempt.saturating_add(1) < self.max_attempts && slept + delay <= self.sleep_budget)
+            .then_some(delay)
+    }
+
     /// Runs `op` under this policy: retry with jittered backoff while it
-    /// returns `Err`, until success, attempts run out, or the cumulative
-    /// sleep budget is spent. The error closure's string feeds the typed
+    /// returns `Err`, until success or [`Self::backoff`] gives up. The
+    /// error closure's string feeds the typed
     /// [`GiveUp::RetryBudgetExhausted`].
     pub fn run<T, E: std::fmt::Display>(
         &self,
@@ -218,17 +229,15 @@ impl RetryPolicy {
             match op(attempt) {
                 Ok(v) => return Ok(v),
                 Err(e) => {
-                    let next = attempt + 1;
-                    let delay = self.delay(attempt);
-                    if next >= self.max_attempts || slept + delay > self.sleep_budget {
+                    let Some(delay) = self.backoff(attempt, slept) else {
                         return Err(GiveUp::RetryBudgetExhausted {
-                            attempts: next,
+                            attempts: attempt + 1,
                             last_error: e.to_string(),
                         });
-                    }
+                    };
                     std::thread::sleep(delay);
                     slept += delay;
-                    attempt = next;
+                    attempt += 1;
                 }
             }
         }
@@ -298,11 +307,6 @@ impl CircuitBreaker {
         }
     }
 
-    /// Consecutive failures recorded since the last success.
-    pub fn consecutive_failures(&self) -> u32 {
-        self.failures
-    }
-
     /// Records a success: closes the circuit and clears the count.
     pub fn record_ok(&mut self) {
         self.failures = 0;
@@ -370,6 +374,29 @@ mod tests {
             ..p.clone()
         };
         assert!((0..6).any(|a| p.delay(a) != q.delay(a)));
+    }
+
+    #[test]
+    fn backoff_gives_up_on_the_last_attempt_and_on_a_budget_overrun() {
+        let p = RetryPolicy {
+            max_attempts: 3,
+            base: Duration::from_millis(10),
+            max_delay: Duration::from_millis(10),
+            sleep_budget: Duration::from_secs(1),
+            jitter_salt: 3,
+        };
+        assert_eq!(p.backoff(0, Duration::ZERO), Some(p.delay(0)));
+        assert_eq!(p.backoff(1, p.delay(0)), Some(p.delay(1)));
+        assert_eq!(
+            p.backoff(2, Duration::ZERO),
+            None,
+            "the last attempt gives up"
+        );
+        // The budget admits a delay that lands exactly on it, and no more.
+        let at_budget = p.sleep_budget - p.delay(0);
+        assert_eq!(p.backoff(0, at_budget), Some(p.delay(0)));
+        let over = at_budget + Duration::from_nanos(1);
+        assert_eq!(p.backoff(0, over), None, "a budget overrun gives up");
     }
 
     #[test]

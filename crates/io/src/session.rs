@@ -339,8 +339,6 @@ pub type LinkCapture = (Vec<Vec<Complex64>>, Vec<Vec<u8>>);
 /// receive antennas would have seen. Returns the received streams and
 /// the PSDUs that went in.
 pub fn build_link_capture(cfg: &SessionConfig) -> Result<LinkCapture, SessionError> {
-    const LEAD_IN: usize = 160;
-    const GAP: usize = 240;
     let tx_cfg = validate_config(cfg)?;
     let n_streams = tx_cfg.mcs.n_streams;
     let tx = Transmitter::new(tx_cfg);
@@ -352,8 +350,8 @@ pub fn build_link_capture(cfg: &SessionConfig) -> Result<LinkCapture, SessionErr
         &tx,
         &mut sim,
         &psdus,
-        LEAD_IN,
-        GAP,
+        burst::LEAD_IN,
+        burst::GAP,
         &mut BurstScratch::default(),
         &mut rx_streams,
     )

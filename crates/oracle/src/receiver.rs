@@ -15,7 +15,7 @@
 //! Do not "improve" this module; its value is that it does not change.
 
 use mimonet::config::RxConfig;
-use mimonet::rx::{RxError, RxFrame, ScanStats, MAX_FRAME_SPAN};
+use mimonet::rx::{RxError, RxFrame, ScanStats, MAX_FRAME_SPAN, TIMING_BACKOFF, VDB_SNR_DB};
 use mimonet::tx::{deparse_streams_soft, DATA_POLARITY_OFFSET};
 use mimonet_detect::chanest::ChannelEstimate;
 use mimonet_detect::snr::snr_from_ltf_repetitions;
@@ -147,7 +147,7 @@ impl ReferenceReceiver {
             let win_hi = (win_lo + 480).min(len);
             if win_hi >= win_lo + 160 {
                 let windows: Vec<&[Complex64]> = bufs.iter().map(|b| &b[win_lo..win_hi]).collect();
-                let vdb = VanDeBeek::new(64, 16, self.cfg.vdb_snr_db);
+                let vdb = VanDeBeek::new(64, 16, VDB_SNR_DB);
                 match vdb.estimate(&windows) {
                     Some(est) => {
                         let r = (est.timing % 80) as isize;
@@ -160,7 +160,7 @@ impl ReferenceReceiver {
                 ltf_guess
             }
         };
-        let ltf_start = ltf_start.saturating_sub(self.cfg.timing_backoff);
+        let ltf_start = ltf_start.saturating_sub(TIMING_BACKOFF);
         if ltf_start + 128 > len {
             return Err(RxError::BufferTooShort);
         }

@@ -11,6 +11,7 @@ use mimonet_io::session::{build_link_capture, score_scan};
 use mimonet_io::wire::{CaptureMeta, SessionConfig};
 use serde::Serialize;
 use std::net::{TcpListener, TcpStream};
+use std::path::PathBuf;
 
 fn session() -> SessionConfig {
     SessionConfig {
@@ -29,6 +30,25 @@ fn meta(cfg: &SessionConfig, n_ant: usize) -> CaptureMeta {
         sample_rate_hz: mimonet_io::capture::CAPTURE_SAMPLE_RATE_HZ,
         seed: cfg.seed,
         description: "replay determinism test".into(),
+    }
+}
+
+/// A pid-suffixed capture file in the temp dir, removed on drop, so a
+/// failed assertion leaves nothing behind either.
+struct TempCapture(PathBuf);
+
+impl TempCapture {
+    fn new(name: &str) -> Self {
+        Self(std::env::temp_dir().join(format!(
+            "mimonet_io_replay_{}_{name}.iqcap",
+            std::process::id()
+        )))
+    }
+}
+
+impl Drop for TempCapture {
+    fn drop(&mut self) {
+        std::fs::remove_file(&self.0).ok();
     }
 }
 
@@ -62,12 +82,9 @@ fn file_replay_is_bit_identical_to_direct_scan() {
     assert_eq!(ref_stats.per.ok(), cfg.n_frames as u64);
 
     // Through a capture file.
-    let dir = std::env::temp_dir().join("mimonet_io_replay_test");
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("link_2x2.iqcap");
-    write_capture(&path, &meta(&cfg, n_ant), &streams).unwrap();
-    let (m, frames, scan) = replay_scan(&path, RxConfig::new(n_ant)).unwrap();
-    std::fs::remove_file(&path).ok();
+    let file = TempCapture::new("link_2x2");
+    write_capture(&file.0, &meta(&cfg, n_ant), &streams).unwrap();
+    let (m, frames, scan) = replay_scan(&file.0, RxConfig::new(n_ant)).unwrap();
 
     assert_eq!(m.seed, cfg.seed);
     assert_eq!(frames.len(), ref_frames.len());
@@ -128,18 +145,15 @@ fn tcp_replay_is_bit_identical_to_direct_scan() {
 fn truncated_capture_file_is_a_typed_error() {
     let cfg = session();
     let (streams, _psdus) = build_link_capture(&cfg).unwrap();
-    let dir = std::env::temp_dir().join("mimonet_io_replay_test");
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("torn.iqcap");
-    write_capture(&path, &meta(&cfg, streams.len()), &streams).unwrap();
+    let file = TempCapture::new("torn");
+    write_capture(&file.0, &meta(&cfg, streams.len()), &streams).unwrap();
 
     // Tear off the tail (the Bye terminator and then some).
-    let bytes = std::fs::read(&path).unwrap();
+    let bytes = std::fs::read(&file.0).unwrap();
     let kept = bytes.len() - 37;
-    std::fs::write(&path, &bytes[..kept]).unwrap();
+    std::fs::write(&file.0, &bytes[..kept]).unwrap();
 
-    let err = replay_scan(&path, RxConfig::new(streams.len())).unwrap_err();
-    std::fs::remove_file(&path).ok();
+    let err = replay_scan(&file.0, RxConfig::new(streams.len())).unwrap_err();
     match err {
         mimonet_io::wire::WireError::TruncatedCapture { bytes_read } => {
             assert_eq!(
