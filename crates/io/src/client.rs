@@ -441,11 +441,6 @@ impl ResilientClient {
         }
         r
     }
-
-    /// The breaker, for tests and monitors.
-    pub fn breaker(&self) -> &CircuitBreaker {
-        &self.breaker
-    }
 }
 
 /// Retry-loop classification of a failed attempt.

@@ -37,6 +37,17 @@
 //! One-frame windows did not recover it (0.065 → 0.070 s, medians of
 //! five 6 s runs). So the two queues stay.
 //!
+//! The two queues share one lock and one condition variable
+//! (`Scheduler`). A worker picks its next turn under that lock —
+//! decode jobs first, then a generation task — and when both queues
+//! are empty it sleeps until a push to either queue or the plane's
+//! close wakes it. There is no timer: an idle engine's workers do not
+//! wake at all, and a queued burst is picked up as soon as a worker is
+//! free. So while one worker generates a lone session's window, the
+//! other decodes each burst as it is queued, and that session's decode
+//! turns hold about one burst each; batches of several sessions' bursts
+//! form when the workers are busy.
+//!
 //! Every session takes this path, traced (`trace != 0`) and
 //! telemetry-streaming (`telemetry_every > 0`) ones included, so the
 //! thread set stays constant and a trace describes the executor that
@@ -55,7 +66,6 @@
 //! run uses (`session::telemetry_rounds`).
 
 use super::{EngineShared, ShardHandle};
-use crate::queue::{BoundedQueue, OverflowPolicy};
 use crate::session::{
     score_decoded, session_psdus, telemetry_rounds, validate_config, SessionError,
 };
@@ -72,9 +82,9 @@ use mimonet::{frame_trace_id, Receiver, RxBatch, RxStage, RxWorkspace, StageProf
 use mimonet_channel::{ChannelConfig, ChannelSim};
 use mimonet_dsp::complex::Complex64;
 use serde::{Serialize, Value};
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::Ordering;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// Frames a generation turn advances one session by. Small enough that
@@ -221,44 +231,161 @@ struct DecodeJob {
     timing: Option<BurstTiming>,
 }
 
-/// The worker pool plus its two queues.
+/// The two FIFOs a [`Scheduler`] guards, its close flag and its
+/// sleeper count.
+struct Queues<G, D> {
+    gen: VecDeque<G>,
+    decode: VecDeque<D>,
+    closed: bool,
+    /// Threads waiting on [`Scheduler::wake`]: idle workers and pushers
+    /// held by a full queue. A push or a take signals only when one
+    /// waits.
+    sleepers: usize,
+}
+
+/// A worker's next turn, as [`Scheduler::next_turn`] picks it.
+enum Turn<G> {
+    /// Decode the jobs just moved into the caller's batch.
+    Decode,
+    /// Advance this session by one window.
+    Generate(G),
+    /// The plane is closed and both queues are drained.
+    Exit,
+}
+
+/// The compute plane's run queues: generation tasks and decode jobs,
+/// two FIFOs under one lock, with one condition variable that every
+/// push and the close signal. A full queue holds its pusher until a
+/// turn takes from it, and that take signals too. Generic over the two
+/// item types, so its tests push plain integers.
+struct Scheduler<G, D> {
+    queues: Mutex<Queues<G, D>>,
+    wake: Condvar,
+}
+
+impl<G, D> Scheduler<G, D> {
+    fn new() -> Self {
+        Self {
+            queues: Mutex::new(Queues {
+                gen: VecDeque::new(),
+                decode: VecDeque::new(),
+                closed: false,
+                sleepers: 0,
+            }),
+            wake: Condvar::new(),
+        }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, Queues<G, D>> {
+        self.queues
+            .lock()
+            .expect("no thread panics holding the run queues")
+    }
+
+    /// Sleeps on the condition variable, counted in `sleepers`.
+    fn sleep<'a>(&self, mut q: MutexGuard<'a, Queues<G, D>>) -> MutexGuard<'a, Queues<G, D>> {
+        q.sleepers += 1;
+        let mut q = self
+            .wake
+            .wait(q)
+            .expect("no thread panics holding the run queues");
+        q.sleepers -= 1;
+        q
+    }
+
+    /// Queues a session for generation: an admission or a requeue.
+    fn push_gen(&self, task: G) {
+        self.push(task, GEN_QUEUE_DEPTH, |q| &mut q.gen);
+    }
+
+    /// Queues a burst for decode.
+    fn push_decode(&self, job: D) {
+        self.push(job, DECODE_QUEUE_DEPTH, |q| &mut q.decode);
+    }
+
+    /// Appends `item` once its queue holds fewer than `depth` items and
+    /// wakes one sleeper; a closed plane discards it.
+    fn push<T>(&self, item: T, depth: usize, queue: fn(&mut Queues<G, D>) -> &mut VecDeque<T>) {
+        let mut q = self.lock();
+        while queue(&mut q).len() >= depth && !q.closed {
+            q = self.sleep(q);
+        }
+        if q.closed {
+            return;
+        }
+        queue(&mut q).push_back(item);
+        let wake = q.sleepers > 0;
+        drop(q);
+        if wake {
+            self.wake.notify_one();
+        }
+    }
+
+    /// Picks a worker's next turn: up to [`BATCH_MAX`] decode jobs into
+    /// `jobs`, else one generation task, else [`Turn::Exit`] once the
+    /// plane is closed, else it sleeps until a push or the close.
+    fn next_turn(&self, jobs: &mut Vec<D>) -> Turn<G> {
+        let mut q = self.lock();
+        while q.decode.is_empty() && q.gen.is_empty() && !q.closed {
+            q = self.sleep(q);
+        }
+        let (turn, was_full) = if !q.decode.is_empty() {
+            let was_full = q.decode.len() >= DECODE_QUEUE_DEPTH;
+            let n = q.decode.len().min(BATCH_MAX);
+            jobs.extend(q.decode.drain(..n));
+            (Turn::Decode, was_full)
+        } else if let Some(task) = q.gen.pop_front() {
+            (Turn::Generate(task), q.gen.len() + 1 >= GEN_QUEUE_DEPTH)
+        } else {
+            // Closed, and both queues are drained.
+            return Turn::Exit;
+        };
+        // A take from a full queue frees the pushers it holds.
+        let wake = was_full && q.sleepers > 0;
+        drop(q);
+        if wake {
+            self.wake.notify_all();
+        }
+        turn
+    }
+
+    /// Closes the plane: pushes are discarded from now on, queued items
+    /// still run, and every sleeper wakes.
+    fn close(&self) {
+        self.lock().closed = true;
+        self.wake.notify_all();
+    }
+}
+
+/// The worker pool plus its run queues.
 pub(crate) struct ComputePlane {
-    gen: Arc<BoundedQueue<GenTask>>,
-    decode: Arc<BoundedQueue<DecodeJob>>,
+    sched: Arc<Scheduler<GenTask, DecodeJob>>,
     workers: Vec<std::thread::JoinHandle<()>>,
 }
 
 impl ComputePlane {
-    /// Spawns `n_workers` compute threads draining the shared queues.
+    /// Spawns `n_workers` compute threads draining the run queues.
     pub(crate) fn spawn(
         n_workers: usize,
         shared: Arc<EngineShared>,
         shards: Vec<ShardHandle>,
     ) -> Self {
-        let gen: Arc<BoundedQueue<GenTask>> =
-            Arc::new(BoundedQueue::new(GEN_QUEUE_DEPTH, OverflowPolicy::Block));
-        let decode: Arc<BoundedQueue<DecodeJob>> =
-            Arc::new(BoundedQueue::new(DECODE_QUEUE_DEPTH, OverflowPolicy::Block));
+        let sched = Arc::new(Scheduler::new());
         let workers = (0..n_workers)
             .map(|_| {
-                let gen = gen.clone();
-                let decode = decode.clone();
+                let sched = sched.clone();
                 let shared = shared.clone();
                 let shards = shards.clone();
-                std::thread::spawn(move || worker_loop(&gen, &decode, &shared, &shards))
+                std::thread::spawn(move || worker_loop(&sched, &shared, &shards))
             })
             .collect();
-        Self {
-            gen,
-            decode,
-            workers,
-        }
+        Self { sched, workers }
     }
 
     /// Admits a (validated) session into the plane.
     pub(crate) fn submit(&self, run: Arc<SessionRun>) {
         let n_streams = run.tx_cfg.mcs.n_streams;
-        self.gen.push(GenTask {
+        self.sched.push_gen(GenTask {
             tx: Transmitter::new(run.tx_cfg.clone()),
             sim: ChannelSim::new(
                 ChannelConfig::awgn(n_streams, n_streams, run.cfg.snr_db),
@@ -269,10 +396,9 @@ impl ComputePlane {
         });
     }
 
-    /// Closes the queues and joins every worker.
+    /// Closes the plane and joins every worker.
     pub(crate) fn shutdown(self) {
-        self.gen.close();
-        self.decode.close();
+        self.sched.close();
         for h in self.workers {
             let _ = h.join();
         }
@@ -280,8 +406,7 @@ impl ComputePlane {
 }
 
 fn worker_loop(
-    gen: &BoundedQueue<GenTask>,
-    decode: &BoundedQueue<DecodeJob>,
+    sched: &Scheduler<GenTask, DecodeJob>,
     shared: &EngineShared,
     shards: &[ShardHandle],
 ) {
@@ -293,25 +418,10 @@ fn worker_loop(
     let mut burst = BurstScratch::default();
     let mut jobs: Vec<DecodeJob> = Vec::with_capacity(BATCH_MAX);
     loop {
-        // Decode-first: drain queued bursts before generating more.
-        jobs.clear();
-        while jobs.len() < BATCH_MAX {
-            match decode.try_pop() {
-                Some(j) => jobs.push(j),
-                None => break,
-            }
-        }
-        if !jobs.is_empty() {
-            decode_jobs(&mut jobs, &mut rx_by_streams, shared, shards);
-            continue;
-        }
-        match gen.pop_timeout(Duration::from_millis(10)) {
-            Some(task) => generation_turn(task, &mut burst, gen, decode),
-            None => {
-                if gen.is_terminated() && decode.is_terminated() {
-                    return;
-                }
-            }
+        match sched.next_turn(&mut jobs) {
+            Turn::Decode => decode_jobs(&mut jobs, &mut rx_by_streams, shared, shards),
+            Turn::Generate(task) => generation_turn(task, &mut burst, sched),
+            Turn::Exit => return,
         }
     }
 }
@@ -324,8 +434,7 @@ fn worker_loop(
 fn generation_turn(
     mut task: GenTask,
     burst: &mut BurstScratch,
-    gen: &BoundedQueue<GenTask>,
-    decode: &BoundedQueue<DecodeJob>,
+    sched: &Scheduler<GenTask, DecodeJob>,
 ) {
     let run = &task.run;
     let n_streams = run.tx_cfg.mcs.n_streams;
@@ -351,7 +460,7 @@ fn generation_turn(
         for b in &mut bufs {
             b.truncate(run.burst_len);
         }
-        decode.push(DecodeJob {
+        sched.push_decode(DecodeJob {
             run: run.clone(),
             frame,
             n_streams,
@@ -361,7 +470,7 @@ fn generation_turn(
         task.next += 1;
     }
     if task.next < run.cfg.n_frames {
-        gen.push(task);
+        sched.push_gen(task);
     }
 }
 
@@ -581,4 +690,229 @@ fn engine_summary(cfg: &SessionConfig) -> Vec<(&'static str, Value)> {
         ),
         ("blocks", Value::Array(Vec::new())),
     ]
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::mpsc::{self, Receiver as Inbox, RecvTimeoutError};
+    use std::thread::JoinHandle;
+
+    /// How long a test waits on any one event before calling it lost.
+    const WATCHDOG: Duration = Duration::from_secs(10);
+
+    type Plane = Scheduler<u32, u32>;
+
+    /// A turn as a test worker reports it, its decode jobs included.
+    #[derive(Debug, PartialEq)]
+    enum Took {
+        Decode(Vec<u32>),
+        Generate(u32),
+        Exit,
+    }
+
+    fn take(s: &Plane) -> Took {
+        let mut jobs = Vec::new();
+        match s.next_turn(&mut jobs) {
+            Turn::Decode => Took::Decode(jobs),
+            Turn::Generate(g) => Took::Generate(g),
+            Turn::Exit => Took::Exit,
+        }
+    }
+
+    fn recv<T>(inbox: &Inbox<T>) -> T {
+        match inbox.recv_timeout(WATCHDOG) {
+            Ok(v) => v,
+            Err(RecvTimeoutError::Timeout) => panic!("lost wakeup: nothing within {WATCHDOG:?}"),
+            Err(RecvTimeoutError::Disconnected) => panic!("the thread ended early"),
+        }
+    }
+
+    /// Waits until `n` threads sleep on the plane, so whatever the test
+    /// does next is what wakes them.
+    fn until_asleep(s: &Plane, n: usize) {
+        until(s, |q| q.sleepers == n);
+    }
+
+    fn until(s: &Plane, reached: impl Fn(&Queues<u32, u32>) -> bool) {
+        let watchdog = Instant::now() + WATCHDOG;
+        while !reached(&s.lock()) {
+            assert!(Instant::now() < watchdog, "the plane never got there");
+            std::thread::yield_now();
+        }
+    }
+
+    /// A worker that reports every turn it takes until it exits.
+    fn worker(s: &Arc<Plane>) -> (Inbox<Took>, JoinHandle<()>) {
+        let (tx, inbox) = mpsc::channel();
+        let s = s.clone();
+        let h = std::thread::spawn(move || loop {
+            let took = take(&s);
+            let exit = took == Took::Exit;
+            tx.send(took).unwrap();
+            if exit {
+                return;
+            }
+        });
+        (inbox, h)
+    }
+
+    #[test]
+    fn a_sleeping_worker_wakes_on_a_burst_and_on_a_session() {
+        let s = Arc::new(Plane::new());
+        let (turns, h) = worker(&s);
+        until_asleep(&s, 1);
+        s.push_decode(7);
+        assert_eq!(recv(&turns), Took::Decode(vec![7]));
+        until_asleep(&s, 1);
+        s.push_gen(3);
+        assert_eq!(recv(&turns), Took::Generate(3));
+        until_asleep(&s, 1);
+        s.close();
+        assert_eq!(recv(&turns), Took::Exit);
+        h.join().unwrap();
+    }
+
+    #[test]
+    fn a_worker_exits_after_close_once_both_queues_drain() {
+        let s = Plane::new();
+        s.push_gen(1);
+        s.push_decode(2);
+        s.close();
+        // A closed plane discards pushes but runs what it holds.
+        s.push_gen(10);
+        s.push_decode(20);
+        assert_eq!(take(&s), Took::Decode(vec![2]));
+        assert_eq!(take(&s), Took::Generate(1));
+        assert_eq!(take(&s), Took::Exit);
+        assert_eq!(take(&s), Took::Exit);
+    }
+
+    #[test]
+    fn a_turn_takes_decode_jobs_first_and_at_most_batch_max() {
+        let s = Plane::new();
+        s.push_gen(100);
+        s.push_gen(101);
+        let n = 2 * BATCH_MAX as u32 + 3;
+        for j in 0..n {
+            s.push_decode(j);
+        }
+        let batch = |r: std::ops::Range<u32>| Took::Decode(r.collect());
+        let b = BATCH_MAX as u32;
+        assert_eq!(take(&s), batch(0..b));
+        assert_eq!(take(&s), batch(b..2 * b));
+        assert_eq!(take(&s), batch(2 * b..n));
+        assert_eq!(take(&s), Took::Generate(100));
+        s.push_decode(n);
+        assert_eq!(take(&s), batch(n..n + 1));
+        assert_eq!(take(&s), Took::Generate(101));
+    }
+
+    #[test]
+    fn a_full_decode_queue_holds_its_pusher_until_a_turn_frees_a_slot() {
+        let s = Arc::new(Plane::new());
+        let depth = DECODE_QUEUE_DEPTH as u32;
+        for j in 0..depth {
+            s.push_decode(j);
+        }
+        let (done, pushed) = mpsc::channel();
+        let pusher = {
+            let s = s.clone();
+            std::thread::spawn(move || {
+                s.push_decode(depth);
+                done.send(()).unwrap();
+            })
+        };
+        until_asleep(&s, 1);
+        assert_eq!(
+            s.lock().decode.len(),
+            DECODE_QUEUE_DEPTH,
+            "held, not queued"
+        );
+        let b = BATCH_MAX as u32;
+        assert_eq!(take(&s), Took::Decode((0..b).collect()));
+        recv(&pushed);
+        pusher.join().unwrap();
+        let q = s.lock();
+        assert_eq!(q.decode.len(), DECODE_QUEUE_DEPTH - BATCH_MAX + 1);
+        assert!(q.decode.iter().copied().eq(b..=depth), "FIFO order kept");
+    }
+
+    #[test]
+    fn stress_every_item_is_taken_once_and_close_ends_every_worker() {
+        const PUSHERS: u32 = 4;
+        const PER_PUSHER: u32 = 1_000;
+        // A generation turn queues one decode job of its own, as the
+        // engine's turns queue their bursts.
+        const DERIVED: u32 = 1 << 20;
+        // Every third item a pusher queues is a burst, the rest sessions.
+        let is_burst = |item: u32| (item % PER_PUSHER).is_multiple_of(3);
+        let s = Arc::new(Plane::new());
+        let workers: Vec<_> = (0..3)
+            .map(|_| {
+                let (tx, haul) = mpsc::channel();
+                let s = s.clone();
+                let h = std::thread::spawn(move || {
+                    let (mut gens, mut decodes) = (Vec::new(), Vec::new());
+                    let mut jobs = Vec::new();
+                    loop {
+                        match s.next_turn(&mut jobs) {
+                            Turn::Decode => decodes.append(&mut jobs),
+                            Turn::Generate(g) => {
+                                gens.push(g);
+                                s.push_decode(g | DERIVED);
+                            }
+                            Turn::Exit => break,
+                        }
+                    }
+                    tx.send((gens, decodes)).unwrap();
+                });
+                (haul, h)
+            })
+            .collect();
+        let (done, pushed) = mpsc::channel();
+        let pushers: Vec<_> = (0..PUSHERS)
+            .map(|p| {
+                let s = s.clone();
+                let done = done.clone();
+                std::thread::spawn(move || {
+                    for i in 0..PER_PUSHER {
+                        let item = p * PER_PUSHER + i;
+                        if is_burst(item) {
+                            s.push_decode(item);
+                        } else {
+                            s.push_gen(item);
+                        }
+                    }
+                    done.send(()).unwrap();
+                })
+            })
+            .collect();
+        for _ in 0..PUSHERS {
+            recv(&pushed);
+        }
+        pushers.into_iter().for_each(|h| h.join().unwrap());
+        // Every worker asleep on empty queues: no turn is left to queue
+        // a burst that the close would discard. (A woken worker counts
+        // as asleep until it retakes the lock, hence the empty check.)
+        until(&s, |q| {
+            q.sleepers == 3 && q.gen.is_empty() && q.decode.is_empty()
+        });
+        s.close();
+        let (mut gens, mut decodes) = (Vec::new(), Vec::new());
+        for (haul, h) in workers {
+            let (g, d) = recv(&haul);
+            h.join().unwrap();
+            gens.extend(g);
+            decodes.extend(d);
+        }
+        gens.sort_unstable();
+        decodes.sort_unstable();
+        let (mut want_decodes, want_gens): (Vec<u32>, Vec<u32>) =
+            (0..PUSHERS * PER_PUSHER).partition(|&i| is_burst(i));
+        want_decodes.extend(want_gens.iter().map(|g| g | DERIVED));
+        want_decodes.sort_unstable();
+        assert_eq!(gens, want_gens, "each session taken exactly once");
+        assert_eq!(decodes, want_decodes, "each burst taken exactly once");
+    }
 }

@@ -224,9 +224,9 @@ mod tests {
         let waker = Waker::new().expect("waker");
         let sources = [(PollSource::Udp(waker.poll_half()), Interest::READ)];
         let mut ready = [Readiness::default()];
-        // Nothing pending: times out with zero ready (unix); the
-        // fallback path reports ready but recv below still filters.
-        poll_ready(&sources, &mut ready, Duration::from_millis(10));
+        // Nothing pending: a zero-timeout poll reports zero ready (unix);
+        // the fallback path reports ready but recv below still filters.
+        poll_ready(&sources, &mut ready, Duration::ZERO);
         waker.wake();
         let n = poll_ready(&sources, &mut ready, Duration::from_millis(1000));
         assert!(n >= 1, "wake datagram must make the poll return ready");

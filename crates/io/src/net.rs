@@ -60,13 +60,7 @@ impl Default for TransportConfig {
             chunk_len: 4096,
             queue_depth: 32,
             policy: OverflowPolicy::DropOldest,
-            retry: RetryPolicy {
-                max_attempts: 6,
-                base: Duration::from_millis(50),
-                max_delay: Duration::from_secs(1),
-                sleep_budget: Duration::from_secs(10),
-                jitter_salt: 0,
-            },
+            retry: RetryPolicy::default(),
             read_timeout: Duration::from_millis(100),
         }
     }

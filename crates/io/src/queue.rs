@@ -54,28 +54,13 @@ struct Inner<T> {
 /// Cumulative queue statistics (always on; see module docs).
 #[derive(Debug, Default)]
 pub struct QueueStats {
-    pushed: AtomicU64,
-    popped: AtomicU64,
     dropped: AtomicU64,
-    highwater: AtomicU64,
 }
 
 impl QueueStats {
-    /// Items accepted into the queue.
-    pub fn pushed(&self) -> u64 {
-        self.pushed.load(Ordering::Relaxed)
-    }
-    /// Items taken out of the queue.
-    pub fn popped(&self) -> u64 {
-        self.popped.load(Ordering::Relaxed)
-    }
     /// Items lost to overflow (either drop policy).
     pub fn dropped(&self) -> u64 {
         self.dropped.load(Ordering::Relaxed)
-    }
-    /// Highest occupancy observed since construction.
-    pub fn highwater(&self) -> u64 {
-        self.highwater.load(Ordering::Relaxed)
     }
 }
 
@@ -106,29 +91,9 @@ impl<T> BoundedQueue<T> {
         }
     }
 
-    /// Capacity in items.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// The configured overflow policy.
-    pub fn policy(&self) -> OverflowPolicy {
-        self.policy
-    }
-
     /// Cumulative statistics.
     pub fn stats(&self) -> &QueueStats {
         &self.stats
-    }
-
-    /// Current occupancy.
-    pub fn len(&self) -> usize {
-        self.inner.lock().unwrap().items.len()
-    }
-
-    /// `true` when no items are queued.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Enqueues an item per the overflow policy.
@@ -160,10 +125,6 @@ impl<T> BoundedQueue<T> {
             }
         }
         g.items.push_back(item);
-        self.stats.pushed.fetch_add(1, Ordering::Relaxed);
-        self.stats
-            .highwater
-            .fetch_max(g.items.len() as u64, Ordering::Relaxed);
         drop(g);
         self.not_empty.notify_one();
         outcome
@@ -174,7 +135,6 @@ impl<T> BoundedQueue<T> {
         let mut g = self.inner.lock().unwrap();
         let item = g.items.pop_front();
         if item.is_some() {
-            self.stats.popped.fetch_add(1, Ordering::Relaxed);
             drop(g);
             self.not_full.notify_one();
         }
@@ -191,7 +151,6 @@ impl<T> BoundedQueue<T> {
         }
         let item = g.items.pop_front();
         if item.is_some() {
-            self.stats.popped.fetch_add(1, Ordering::Relaxed);
             drop(g);
             self.not_full.notify_one();
         }
@@ -226,9 +185,6 @@ mod tests {
         }
         assert_eq!(q.try_pop(), Some(0));
         assert_eq!(q.try_pop(), Some(1));
-        assert_eq!(q.stats().pushed(), 3);
-        assert_eq!(q.stats().popped(), 2);
-        assert_eq!(q.stats().highwater(), 3);
         assert_eq!(q.stats().dropped(), 0);
     }
 

@@ -179,12 +179,14 @@ pub struct RetryPolicy {
 }
 
 impl Default for RetryPolicy {
+    /// The crate's one retry default; `TransportConfig::default()`
+    /// uses it too.
     fn default() -> Self {
         Self {
-            max_attempts: 5,
+            max_attempts: 6,
             base: Duration::from_millis(50),
             max_delay: Duration::from_secs(1),
-            sleep_budget: Duration::from_secs(5),
+            sleep_budget: Duration::from_secs(10),
             jitter_salt: 0,
         }
     }
