@@ -5,7 +5,7 @@
 //! any target (SSE2 pairs, AVX quads, NEON pairs) — no `std::simd`
 //! nightly feature, no external crate, no target-feature detection.
 //! The FEC search (`mimonet_fec::viterbi`) does detect CPU features: on
-//! x86-64 it runs an intrinsics form, AVX-512F where the CPU has it, else
+//! x86-64 it runs an intrinsics form, AVX-512F+DQ where the CPU has it, else
 //! AVX2, picked once per decode, whose survivors and metrics are
 //! bit-identical to its portable loop's.
 //!

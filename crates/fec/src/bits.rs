@@ -39,18 +39,6 @@ pub fn bits_to_bytes(bits: &[u8]) -> Vec<u8> {
         .collect()
 }
 
-/// Counts positions where the two bit/byte slices differ, over the common
-/// prefix. Works on raw bytes too (exact inequality count).
-pub fn hamming_distance(a: &[u8], b: &[u8]) -> usize {
-    a.iter().zip(b.iter()).filter(|(x, y)| x != y).count()
-}
-
-/// XOR of two bits expressed as 0/1 `u8` values.
-#[inline]
-pub fn xor(a: u8, b: u8) -> u8 {
-    a ^ b
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -67,13 +55,6 @@ mod tests {
         assert_eq!(bytes_to_bits(&[0x01]), vec![1, 0, 0, 0, 0, 0, 0, 0]);
         // 0x80 -> bit 7 set -> last bit out is 1.
         assert_eq!(bytes_to_bits(&[0x80]), vec![0, 0, 0, 0, 0, 0, 0, 1]);
-    }
-
-    #[test]
-    fn hamming() {
-        assert_eq!(hamming_distance(&[0, 1, 1, 0], &[0, 1, 0, 0]), 1);
-        assert_eq!(hamming_distance(&[], &[]), 0);
-        assert_eq!(hamming_distance(&[1, 1], &[0, 0, 1]), 2);
     }
 
     #[test]

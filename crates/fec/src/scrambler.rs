@@ -28,12 +28,6 @@ impl Scrambler {
         Self { state: seed }
     }
 
-    /// The conventional default seed used by the reference GNU Radio
-    /// implementation (all ones).
-    pub fn with_default_seed() -> Self {
-        Self::new(0x7F)
-    }
-
     /// Produces the next keystream bit and advances the LFSR.
     pub fn next_bit(&mut self) -> u8 {
         // Feedback: x^7 xor x^4 (bits 6 and 3 of the state).

@@ -13,8 +13,8 @@
 //! Both run one branchless search, a butterfly add-compare-select over
 //! the 64 trellis states (see [`ViterbiDecoder`]). It has three forms: a
 //! portable loop that LLVM autovectorizes, and on x86-64 two intrinsics
-//! forms, eight butterflies per register on CPUs with AVX-512F and four
-//! on CPUs with AVX2. Each decode runs the widest form the CPU has,
+//! forms, eight butterflies per register on CPUs with AVX-512F and DQ and
+//! four on CPUs with AVX2. Each decode runs the widest form the CPU has,
 //! picked at run time ([`kernel`] names it). All three produce the same
 //! survivors and final metrics, bit for bit, and their decoded bits are
 //! identical to the naive forward scatter kept as the oracle in the
@@ -79,9 +79,42 @@ impl std::error::Error for ViterbiError {}
 /// predecessors `2j`, `2j + 1` to next states `j`, `j + 32`.
 const HALF: usize = NUM_STATES / 2;
 
-/// Survivor words per trellis step: one byte per state, eight states per
-/// `u64`.
-const SURV_WORDS: usize = NUM_STATES / 8;
+/// Survivor byte words per trellis step in the baseline and AVX2 forms:
+/// one byte per state, eight states per `u64`.
+const BYTE_WORDS: usize = NUM_STATES / 8;
+
+/// One trellis step's survivors as two bit planes, 16 bytes: bit `s` of
+/// `g1` is set where branch 1 won into state `s`, bit `s` of `valid`
+/// where state `s`'s new metric is above −∞.
+#[repr(C)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+struct Row {
+    g1: u64,
+    valid: u64,
+}
+
+impl Row {
+    /// Folds byte words into the planes. Byte `k` of word `w` is state
+    /// `8k + w`'s `g1 | valid << 1`, two bits, so word `w + 4` shifted up
+    /// 4 and word `w + 2` shifted up 2 fit beside word `w`'s bits: one
+    /// shift-OR per word leaves two words for [`Row::from_pair`].
+    #[inline(always)]
+    fn from_byte_words(words: &[u64; BYTE_WORDS]) -> Self {
+        let y: [u64; 4] = std::array::from_fn(|i| words[i] | words[i + 4] << 4);
+        Row::from_pair([y[0] | y[2] << 2, y[1] | y[3] << 2])
+    }
+
+    /// The planes from two folded words: bits `2m` and `2m + 1` of byte
+    /// `k` of `z[i]` are the `g1` and `valid` bits of state `8k + 2m + i`.
+    #[inline(always)]
+    fn from_pair(z: [u64; 2]) -> Self {
+        const EVEN: u64 = 0x5555_5555_5555_5555;
+        Row {
+            g1: z[0] & EVEN | (z[1] & EVEN) << 1,
+            valid: z[0] >> 1 & EVEN | z[1] & !EVEN,
+        }
+    }
+}
 
 /// Precomputed trellis, built once lazily (64 states is tiny).
 ///
@@ -154,8 +187,8 @@ const NEG: f64 = f64::NEG_INFINITY;
 /// never mix, so the loop autovectorizes under the
 /// [`F64x4`](mimonet_dsp::simd::F64x4) bit-identity rule. On x86-64 CPUs
 /// the same operations run as intrinsics, eight butterflies per 512-bit
-/// register with AVX-512F, else four per 256-bit register with AVX2
-/// (`vmaxpd` is the strict select in both), with the same survivor words
+/// register with AVX-512F and DQ, else four per 256-bit register with AVX2
+/// (`vmaxpd` is the strict select in both), with the same survivor rows
 /// and final metrics. The survivors and decoded bits are
 /// identical to the naive forward scatter kept as the oracle
 /// `mimonet_oracle::viterbi`:
@@ -172,10 +205,11 @@ const NEG: f64 = f64::NEG_INFINITY;
 ///   which never wins a strict compare, and take the branches in that
 ///   same order, so ties, `-inf` and NaN resolve exactly alike — and a
 ///   NaN never becomes a metric;
-/// * each state's survivor byte keeps the decision `g1` (branch 1 won)
-///   and `valid` (the new metric is above −∞); traceback rebuilds
-///   `prev = 2(s & 31) + g1` and `bit = s >> 5`, and `(0, 0)` (the
-///   scatter's untouched entry) where `valid` is clear.
+/// * each step keeps two bit planes, 16 bytes: bit `s` of `g1` is state
+///   `s`'s decision (branch 1 won) and bit `s` of `valid` says its new
+///   metric is above −∞; traceback rebuilds `prev = 2(s & 31) + g1` and
+///   `bit = s >> 5`, and `(0, 0)` (the scatter's untouched entry) where
+///   `valid` is clear.
 ///
 /// Hard symbols run through the same search as LLRs `Bit(0) → +1.0`,
 /// `Bit(1) → −1.0`, anything else `→ 0.0`. A Hamming branch reward (1
@@ -190,9 +224,9 @@ const NEG: f64 = f64::NEG_INFINITY;
 /// allocation.
 #[derive(Clone, Debug, Default)]
 pub struct ViterbiDecoder {
-    // survivor[t][s % 8] byte s / 8 = g1 | valid << 1 for state s; only
-    // grows, and rows past the current block are stale.
-    survivor: Vec<[u64; SURV_WORDS]>,
+    // survivor[t] holds step t's `g1` and `valid` planes, bit s for state
+    // s; only grows, and rows past the current block are stale.
+    survivor: Vec<Row>,
     // Hard symbols staged as ±1/0 LLRs.
     hard_llrs: Vec<f64>,
 }
@@ -208,7 +242,7 @@ impl ViterbiDecoder {
     /// (cleared first): all steps when unterminated, the data bits
     /// without the tail when terminated.
     fn decode_into(
-        survivor: &mut Vec<[u64; SURV_WORDS]>,
+        survivor: &mut Vec<Row>,
         llrs: &[f64],
         terminated: bool,
         out: &mut Vec<u8>,
@@ -221,9 +255,9 @@ impl ViterbiDecoder {
         if terminated && steps < TAIL_BITS {
             return Err(ViterbiError::TooShort(llrs.len()));
         }
-        // Every word of the first `steps` rows is overwritten below.
+        // Every byte of the first `steps` rows is overwritten below.
         if survivor.len() < steps {
-            survivor.resize(steps, [0; SURV_WORDS]);
+            survivor.resize(steps, Row::default());
         }
         let survivor = &mut survivor[..steps];
         let metric = forward(trellis(), llrs, survivor);
@@ -289,10 +323,10 @@ impl ViterbiDecoder {
 }
 
 /// Names the form of the forward search that [`ViterbiDecoder`] runs on
-/// this CPU: `"avx512"` on x86-64 CPUs with AVX-512F, `"avx2"` on other
-/// x86-64 CPUs with AVX2, `"baseline"` everywhere else. All three forms
-/// make the same decisions; this only says which one a measured speed
-/// came from.
+/// this CPU: `"avx512"` on x86-64 CPUs with AVX-512F and AVX-512DQ,
+/// `"avx2"` on other x86-64 CPUs with AVX2, `"baseline"` everywhere else.
+/// All three forms make the same decisions; this only says which one a
+/// measured speed came from.
 pub fn kernel() -> &'static str {
     #[cfg(target_arch = "x86_64")]
     if avx512::detected() {
@@ -305,9 +339,9 @@ pub fn kernel() -> &'static str {
 
 /// Runs the forward search over `llrs`, one trellis step per pair, into
 /// `survivor` (one row per step), and returns the final path metrics. It
-/// takes the AVX-512F form where the CPU has it, else the AVX2 form where
-/// the CPU has that, else the baseline loop.
-fn forward(tr: &Trellis, llrs: &[f64], survivor: &mut [[u64; SURV_WORDS]]) -> [f64; NUM_STATES] {
+/// takes the AVX-512 form where the CPU has AVX-512F and DQ, else the AVX2
+/// form where the CPU has that, else the baseline loop.
+fn forward(tr: &Trellis, llrs: &[f64], survivor: &mut [Row]) -> [f64; NUM_STATES] {
     #[cfg(target_arch = "x86_64")]
     if let Some(metric) = avx512::forward(tr, llrs, survivor) {
         return metric;
@@ -319,11 +353,7 @@ fn forward(tr: &Trellis, llrs: &[f64], survivor: &mut [[u64; SURV_WORDS]]) -> [f
 
 /// The portable forward search: [`acs_step`] per trellis step, which LLVM
 /// vectorizes for the build target (SSE2 pairs on baseline x86-64).
-fn forward_baseline(
-    tr: &Trellis,
-    llrs: &[f64],
-    survivor: &mut [[u64; SURV_WORDS]],
-) -> [f64; NUM_STATES] {
+fn forward_baseline(tr: &Trellis, llrs: &[f64], survivor: &mut [Row]) -> [f64; NUM_STATES] {
     let mut metric = &mut [NEG; NUM_STATES];
     metric[0] = 0.0; // encoder starts in the zero state
     let mut next = &mut [NEG; NUM_STATES];
@@ -336,17 +366,19 @@ fn forward_baseline(
 
 /// Rebuilds the decoded bits of a finished search into `out`: one bit per
 /// survivor row, without the tail when `terminated`.
-fn traceback(
-    survivor: &[[u64; SURV_WORDS]],
-    metric: &[f64; NUM_STATES],
-    terminated: bool,
-    out: &mut Vec<u8>,
-) {
+///
+/// Each row is read at its own address, whatever the state. `path` keeps
+/// the state in its low six bits: a shift by `path` reads bit `path & 63`,
+/// so on a row whose states are all valid a step is `prev = 2s + g1`,
+/// one bit test and one shift-add, and bit 5 is the decoded bit. Rows
+/// with an invalid state, the first five and any after a ±∞ or NaN LLR,
+/// take the general rule, which sends an invalid state to `(0, 0)`.
+fn traceback(survivor: &[Row], metric: &[f64; NUM_STATES], terminated: bool, out: &mut Vec<u8>) {
     let steps = survivor.len();
     // Final state: zero for terminated blocks, otherwise best metric
     // (last max wins on ties).
-    let mut state = if terminated {
-        0usize
+    let mut path = if terminated {
+        0u64
     } else {
         metric
             .iter()
@@ -355,16 +387,22 @@ fn traceback(
                 a.1.partial_cmp(b.1)
                     .expect("metrics are never NaN: NaN never wins a strict compare")
             })
-            .map(|(i, _)| i)
+            .map(|(i, _)| i as u64)
             .unwrap_or(0)
     };
     out.resize(steps, 0);
-    for (bit, surv) in out.iter_mut().zip(survivor.iter()).rev() {
-        let byte = (surv[state % SURV_WORDS] >> (8 * (state / SURV_WORDS))) as usize;
-        // All ones if `valid`; else the path goes through (0, 0).
-        let keep = ((byte >> 1) & 1).wrapping_neg();
-        *bit = ((state >> 5) & keep) as u8;
-        state = (2 * (state & 31) + (byte & 1)) & keep;
+    for (bit, row) in out.iter_mut().zip(survivor).rev() {
+        let Row { g1, valid } = *row;
+        if valid == !0 {
+            *bit = (path >> 5) as u8 & 1;
+            path = path << 1 | (g1 >> (path & 63)) & 1;
+        } else {
+            let s = path & 63;
+            // All ones if `valid`; else the path goes through (0, 0).
+            let keep = (valid >> s & 1).wrapping_neg();
+            *bit = (s >> 5 & keep) as u8;
+            path = (s << 1 | g1 >> s & 1) & keep;
+        }
     }
     if terminated {
         out.truncate(steps - TAIL_BITS);
@@ -373,7 +411,7 @@ fn traceback(
 
 /// One add-compare-select step of [`ViterbiDecoder`]'s search: 32
 /// butterflies, each writing two next-state metrics to `next` and their
-/// survivor bytes to `surv`.
+/// survivor bits to `surv`.
 #[inline]
 fn acs_step(
     tr: &Trellis,
@@ -381,7 +419,7 @@ fn acs_step(
     a0: f64,
     b0: f64,
     next: &mut [f64; NUM_STATES],
-    surv: &mut [u64; SURV_WORDS],
+    surv: &mut Row,
 ) {
     let p = (a0 + b0).to_bits();
     let pq = p ^ (a0 - b0).to_bits();
@@ -390,12 +428,12 @@ fn acs_step(
     // State s's survivor byte is byte s / 8 of word s % 8: row k of
     // eight butterflies fills byte k (next states j) and byte k + 4
     // (next states j + 32) of every word, one word per lane, so the
-    // packing needs no shuffles.
-    const ROWS: usize = HALF / SURV_WORDS;
-    let mut words = [0u64; SURV_WORDS];
+    // packing needs no shuffles. The words then fold into the row.
+    const ROWS: usize = HALF / BYTE_WORDS;
+    let mut words = [0u64; BYTE_WORDS];
     for k in 0..ROWS {
-        for w in 0..SURV_WORDS {
-            let j = SURV_WORDS * k + w;
+        for w in 0..BYTE_WORDS {
+            let j = BYTE_WORDS * k + w;
             // R = ±p or ±q: the use_q mask swaps in q's bits, the negate
             // mask flips the sign bit.
             let r = f64::from_bits(p ^ (pq & tr.use_q[j]) ^ tr.negate[j]);
@@ -408,7 +446,7 @@ fn acs_step(
             words[w] |= d << (8 * (k + ROWS));
         }
     }
-    *surv = words;
+    *surv = Row::from_byte_words(&words);
 }
 
 /// Keeps the better of one next state's two candidates, branch 0 first,
@@ -431,7 +469,7 @@ fn compare_select(c0: f64, c1: f64, floor: f64) -> (f64, u64) {
 /// bit-identical to the baseline loop's.
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
-    use super::{Trellis, HALF, NEG, NUM_STATES, SURV_WORDS};
+    use super::{Row, Trellis, HALF, NEG, NUM_STATES};
     use std::arch::x86_64::*;
 
     /// Butterfly groups per step: group `g` is butterflies `4g..4g + 4`.
@@ -450,7 +488,7 @@ mod avx2 {
     pub(super) fn forward(
         tr: &Trellis,
         llrs: &[f64],
-        survivor: &mut [[u64; SURV_WORDS]],
+        survivor: &mut [Row],
     ) -> Option<[f64; NUM_STATES]> {
         if !detected() {
             return None;
@@ -463,7 +501,7 @@ mod avx2 {
     /// The search itself. Code without AVX2 enabled may call it only
     /// after checking that the CPU has AVX2, as [`forward`] does.
     #[target_feature(enable = "avx2")]
-    fn search(tr: &Trellis, llrs: &[f64], survivor: &mut [[u64; SURV_WORDS]]) -> [f64; NUM_STATES] {
+    fn search(tr: &Trellis, llrs: &[f64], survivor: &mut [Row]) -> [f64; NUM_STATES] {
         // Group g's `use_q` and `negate` masks, one lane per butterfly.
         let mut masks = [[_mm256_setzero_pd(); 2]; GROUPS];
         for g in 0..GROUPS {
@@ -517,7 +555,7 @@ mod avx2 {
         a0: f64,
         b0: f64,
         next: &mut [__m256d; REGS],
-        surv: &mut [u64; SURV_WORDS],
+        surv: &mut Row,
     ) {
         let p = (a0 + b0).to_bits();
         let pq = _mm256_castsi256_pd(_mm256_set1_epi64x((p ^ (a0 - b0).to_bits()) as i64));
@@ -525,7 +563,7 @@ mod avx2 {
         // `g1` at bits 0 and 32, `valid` at bits 1 and 33 of each lane.
         let g1_bits = _mm256_set1_epi64x(0x1_0000_0001);
         let valid_bits = _mm256_set1_epi64x(0x2_0000_0002);
-        // Survivor words 0..4 (even groups) and 4..8 (odd groups): lane
+        // Byte words 0..4 (even groups) and 4..8 (odd groups): lane
         // `l` of group `g` is word 4(g % 2) + l, and its next states `j`
         // and `j + 32` are bytes g / 2 and g / 2 + 4, as in `acs_step`.
         // Bytes k = 3, 2, 1, 0 go in by shifting the words up a byte.
@@ -556,12 +594,18 @@ mod avx2 {
                 *w = _mm256_or_si256(_mm256_slli_epi64::<8>(*w), d);
             }
         }
-        // SAFETY: `surv` is eight contiguous, writable u64s, written as
-        // two 32-byte stores that need no alignment.
-        unsafe {
-            _mm256_storeu_si256(surv.as_mut_ptr().cast(), words[0]);
-            _mm256_storeu_si256(surv.as_mut_ptr().add(4).cast(), words[1]);
-        }
+        // Fold the words as `Row::from_byte_words` does: lane `l` takes
+        // word `4 + l` up 4, then the high half (words 2, 3) goes up 2
+        // onto the low half (words 0, 1).
+        let y = _mm256_or_si256(words[0], _mm256_slli_epi64::<4>(words[1]));
+        let z = _mm_or_si128(
+            _mm256_castsi256_si128(y),
+            _mm_slli_epi64::<2>(_mm256_extracti128_si256::<1>(y)),
+        );
+        *surv = Row::from_pair([
+            _mm_cvtsi128_si64(z) as u64,
+            _mm_extract_epi64::<1>(z) as u64,
+        ]);
     }
 
     /// [`super::compare_select`] on four states: `vmaxpd` returns its
@@ -579,14 +623,15 @@ mod avx2 {
     }
 }
 
-/// The AVX-512F form of the forward search: eight butterflies per 512-bit
+/// The AVX-512 form of the forward search: eight butterflies per 512-bit
 /// register. As in the AVX2 form, every state goes through
 /// [`acs_step`]'s IEEE operations in the same order and `vmaxpd` is the
 /// strict select, so survivors and final metrics are bit-identical to the
-/// baseline loop's.
+/// baseline loop's. It needs AVX-512F, and AVX-512DQ for `kmovb`, which
+/// stores each compare's lane mask straight into its row byte.
 #[cfg(target_arch = "x86_64")]
 mod avx512 {
-    use super::{Trellis, HALF, NEG, NUM_STATES, SURV_WORDS};
+    use super::{Row, Trellis, HALF, NEG, NUM_STATES};
     use std::arch::x86_64::*;
 
     /// Butterfly groups per step: group `g` is butterflies `8g..8g + 8`.
@@ -595,30 +640,30 @@ mod avx512 {
     /// `8i..8i + 8`.
     const REGS: usize = NUM_STATES / 8;
 
-    /// Whether this CPU runs the AVX-512F form.
+    /// Whether this CPU runs the AVX-512 form (AVX-512F and AVX-512DQ).
     pub(super) fn detected() -> bool {
-        std::is_x86_feature_detected!("avx512f")
+        std::is_x86_feature_detected!("avx512f") && std::is_x86_feature_detected!("avx512dq")
     }
 
-    /// [`super::forward`] in the AVX-512F form, or `None` if the CPU lacks
-    /// AVX-512F.
+    /// [`super::forward`] in the AVX-512 form, or `None` if the CPU lacks
+    /// AVX-512F or AVX-512DQ.
     pub(super) fn forward(
         tr: &Trellis,
         llrs: &[f64],
-        survivor: &mut [[u64; SURV_WORDS]],
+        survivor: &mut [Row],
     ) -> Option<[f64; NUM_STATES]> {
         if !detected() {
             return None;
         }
         assert_eq!(survivor.len(), llrs.len() / 2, "one survivor row per step");
-        // SAFETY: the CPU has AVX-512F, checked just above.
+        // SAFETY: the CPU has AVX-512F and AVX-512DQ, checked just above.
         Some(unsafe { search(tr, llrs, survivor) })
     }
 
-    /// The search itself. Code without AVX-512F enabled may call it only
-    /// after checking that the CPU has AVX-512F, as [`forward`] does.
-    #[target_feature(enable = "avx512f")]
-    fn search(tr: &Trellis, llrs: &[f64], survivor: &mut [[u64; SURV_WORDS]]) -> [f64; NUM_STATES] {
+    /// The search itself. Code without AVX-512F and DQ enabled may call it
+    /// only after checking that the CPU has both, as [`forward`] does.
+    #[target_feature(enable = "avx512f,avx512dq")]
+    fn search(tr: &Trellis, llrs: &[f64], survivor: &mut [Row]) -> [f64; NUM_STATES] {
         // Group g's `use_q` and `negate` masks, one lane per butterfly.
         let mut masks = [[_mm512_setzero_si512(); 2]; GROUPS];
         for g in 0..GROUPS {
@@ -668,7 +713,7 @@ mod avx512 {
     /// One [`super::acs_step`]: group `g` reads registers `2g`, `2g + 1`
     /// and writes next states `8g..8g + 8` (register `g`) and
     /// `32 + 8g..32 + 8g + 8` (register `4 + g`).
-    #[target_feature(enable = "avx512f")]
+    #[target_feature(enable = "avx512f,avx512dq")]
     fn step(
         masks: &[[__m512i; 2]; GROUPS],
         floor: __m512d,
@@ -676,7 +721,7 @@ mod avx512 {
         a0: f64,
         b0: f64,
         next: &mut [__m512d; REGS],
-        surv: &mut [u64; SURV_WORDS],
+        surv: &mut Row,
     ) {
         let p = (a0 + b0).to_bits();
         let pq = _mm512_set1_epi64((p ^ (a0 - b0).to_bits()) as i64);
@@ -684,13 +729,12 @@ mod avx512 {
         // Lanes 0, 2, …, 14 and 1, 3, …, 15 of a register pair.
         let even = _mm512_setr_epi64(0, 2, 4, 6, 8, 10, 12, 14);
         let odd = _mm512_setr_epi64(1, 3, 5, 7, 9, 11, 13, 15);
-        let (g1_bit, valid_bit) = (_mm512_set1_epi64(1), _mm512_set1_epi64(2));
-        // Lane `l` of group `g` is survivor word `l`, and its next states
-        // `j` and `j + 32` are bytes g and g + 4, as in `acs_step`: `lo`
-        // gathers bytes 0..4 and `hi` bytes 4..8, each taking g = 3, 2,
-        // 1, 0 by shifting its words up a byte.
-        let (mut lo, mut hi) = (_mm512_setzero_si512(), _mm512_setzero_si512());
-        for g in (0..GROUPS).rev() {
+        // Lane `l` of group `g` is state `8g + l` (`j`) and state
+        // `32 + 8g + l` (`j + 32`), so each compare's mask is one byte of
+        // a plane: byte g or g + 4 of `g1` (row bytes 0..8) or of `valid`
+        // (row bytes 8..16).
+        let row: *mut u8 = (surv as *mut Row).cast();
+        for g in 0..GROUPS {
             let [use_q, negate] = masks[g];
             let r = _mm512_castsi512_pd(_mm512_xor_si512(
                 _mm512_xor_si512(p, _mm512_and_si512(pq, use_q)),
@@ -701,21 +745,22 @@ mod avx512 {
             let (a, b) = (metric[2 * g], metric[2 * g + 1]);
             let m0 = _mm512_permutex2var_pd(a, even, b);
             let m1 = _mm512_permutex2var_pd(a, odd, b);
-            let (n, g1, valid) = compare_select(_mm512_add_pd(m0, r), _mm512_sub_pd(m1, r), floor);
+            let (n, g1_lo, valid_lo) =
+                compare_select(_mm512_add_pd(m0, r), _mm512_sub_pd(m1, r), floor);
             next[g] = n;
-            lo = _mm512_slli_epi64::<8>(lo);
-            lo = _mm512_mask_or_epi64(lo, g1, lo, g1_bit);
-            lo = _mm512_mask_or_epi64(lo, valid, lo, valid_bit);
-            let (n, g1, valid) = compare_select(_mm512_sub_pd(m0, r), _mm512_add_pd(m1, r), floor);
+            let (n, g1_hi, valid_hi) =
+                compare_select(_mm512_sub_pd(m0, r), _mm512_add_pd(m1, r), floor);
             next[GROUPS + g] = n;
-            hi = _mm512_slli_epi64::<8>(hi);
-            hi = _mm512_mask_or_epi64(hi, g1, hi, g1_bit);
-            hi = _mm512_mask_or_epi64(hi, valid, hi, valid_bit);
+            // SAFETY: `Row` is two `repr(C)` u64s, so `row` points at 16
+            // writable bytes, `g1` then `valid`, and every offset here is
+            // below 16 (g < 4).
+            unsafe {
+                _store_mask8(row.add(g), g1_lo);
+                _store_mask8(row.add(GROUPS + g), g1_hi);
+                _store_mask8(row.add(8 + g), valid_lo);
+                _store_mask8(row.add(8 + GROUPS + g), valid_hi);
+            }
         }
-        let words = _mm512_or_si512(lo, _mm512_slli_epi64::<32>(hi));
-        // SAFETY: `surv` is eight contiguous, writable u64s, written as one
-        // 64-byte store that needs no alignment.
-        unsafe { _mm512_storeu_si512(surv.as_mut_ptr().cast(), words) };
     }
 
     /// [`super::compare_select`] on eight states: `vmaxpd` returns its
@@ -955,7 +1000,7 @@ mod tests {
         );
     }
 
-    /// Xorshift64 stream for the two-forms test.
+    /// Xorshift64 stream for the forms and traceback tests.
     struct Xorshift(u64);
 
     impl Xorshift {
@@ -1039,19 +1084,21 @@ mod tests {
         }
     }
 
-    /// Every wide form the CPU has (AVX2, AVX-512F) and the baseline loop
-    /// on the same streams: equal survivor words, bit-equal final metrics,
-    /// and equal decoded bits terminated and unterminated. A form the CPU
-    /// lacks is skipped with a note, and `kernel()` must name the form the
-    /// dispatch picks.
+    /// Every wide form the CPU has (AVX2, AVX-512F+DQ) and the baseline
+    /// loop on the same streams: equal survivor rows, bit-equal final
+    /// metrics, and equal decoded bits terminated and unterminated. The
+    /// wide forms write into rows of all ones, so a survivor byte a form
+    /// leaves unwritten fails the row comparison. A form the CPU lacks is
+    /// skipped with a note, and `kernel()` must name the form the dispatch
+    /// picks.
     #[test]
-    fn avx2_form_matches_baseline_loop_bit_for_bit() {
+    fn wide_forms_match_baseline_loop_bit_for_bit() {
         #[cfg(target_arch = "x86_64")]
         {
-            type Form = fn(&Trellis, &[f64], &mut [[u64; SURV_WORDS]]) -> Option<[f64; NUM_STATES]>;
+            type Form = fn(&Trellis, &[f64], &mut [Row]) -> Option<[f64; NUM_STATES]>;
             let forms: [(&str, &str, Form); 2] = [
                 ("avx2", "AVX2", avx2::forward),
-                ("avx512", "AVX-512F", avx512::forward),
+                ("avx512", "AVX-512F+DQ", avx512::forward),
             ];
             let tr = trellis();
             let mut rng = Xorshift(0x5EED_AF20);
@@ -1069,16 +1116,17 @@ mod tests {
                 };
                 let kind = case % 4;
                 let llrs = forms_stream(&mut rng, kind, steps);
-                let mut surv_base = vec![[0u64; SURV_WORDS]; steps];
+                let mut surv_base = vec![Row::default(); steps];
                 let base = forward_baseline(tr, &llrs, &mut surv_base);
                 for ((name, _, form), ran) in forms.iter().zip(&mut ran) {
-                    let mut surv_wide = vec![[!0u64; SURV_WORDS]; steps];
+                    let ones = Row { g1: !0, valid: !0 };
+                    let mut surv_wide = vec![ones; steps];
                     let Some(wide) = form(tr, &llrs, &mut surv_wide) else {
                         continue;
                     };
                     *ran = true;
                     let what = format!("{name} form, case {case}, kind {kind}, {steps} steps");
-                    assert_eq!(surv_base, surv_wide, "survivor words, {what}");
+                    assert_eq!(surv_base, surv_wide, "survivor rows, {what}");
                     assert_eq!(
                         base.map(f64::to_bits),
                         wide.map(f64::to_bits),
@@ -1119,6 +1167,95 @@ mod tests {
         }
         #[cfg(not(target_arch = "x86_64"))]
         println!("viterbi forms: not x86-64; only the baseline loop exists");
+    }
+
+    /// Traceback by the general rule alone, from `state`: a valid state
+    /// steps to `2(s & 31) + g1`, an invalid one sends the path through
+    /// `(0, 0)`. Also returns how many rows from `from` on the path met
+    /// with an invalid state.
+    fn traceback_one_rule(survivor: &[Row], mut state: usize, from: usize) -> (Vec<u8>, usize) {
+        let mut bits = vec![0u8; survivor.len()];
+        let mut invalid = 0;
+        for (t, row) in survivor.iter().enumerate().rev() {
+            if row.valid >> state & 1 == 1 {
+                bits[t] = (state >> 5) as u8;
+                state = 2 * (state & 31) + (row.g1 >> state & 1) as usize;
+            } else {
+                invalid += usize::from(t >= from);
+                state = 0;
+            }
+        }
+        (bits, invalid)
+    }
+
+    /// Clean streams fill every row from step `TAIL_BITS - 1` on with valid
+    /// states, so `traceback` takes its two-operation step there. Streams
+    /// with ±∞ or NaN LLRs after step `TAIL_BITS` leave later rows with
+    /// invalid states, which take the general rule, and decoded paths
+    /// through them. Both must decode as a one-rule reference does.
+    #[test]
+    fn traceback_matches_one_rule_reference_on_both_row_kinds() {
+        const INF: f64 = f64::INFINITY;
+        const SPOILERS: [[f64; 2]; 5] = [
+            [f64::NAN, 1.0],
+            [INF, -INF],
+            [-INF, INF],
+            [INF, 0.5],
+            [-0.5, f64::NAN],
+        ];
+        let tr = trellis();
+        let mut rng = Xorshift(0x7ACE_BAC4);
+        let (mut partial_rows, mut invalid_visits) = (0, 0);
+        for case in 0..96u64 {
+            let steps = TAIL_BITS + 1 + rng.below(800) as usize;
+            let mut llrs = forms_stream(&mut rng, 1 + case % 2, steps);
+            let hostile = case % 3 != 0;
+            if hostile {
+                for _ in 0..1 + rng.below(3) {
+                    let t = TAIL_BITS + rng.below((steps - TAIL_BITS) as u64) as usize;
+                    let spoiler = SPOILERS[rng.below(SPOILERS.len() as u64) as usize];
+                    llrs[2 * t..2 * t + 2].copy_from_slice(&spoiler);
+                }
+            }
+            let mut surv = vec![Row::default(); steps];
+            let metric = forward(tr, &llrs, &mut surv);
+            assert!(surv[..TAIL_BITS - 1].iter().all(|r| r.valid != !0));
+            let partial = surv[TAIL_BITS - 1..]
+                .iter()
+                .filter(|r| r.valid != !0)
+                .count();
+            if !hostile {
+                assert_eq!(
+                    partial, 0,
+                    "case {case}: a clean stream fills every later row"
+                );
+            }
+            partial_rows += partial;
+            for terminated in [false, true] {
+                let mut got = Vec::new();
+                traceback(&surv, &metric, terminated, &mut got);
+                // The final state: zero, or the last best metric.
+                let start = if terminated {
+                    0
+                } else {
+                    (0..NUM_STATES).fold(
+                        0,
+                        |best, s| if metric[s] >= metric[best] { s } else { best },
+                    )
+                };
+                let (mut want, invalid) = traceback_one_rule(&surv, start, TAIL_BITS);
+                if terminated {
+                    want.truncate(steps - TAIL_BITS);
+                }
+                assert_eq!(got, want, "case {case}, terminated {terminated}");
+                invalid_visits += invalid;
+            }
+        }
+        assert!(
+            partial_rows > 0,
+            "no row past the fill-up had an invalid state"
+        );
+        assert!(invalid_visits > 0, "no decoded path met an invalid state");
     }
 
     #[test]

@@ -65,7 +65,7 @@
 //! rounds are computed then too, by the same function the in-process
 //! run uses (`session::telemetry_rounds`).
 
-use super::{EngineShared, ShardHandle};
+use super::{spawn_named, EngineShared, ShardHandle};
 use crate::session::{
     score_decoded, session_psdus, telemetry_rounds, validate_config, SessionError,
 };
@@ -364,22 +364,25 @@ pub(crate) struct ComputePlane {
 }
 
 impl ComputePlane {
-    /// Spawns `n_workers` compute threads draining the run queues.
+    /// Spawns `n_workers` compute threads, `linkd-compute-N`, draining
+    /// the run queues.
     pub(crate) fn spawn(
         n_workers: usize,
         shared: Arc<EngineShared>,
         shards: Vec<ShardHandle>,
-    ) -> Self {
+    ) -> std::io::Result<Self> {
         let sched = Arc::new(Scheduler::new());
         let workers = (0..n_workers)
-            .map(|_| {
+            .map(|i| {
                 let sched = sched.clone();
                 let shared = shared.clone();
                 let shards = shards.clone();
-                std::thread::spawn(move || worker_loop(&sched, &shared, &shards))
+                spawn_named(format!("linkd-compute-{i}"), move || {
+                    worker_loop(&sched, &shared, &shards)
+                })
             })
-            .collect();
-        Self { sched, workers }
+            .collect::<std::io::Result<_>>()?;
+        Ok(Self { sched, workers })
     }
 
     /// Admits a (validated) session into the plane.

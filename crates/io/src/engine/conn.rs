@@ -32,6 +32,7 @@ use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
+use std::time::Duration;
 
 /// Outbound buffer high-water mark: replies are encoded from the
 /// `pending` message queue only while the byte buffer is below this, so
@@ -117,6 +118,15 @@ impl Conn {
     /// Whether the connection is finished and can be dropped.
     pub(crate) fn is_dead(&self) -> bool {
         self.dead || (self.closing && !self.wants_write()) || (self.read_eof && !self.wants_write())
+    }
+
+    /// Time left before this connection's deadline fires; `None` without
+    /// a deadline, or once the connection is closing and it has fired.
+    pub(crate) fn deadline_left(&self) -> Option<Duration> {
+        if self.closing || self.dead {
+            return None;
+        }
+        self.deadline.as_ref().map(Deadline::remaining)
     }
 
     /// Connection-deadline check: past its budget a connection is

@@ -60,12 +60,13 @@ use crate::wire::{HealthReport, WIRE_VERSION};
 use compute::ComputePlane;
 use mimonet::obs::{render_prometheus, MetricKind, MetricSample};
 use mimonet_dsp::seedtree;
-use reactor::{poll_ready, Interest, PollSource, Readiness};
+use reactor::{poll_wait, Interest, PollSource, Readiness, Waker};
 use serde::Value;
 use shard::{shard_loop, ShardHandle};
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// Engine service policy. [`Default`] disables every limit that could
@@ -247,17 +248,28 @@ impl EngineShared {
 }
 
 /// A running engine: acceptor + N shard threads + M compute workers —
-/// thread count constant no matter how many clients connect. Bind with
-/// port 0 for tests; [`EngineServer::shutdown`] (or drop) stops
-/// everything and joins every thread.
+/// thread count constant no matter how many clients connect. The threads
+/// are named `linkd-accept`, `linkd-shard-N` and `linkd-compute-N`, and
+/// an idle engine's threads all sleep until woken. Bind with port 0 for
+/// tests; [`EngineServer::shutdown`] (or drop) stops everything and joins
+/// every thread.
 pub struct EngineServer {
     local: SocketAddr,
     stop: Arc<AtomicBool>,
     shared: Arc<EngineShared>,
     shard_handles: Vec<ShardHandle>,
-    acceptor: Option<std::thread::JoinHandle<()>>,
-    shards: Vec<std::thread::JoinHandle<()>>,
+    acceptor_waker: Arc<Waker>,
+    acceptor: Option<JoinHandle<()>>,
+    shards: Vec<JoinHandle<()>>,
     compute: Option<Arc<ComputePlane>>,
+}
+
+/// Starts a thread named `name` running `f`.
+pub(crate) fn spawn_named(
+    name: String,
+    f: impl FnOnce() + Send + 'static,
+) -> std::io::Result<JoinHandle<()>> {
+    std::thread::Builder::new().name(name).spawn(f)
 }
 
 impl EngineServer {
@@ -291,7 +303,7 @@ impl EngineServer {
             n_workers,
             shared.clone(),
             shard_handles.clone(),
-        ));
+        )?);
         let shards = shard_handles
             .iter()
             .enumerate()
@@ -300,20 +312,27 @@ impl EngineServer {
                 let shared = shared.clone();
                 let compute = compute.clone();
                 let stop = stop.clone();
-                std::thread::spawn(move || shard_loop(i, h, shared, compute, stop))
+                spawn_named(format!("linkd-shard-{i}"), move || {
+                    shard_loop(i, h, shared, compute, stop)
+                })
             })
-            .collect();
+            .collect::<std::io::Result<_>>()?;
+        let acceptor_waker = Arc::new(Waker::new()?);
         let acceptor = {
             let stop = stop.clone();
             let shared = shared.clone();
             let handles = shard_handles.clone();
-            std::thread::spawn(move || accept_loop(listener, &stop, &shared, &handles))
+            let waker = acceptor_waker.clone();
+            spawn_named("linkd-accept".into(), move || {
+                accept_loop(listener, &waker, &stop, &shared, &handles)
+            })?
         };
         Ok(Self {
             local,
             stop,
             shared,
             shard_handles,
+            acceptor_waker,
             acceptor: Some(acceptor),
             shards,
             compute: Some(compute),
@@ -360,6 +379,7 @@ impl EngineServer {
 
     fn stop_now(&mut self) {
         self.stop.store(true, Ordering::Relaxed);
+        self.acceptor_waker.wake();
         for h in &self.shard_handles {
             h.waker.wake();
         }
@@ -383,14 +403,18 @@ impl Drop for EngineServer {
     }
 }
 
+/// Accepts connections and deals them round-robin to the shards until
+/// `stop`. Between bursts it sleeps in `poll` on the listener and
+/// `waker`, which shutdown rings.
 fn accept_loop(
     listener: TcpListener,
+    waker: &Waker,
     stop: &AtomicBool,
     shared: &EngineShared,
     shards: &[ShardHandle],
 ) {
     let mut next = 0usize;
-    let mut ready = [Readiness::default()];
+    let mut ready = [Readiness::default(); 2];
     while !stop.load(Ordering::Relaxed) {
         loop {
             match listener.accept() {
@@ -405,7 +429,11 @@ fn accept_loop(
                 Err(_) => break,
             }
         }
-        let sources = [(PollSource::Listener(&listener), Interest::READ)];
-        poll_ready(&sources, &mut ready, Duration::from_millis(50));
+        let sources = [
+            (PollSource::Listener(&listener), Interest::READ),
+            (PollSource::Udp(waker.poll_half()), Interest::READ),
+        ];
+        poll_wait(&sources, &mut ready, None);
+        waker.drain();
     }
 }

@@ -87,12 +87,13 @@ mod sys {
         fn poll(fds: *mut PollFd, nfds: c_ulong, timeout: c_int) -> c_int;
     }
 
-    /// Blocks up to `timeout` for readiness on `sources`; fills `out`
-    /// (one slot per source) and returns how many sources are ready.
+    /// Blocks up to `timeout` (`None`: until something is ready) for
+    /// readiness on `sources`; fills `out` (one slot per source) and
+    /// returns how many sources are ready.
     pub fn wait(
         sources: &[(PollSource<'_>, Interest)],
         out: &mut [Readiness],
-        timeout: Duration,
+        timeout: Option<Duration>,
     ) -> usize {
         let mut fds: Vec<PollFd> = sources
             .iter()
@@ -116,7 +117,11 @@ mod sys {
                 }
             })
             .collect();
-        let ms = timeout.as_millis().min(i32::MAX as u128) as c_int;
+        // Round up, so a wait for a deadline under 1 ms does not spin at 0;
+        // -1 blocks with no timeout.
+        let ms = timeout.map_or(-1, |t| {
+            t.as_nanos().div_ceil(1_000_000).min(i32::MAX as u128) as c_int
+        });
         let rc = unsafe { poll(fds.as_mut_ptr(), fds.len() as c_ulong, ms) };
         let mut ready = 0;
         for (slot, fd) in out.iter_mut().zip(&fds) {
@@ -145,9 +150,10 @@ mod sys {
     pub fn wait(
         sources: &[(PollSource<'_>, Interest)],
         out: &mut [Readiness],
-        timeout: Duration,
+        timeout: Option<Duration>,
     ) -> usize {
-        std::thread::sleep(timeout.min(Duration::from_millis(2)));
+        let nap = Duration::from_millis(2);
+        std::thread::sleep(timeout.map_or(nap, |t| t.min(nap)));
         for (slot, (_, interest)) in out.iter_mut().zip(sources) {
             *slot = Readiness {
                 readable: interest.readable,
@@ -167,9 +173,20 @@ pub fn poll_ready(
     out: &mut [Readiness],
     timeout: Duration,
 ) -> usize {
+    poll_wait(sources, out, Some(timeout))
+}
+
+/// [`poll_ready`] with an optional timeout: `None` blocks until a source
+/// is ready, so a set with a [`Waker`] sleeps until something happens.
+pub fn poll_wait(
+    sources: &[(PollSource<'_>, Interest)],
+    out: &mut [Readiness],
+    timeout: Option<Duration>,
+) -> usize {
     assert_eq!(sources.len(), out.len(), "readiness slots must match");
     if sources.is_empty() {
-        std::thread::sleep(timeout.min(Duration::from_millis(5)));
+        let nap = Duration::from_millis(5);
+        std::thread::sleep(timeout.map_or(nap, |t| t.min(nap)));
         return 0;
     }
     sys::wait(sources, out, timeout)

@@ -5,22 +5,20 @@
 //! compute-plane completions (routing each to its connection), poll its
 //! socket set (waker + every live connection) for readiness, service
 //! ready connections, enforce deadlines, and reap the dead. The waker
-//! sits in the poll set, so a completion posted while the shard sleeps
-//! wakes it immediately — no latency floor from the poll timeout.
+//! sits in the poll set, so a completion, an injected connection or
+//! shutdown wakes a sleeping shard at once. The poll times out only at
+//! the nearest connection deadline; with none, an idle shard sleeps until
+//! a socket or its waker is ready.
 
 use super::compute::{Completion, ComputePlane};
 use super::conn::{Conn, Ctx};
-use super::reactor::{poll_ready, Interest, PollSource, Readiness, Waker};
+use super::reactor::{poll_wait, Interest, PollSource, Readiness, Waker};
 use super::EngineShared;
 use crate::resilience::Deadline;
 use std::collections::{HashMap, VecDeque};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
-
-/// Poll timeout when nothing is pending — the waker cuts through it.
-const IDLE_POLL: Duration = Duration::from_millis(50);
 
 /// The cross-thread face of one shard: the acceptor injects sockets, the
 /// compute plane posts completions, both wake the loop.
@@ -101,7 +99,8 @@ pub(crate) fn shard_loop(
             }
             ready.clear();
             ready.resize(sources.len(), Readiness::default());
-            poll_ready(&sources, &mut ready, IDLE_POLL);
+            let timeout = conns.values().filter_map(Conn::deadline_left).min();
+            poll_wait(&sources, &mut ready, timeout);
         }
         handle.waker.drain();
 
