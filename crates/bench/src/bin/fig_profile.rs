@@ -26,7 +26,8 @@
 //! diffs against `results/golden/fig_profile.json`.
 
 use mimonet::chaos::{run_chaos_capture_profiled, ChaosConfig};
-use mimonet::sweep::{mix, Merge};
+use mimonet::seedtree::mix;
+use mimonet::sweep::Merge;
 use mimonet::{
     build_link_flowgraph, LinkConfig, LinkSim, LinkStats, RxCaptureProfile, RxConfig, RxStage,
     StageProfile, TxConfig,

@@ -2,7 +2,7 @@
 //!
 //! Each experiment binary owns one (occasionally two) master seeds; the
 //! sweep engine derives every per-point, per-shard stream from them (see
-//! `mimonet::sweep::shard_seed`). Paired comparisons — e.g. a detector
+//! `mimonet::seedtree::shard_seed`). Paired comparisons — e.g. a detector
 //! ablation where every arm must see the same channel realizations —
 //! share a master seed across arms, so equal point indices draw equal
 //! channels. Changing a value here changes that figure's noise

@@ -15,7 +15,7 @@
 use crate::burst::{self, BurstScratch, GAP, LEAD_IN};
 use crate::config::{RxConfig, TxConfig};
 use crate::link::LinkStats;
-use crate::rx::Receiver;
+use crate::rx::{Receiver, RxError, RxFrame};
 use crate::sweep::{ShardCtx, SweepResult, SweepSpec};
 use crate::telemetry::RxCaptureProfile;
 use crate::tx::Transmitter;
@@ -81,6 +81,8 @@ pub fn run_chaos_capture(cfg: &ChaosConfig, seed: u64, stats: &mut LinkStats) ->
 /// 2. else a failed decode attempt (scan error event) near the sent span
 ///    names the stage that rejected it → its error class;
 /// 3. else the detector never fired on it → `sync_miss`.
+///
+/// The scenario engine scores its one-frame rounds by the same rule.
 pub fn run_chaos_capture_profiled(
     cfg: &ChaosConfig,
     seed: u64,
@@ -143,49 +145,18 @@ pub fn run_chaos_capture_profiled(
 
     // This capture's failed-attempt events; each may explain one frame.
     let events = &cap.events[ev_base..];
-    let mut event_used = vec![false; events.len()];
-    let mut claimed = vec![false; frames.len()];
-    for ((start, end), psdu) in &sent {
-        let delivered = frames
-            .iter()
-            .enumerate()
-            .find(|(i, (_, f))| !claimed[*i] && &f.psdu == psdu)
-            .map(|(i, _)| i);
-        if let Some(i) = delivered {
-            claimed[i] = true;
-        }
-        let ok = delivered.is_some();
+    for (((start, end), _), fate) in sent.iter().zip(frame_fates(&sent, &frames, events)) {
+        let ok = matches!(fate, Fate::Delivered(_));
         if ok {
             stats.per.record_ok();
-            stats.outcomes.record_ok();
         } else {
             stats.per.record_sync_failure();
-            // A decoded frame whose samples overlap the sent span but
-            // whose PSDU matched nothing: the pipeline ran end to end and
-            // produced wrong bits — a payload failure.
-            let corrupt_twin = frames.iter().enumerate().find(|(i, (off, f))| {
-                !claimed[*i] && off + f.timing < *end && off + f.frame_end > *start
-            });
-            if let Some((i, _)) = corrupt_twin {
-                claimed[i] = true;
-                stats.outcomes.record_payload_fail();
-            } else {
-                // A failed decode attempt whose window reaches the sent
-                // span names the stage that rejected this frame. Windows
-                // start up to one detection span (640 samples) early.
-                let blamed = events
-                    .iter()
-                    .enumerate()
-                    .find(|(j, (off, _))| !event_used[*j] && *off < *end && off + 640 > *start);
-                match blamed {
-                    Some((j, (_, e))) => {
-                        event_used[j] = true;
-                        stats.outcomes.record_error(e);
-                    }
-                    // Detection never fired anywhere near it.
-                    None => stats.outcomes.record_sync_miss(),
-                }
-            }
+        }
+        match fate {
+            Fate::Delivered(_) => stats.outcomes.record_ok(),
+            Fate::Corrupt(_) => stats.outcomes.record_payload_fail(),
+            Fate::Rejected(j) => stats.outcomes.record_error(&events[j].1),
+            Fate::Missed => stats.outcomes.record_sync_miss(),
         }
         match sched.window() {
             Some((lo, hi)) if *start < hi && *end > lo => stats.recovery.record_faulted(ok),
@@ -195,6 +166,78 @@ pub fn run_chaos_capture_profiled(
         }
     }
     report
+}
+
+/// What became of one sent frame in a scanned capture. Indices point
+/// into the `frames` and `events` given to [`frame_fates`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Fate {
+    /// Decoded frame `i` carries the sent PSDU.
+    Delivered(usize),
+    /// Decoded frame `i` overlaps the sent span with other bits: the
+    /// pipeline ran end to end and got them wrong (`payload_fail`).
+    Corrupt(usize),
+    /// Failed decode attempt `j` reached the sent span; its error names
+    /// the stage that rejected the frame.
+    Rejected(usize),
+    /// Detection never fired near it (`sync_miss`).
+    Missed,
+}
+
+/// Decides the fate of each sent frame, in send order.
+///
+/// `sent` holds each frame's sample span `[start, end)` in the capture and
+/// its PSDU; `frames` the scan's decoded frames and `events` its failed
+/// decode attempts, each keyed by the capture offset of its window. Each
+/// decoded frame and each event explains at most one sent frame: the
+/// first that claims it. A sent frame is
+/// 1. [`Fate::Delivered`] by the first unclaimed decoded frame with the
+///    same PSDU; else
+/// 2. [`Fate::Corrupt`] through the first unclaimed decoded frame whose
+///    `[off + timing, off + frame_end)` overlaps the sent span; else
+/// 3. [`Fate::Rejected`] by the first unused event whose window
+///    `[off, off + 640)` reaches the sent span (a window starts up to one
+///    detection span early); else
+/// 4. [`Fate::Missed`].
+pub(crate) fn frame_fates<P: AsRef<[u8]>>(
+    sent: &[((usize, usize), P)],
+    frames: &[(usize, RxFrame)],
+    events: &[(usize, RxError)],
+) -> Vec<Fate> {
+    let mut claimed = vec![false; frames.len()];
+    let mut used = vec![false; events.len()];
+    let mut fates = Vec::with_capacity(sent.len());
+    for &((start, end), ref psdu) in sent {
+        let fate = frames
+            .iter()
+            .zip(&claimed)
+            .position(|((_, f), &c)| !c && f.psdu == psdu.as_ref())
+            .map(Fate::Delivered)
+            .or_else(|| {
+                frames
+                    .iter()
+                    .zip(&claimed)
+                    .position(|((off, f), &c)| {
+                        !c && off + f.timing < end && off + f.frame_end > start
+                    })
+                    .map(Fate::Corrupt)
+            })
+            .or_else(|| {
+                events
+                    .iter()
+                    .zip(&used)
+                    .position(|((off, _), &u)| !u && *off < end && off + 640 > start)
+                    .map(Fate::Rejected)
+            })
+            .unwrap_or(Fate::Missed);
+        match fate {
+            Fate::Delivered(i) | Fate::Corrupt(i) => claimed[i] = true,
+            Fate::Rejected(j) => used[j] = true,
+            Fate::Missed => {}
+        }
+        fates.push(fate);
+    }
+    fates
 }
 
 /// Standard shard body for chaos sweeps: `ctx.trials` independent seeded
@@ -270,5 +313,78 @@ mod tests {
             )
         };
         assert_eq!(run(3), run(3));
+    }
+
+    /// A frame decoded in the scan window at `off`, spanning
+    /// `[off + timing, off + frame_end)`.
+    fn decoded(off: usize, timing: usize, frame_end: usize, psdu: &[u8]) -> (usize, RxFrame) {
+        let f = RxFrame {
+            psdu: psdu.to_vec(),
+            timing,
+            frame_end,
+            ..RxFrame::default()
+        };
+        (off, f)
+    }
+
+    const X: &[u8] = &[1, 2, 3];
+    const Y: &[u8] = &[4, 5, 6];
+    const Z: &[u8] = &[7, 8, 9];
+
+    #[test]
+    fn fates_deliver_the_matching_psdu_before_an_earlier_twin() {
+        let frames = [decoded(0, 120, 480, Y), decoded(0, 120, 480, X)];
+        let fates = frame_fates(&[((100, 500), X)], &frames, &[]);
+        assert_eq!(fates, [Fate::Delivered(1)]);
+    }
+
+    #[test]
+    fn fates_blame_an_unclaimed_corrupt_twin() {
+        // The first decoded frame is delivered as the first sent frame
+        // and runs into the second one's span; the twin search must skip
+        // it and blame the second decoded frame.
+        let sent = [((100, 500), X), ((600, 1000), Y)];
+        let frames = [decoded(80, 40, 560, X), decoded(590, 40, 400, Z)];
+        let fates = frame_fates(&sent, &frames, &[]);
+        assert_eq!(fates, [Fate::Delivered(0), Fate::Corrupt(1)]);
+        // Spans that only touch the sent span do not overlap it.
+        let touching = [decoded(0, 0, 100, Z), decoded(500, 0, 100, Z)];
+        let fates = frame_fates(&sent[..1], &touching, &[]);
+        assert_eq!(fates, [Fate::Missed]);
+    }
+
+    #[test]
+    fn fates_name_the_scan_event_that_rejected_a_frame() {
+        // A window reaches 640 samples past its offset: the first one
+        // ends exactly where the frame starts.
+        let events = [(360, RxError::SyncLost), (361, RxError::Fec)];
+        let fates = frame_fates(&[((1000, 2000), X)], &[], &events);
+        assert_eq!(fates, [Fate::Rejected(1)]);
+    }
+
+    #[test]
+    fn fates_miss_a_frame_nothing_reached() {
+        let frames = [decoded(400, 100, 300, Y)];
+        let events = [(500, RxError::NoPacket)];
+        let fates = frame_fates(&[((100, 500), X)], &frames, &events);
+        assert_eq!(fates, [Fate::Missed]);
+    }
+
+    #[test]
+    fn fates_claim_each_decoded_frame_once_for_equal_psdus() {
+        let sent = [((0, 100), X), ((200, 300), X)];
+        let both = [decoded(0, 0, 100, X), decoded(200, 0, 100, X)];
+        let fates = frame_fates(&sent, &both, &[]);
+        assert_eq!(fates, [Fate::Delivered(0), Fate::Delivered(1)]);
+        let fates = frame_fates(&sent, &both[..1], &[]);
+        assert_eq!(fates, [Fate::Delivered(0), Fate::Missed]);
+    }
+
+    #[test]
+    fn fates_blame_one_event_on_the_first_frame_only() {
+        let sent = [((100, 300), X), ((350, 600), Y)];
+        let events = [(200, RxError::NoPacket)];
+        let fates = frame_fates(&sent, &[], &events);
+        assert_eq!(fates, [Fate::Rejected(0), Fate::Missed]);
     }
 }

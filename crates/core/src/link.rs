@@ -10,7 +10,7 @@ use crate::telemetry::{FrameOutcomes, StageProfile};
 use crate::tx::Transmitter;
 use mimonet_channel::{ChannelConfig, ChannelSim};
 use mimonet_dsp::complex::Complex64;
-use mimonet_dsp::stats::Running;
+use mimonet_dsp::stats::{Merge, Running};
 use mimonet_frame::psdu::Mpdu;
 use rand::Rng;
 use rand::SeedableRng;
@@ -74,13 +74,13 @@ pub struct LinkStats {
     pub outcomes: FrameOutcomes,
 }
 
-impl LinkStats {
-    /// Folds another batch's statistics into this one. Merging batches in
-    /// a fixed order is exactly equivalent to accumulating the underlying
-    /// frames in that order (counters add; moment stats use the parallel
-    /// Welford combination), which is what makes sharded parallel sweeps
-    /// bit-reproducible.
-    pub fn merge(&mut self, other: &Self) {
+/// Folds another batch's statistics into this one. Merging batches in a
+/// fixed order is exactly equivalent to accumulating the underlying
+/// frames in that order (counters add; moment stats use the parallel
+/// Welford combination), which is what makes sharded parallel sweeps
+/// bit-reproducible.
+impl Merge for LinkStats {
+    fn merge(&mut self, other: &Self) {
         self.per.merge(&other.per);
         self.payload_ber.merge(&other.payload_ber);
         self.coded_ber.merge(&other.coded_ber);
@@ -89,7 +89,7 @@ impl LinkStats {
         self.cfo_error.merge(&other.cfo_error);
         self.timing_error.merge(&other.timing_error);
         self.recovery.merge(&other.recovery);
-        crate::sweep::Merge::merge(&mut self.outcomes, &other.outcomes);
+        self.outcomes.merge(&other.outcomes);
     }
 }
 

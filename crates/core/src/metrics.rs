@@ -1,6 +1,8 @@
 //! BER / PER / throughput instrumentation — the measurement layer the
 //! paper uses to "validate performance of the software implementation".
 
+use mimonet_dsp::stats::Merge;
+
 /// Accumulates bit-error statistics.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct BerCounter {
@@ -56,13 +58,6 @@ impl BerCounter {
             .sum::<u64>();
     }
 
-    /// Marks `n` bits as all errored (for frames that never decoded, when
-    /// the caller chooses to count them against BER).
-    pub fn add_erased(&mut self, n: u64) {
-        self.bits += n;
-        self.errors += n;
-    }
-
     /// Total bits compared.
     pub fn bits(&self) -> u64 {
         self.bits
@@ -81,9 +76,10 @@ impl BerCounter {
             self.errors as f64 / self.bits as f64
         }
     }
+}
 
-    /// Merges another counter.
-    pub fn merge(&mut self, other: &BerCounter) {
+impl Merge for BerCounter {
+    fn merge(&mut self, other: &Self) {
         self.bits += other.bits;
         self.errors += other.errors;
     }
@@ -184,9 +180,10 @@ impl PerCounter {
         }
         (self.ok as f64 * payload_octets as f64 * 8.0) / (self.sent as f64 * frame_airtime_us)
     }
+}
 
-    /// Merges another counter.
-    pub fn merge(&mut self, other: &PerCounter) {
+impl Merge for PerCounter {
+    fn merge(&mut self, other: &Self) {
         self.sent += other.sent;
         self.ok += other.ok;
         self.sync_failures += other.sync_failures;
@@ -281,9 +278,10 @@ impl RecoveryCounter {
             self.post_fault_ok as f64 / self.post_fault_sent as f64
         }
     }
+}
 
-    /// Merges another counter.
-    pub fn merge(&mut self, other: &RecoveryCounter) {
+impl Merge for RecoveryCounter {
+    fn merge(&mut self, other: &Self) {
         self.fault_events += other.fault_events;
         self.rescans += other.rescans;
         self.faulted_sent += other.faulted_sent;
@@ -328,10 +326,8 @@ mod tests {
 
     #[test]
     fn ber_empty_and_erased() {
-        let mut c = BerCounter::new();
+        let c = BerCounter::new();
         assert_eq!(c.ber(), 0.0);
-        c.add_erased(10);
-        assert_eq!(c.ber(), 1.0);
     }
 
     #[test]

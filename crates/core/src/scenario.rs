@@ -40,6 +40,7 @@
 
 use crate::adapt::{RateController, SnrThresholdTable};
 use crate::burst::{self, BurstScratch, GAP, LEAD_IN};
+use crate::chaos::{frame_fates, Fate};
 use crate::config::{RxConfig, TxConfig};
 use crate::link::LinkStats;
 use crate::rx::Receiver;
@@ -588,8 +589,8 @@ impl ScenarioSpec {
         }
     }
 
-    /// The scoring half of one round: exact-PSDU claiming over the scan's
-    /// decoded frames, like the chaos harness.
+    /// The scoring half of one round: the chaos harness's lost-frame rule
+    /// over the scan's decoded frames, with no failed-attempt events.
     fn score_round(
         &self,
         link: &LinkSpec,
@@ -605,35 +606,33 @@ impl ScenarioSpec {
         } = built;
         let frame_samples = *frame_samples;
         report.stats.recovery.record_rescans(scan.rescans as u64);
-        let hit = frames.iter().find(|(_, f)| &f.psdu == psdu);
         let span = (LEAD_IN, LEAD_IN + frame_samples);
-        let mut snr_feedback = None;
-        let delivered = hit.is_some();
-        if let Some((_, f)) = hit {
-            report.stats.per.record_ok();
-            report.stats.outcomes.record_ok();
-            report.stats.snr_est_db.push(f.snr_db);
-            if let Some(e) = f.evm_snr_db {
-                report.stats.evm_snr_db.push(e);
-            }
-            report.stats.cfo_error.push(f.cfo - link.cfo_norm);
-            report.delivered_octets += link.payload_len as u64;
-            snr_feedback = Some(f.snr_db);
-        } else {
-            report.stats.per.record_sync_failure();
-            // A decoded frame overlapping the sent span with the wrong
-            // bits: the pipeline ran end to end — payload failure.
-            let twin = frames
-                .iter()
-                .find(|(off, f)| off + f.timing < span.1 && off + f.frame_end > span.0);
-            match twin {
-                Some((_, f)) => {
-                    report.stats.outcomes.record_payload_fail();
-                    snr_feedback = Some(f.snr_db);
+        let fate = frame_fates(&[(span, psdu)], frames, &[])[0];
+        let delivered = matches!(fate, Fate::Delivered(_));
+        let snr_feedback = match fate {
+            Fate::Delivered(i) => {
+                let f = &frames[i].1;
+                report.stats.per.record_ok();
+                report.stats.outcomes.record_ok();
+                report.stats.snr_est_db.push(f.snr_db);
+                if let Some(e) = f.evm_snr_db {
+                    report.stats.evm_snr_db.push(e);
                 }
-                None => report.stats.outcomes.record_sync_miss(),
+                report.stats.cfo_error.push(f.cfo - link.cfo_norm);
+                report.delivered_octets += link.payload_len as u64;
+                Some(f.snr_db)
             }
-        }
+            Fate::Corrupt(i) => {
+                report.stats.per.record_sync_failure();
+                report.stats.outcomes.record_payload_fail();
+                Some(frames[i].1.snr_db)
+            }
+            Fate::Rejected(_) | Fate::Missed => {
+                report.stats.per.record_sync_failure();
+                report.stats.outcomes.record_sync_miss();
+                None
+            }
+        };
         report.airtime_us += frame_samples as f64 / SAMPLES_PER_US;
         RoundOutcome {
             delivered,

@@ -45,122 +45,14 @@
 //! ```
 
 use crate::link::{LinkConfig, LinkSim, LinkStats};
-use crate::metrics::{BerCounter, PerCounter};
-use mimonet_dsp::stats::Running;
+use mimonet_dsp::seedtree::shard_seed;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-/// Statistics that can be combined across shards.
-///
-/// `merge` must be associative enough that folding per-shard values in a
-/// fixed order reproduces the single-threaded result — which is exactly
-/// how the engine calls it.
-pub trait Merge: Default + Send {
-    /// Folds `other` (a later shard, in shard order) into `self`.
-    fn merge(&mut self, other: &Self);
-}
-
-impl Merge for BerCounter {
-    fn merge(&mut self, other: &Self) {
-        BerCounter::merge(self, other)
-    }
-}
-
-impl Merge for PerCounter {
-    fn merge(&mut self, other: &Self) {
-        PerCounter::merge(self, other)
-    }
-}
-
-impl Merge for Running {
-    fn merge(&mut self, other: &Self) {
-        Running::merge(self, other)
-    }
-}
-
-impl Merge for crate::metrics::RecoveryCounter {
-    fn merge(&mut self, other: &Self) {
-        crate::metrics::RecoveryCounter::merge(self, other)
-    }
-}
-
-impl Merge for LinkStats {
-    fn merge(&mut self, other: &Self) {
-        LinkStats::merge(self, other)
-    }
-}
-
-/// Plain counters merge by summation.
-impl Merge for u64 {
-    fn merge(&mut self, other: &Self) {
-        *self += other;
-    }
-}
-
-impl Merge for f64 {
-    fn merge(&mut self, other: &Self) {
-        *self += other;
-    }
-}
-
-impl<T: Merge, U: Merge> Merge for (T, U) {
-    fn merge(&mut self, other: &Self) {
-        self.0.merge(&other.0);
-        self.1.merge(&other.1);
-    }
-}
-
-impl<T: Merge, U: Merge, V: Merge> Merge for (T, U, V) {
-    fn merge(&mut self, other: &Self) {
-        self.0.merge(&other.0);
-        self.1.merge(&other.1);
-        self.2.merge(&other.2);
-    }
-}
-
-impl<T: Merge, const N: usize> Merge for [T; N]
-where
-    [T; N]: Default,
-{
-    fn merge(&mut self, other: &Self) {
-        for (a, b) in self.iter_mut().zip(other) {
-            a.merge(b);
-        }
-    }
-}
-
-/// Element-wise merge; an empty side adopts the other wholesale (so the
-/// `Default` identity works for any length).
-impl<T: Merge + Clone> Merge for Vec<T> {
-    fn merge(&mut self, other: &Self) {
-        if self.is_empty() {
-            *self = other.clone();
-            return;
-        }
-        assert_eq!(
-            self.len(),
-            other.len(),
-            "merging Vec stats of different lengths"
-        );
-        for (a, b) in self.iter_mut().zip(other) {
-            a.merge(b);
-        }
-    }
-}
-
-/// SplitMix64 finalizer — the hash behind the seed-derivation scheme.
-/// Re-exported from [`mimonet_dsp::seedtree`], the canonical home of all
-/// seed derivations; kept here so existing callers keep compiling.
-pub use mimonet_dsp::seedtree::mix;
-
-/// Derives the per-point seed: `spec_seed ^ hash(point_index)`.
-/// Re-exported from [`mimonet_dsp::seedtree`].
-pub use mimonet_dsp::seedtree::point_seed;
-
-/// Derives the per-shard seed from the point seed and shard index.
-/// Re-exported from [`mimonet_dsp::seedtree`].
-pub use mimonet_dsp::seedtree::shard_seed;
+/// Statistics that can be combined across shards. Defined in
+/// [`mimonet_dsp::stats`], below every crate that owns a stats type.
+pub use mimonet_dsp::stats::Merge;
 
 /// Context handed to the shard worker closure.
 #[derive(Clone, Copy, Debug)]

@@ -16,13 +16,13 @@
 //!   instead of a boolean. Purely counting, hence deterministic and safe
 //!   inside [`crate::LinkStats`].
 //!
-//! Both merge associatively in the [`crate::sweep::Merge`] sense, so they
+//! Both merge associatively in the [`Merge`] sense, so they
 //! compose with the sharded sweep engine bit-identically at any thread
 //! count. The `telemetry-off` feature compiles the stage clock out
 //! (counts remain — they are semantics, not telemetry).
 
 use crate::rx::RxError;
-use crate::sweep::Merge;
+use mimonet_dsp::stats::Merge;
 
 /// The receive pipeline stages a [`StageProfile`] distinguishes — the
 /// numbered phases of [`crate::Receiver::receive`] grouped into spans.
@@ -329,19 +329,11 @@ pub struct RxCaptureProfile {
     pub events: Vec<(usize, RxError)>,
 }
 
-impl RxCaptureProfile {
-    /// Merges another capture's profile (stage spans add; events append).
-    pub fn merge(&mut self, other: &Self) {
+/// Stage spans add; events append.
+impl Merge for RxCaptureProfile {
+    fn merge(&mut self, other: &Self) {
         self.stages.merge(&other.stages);
         self.events.extend(other.events.iter().cloned());
-    }
-}
-
-/// Merge for graph-level snapshots: lives here (not in `mimonet-runtime`)
-/// because the [`Merge`] trait belongs to the sweep engine.
-impl Merge for mimonet_runtime::GraphSnapshot {
-    fn merge(&mut self, other: &Self) {
-        mimonet_runtime::GraphSnapshot::merge(self, other)
     }
 }
 

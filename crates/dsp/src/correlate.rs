@@ -2,9 +2,9 @@
 //!
 //! Two families live here:
 //!
-//! * **Sliding cross-correlation** against a known reference (matched
-//!   filtering against a preamble) — [`cross_correlate`] and the normalized
-//!   variant used for detection thresholds.
+//! * **Normalized sliding cross-correlation** against a known reference
+//!   (matched filtering against a preamble), used for detection
+//!   thresholds — [`normalized_cross_correlate`].
 //! * **Lagged autocorrelation** of a signal with a delayed copy of itself —
 //!   the core of Schmidl–Cox-style detectors and the Van de Beek metric;
 //!   [`SlidingAutocorrelator`] maintains the running sums in O(1) per sample.
@@ -19,23 +19,6 @@
 use crate::complex::{dot_conj, split_complex, Complex64};
 use crate::simd::F64x4;
 use std::cell::RefCell;
-
-/// Cross-correlates `signal` against `reference` at every alignment where the
-/// reference fits entirely inside the signal.
-///
-/// Output length is `signal.len() - reference.len() + 1`; entry `d` is
-/// `sum_k signal[d+k] * conj(reference[k])`.
-///
-/// Returns an empty vector when the reference is longer than the signal.
-pub fn cross_correlate(signal: &[Complex64], reference: &[Complex64]) -> Vec<Complex64> {
-    if reference.is_empty() || reference.len() > signal.len() {
-        return Vec::new();
-    }
-    let n = signal.len() - reference.len() + 1;
-    (0..n)
-        .map(|d| dot_conj(&signal[d..d + reference.len()], reference))
-        .collect()
-}
 
 /// Normalized cross-correlation magnitude in `[0, 1]`:
 /// `|<s_d, r>| / (||s_d|| * ||r||)`, where `s_d` is the signal window at
@@ -357,8 +340,6 @@ mod tests {
     #[test]
     fn cross_correlate_handles_degenerate_inputs() {
         let sig = vec![C64::ONE; 4];
-        assert!(cross_correlate(&sig, &[]).is_empty());
-        assert!(cross_correlate(&sig, &[C64::ONE; 5]).is_empty());
         assert!(normalized_cross_correlate(&[], &sig).is_empty());
     }
 

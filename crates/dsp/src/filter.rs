@@ -1,82 +1,11 @@
-//! FIR filtering and filter design.
+//! Convolution and the sinc kernel.
 //!
-//! The transmit chain does not strictly need pulse shaping (OFDM's cyclic
-//! prefix does the work), but the channel simulator uses FIR structures for
-//! tapped-delay-line fading, and windowed-sinc low-pass design backs the
-//! fractional resampler in [`crate::resample`].
+//! The transmit chain needs no pulse shaping (OFDM's cyclic prefix does
+//! the work). The channel simulator applies its tapped-delay-line fading
+//! with [`convolve`], and the fractional resampler in [`crate::resample`]
+//! interpolates with a Hann-windowed [`sinc`].
 
 use crate::complex::Complex64;
-
-/// A direct-form FIR filter with complex taps and streaming state.
-///
-/// Feed samples with [`Fir::process`] (one in, one out); the delay line
-/// persists across calls, so arbitrarily chunked streams filter identically
-/// to one big slice.
-#[derive(Clone, Debug)]
-pub struct Fir {
-    taps: Vec<Complex64>,
-    delay: Vec<Complex64>,
-    pos: usize,
-}
-
-impl Fir {
-    /// Creates a filter from its impulse response. Must be non-empty.
-    pub fn new(taps: Vec<Complex64>) -> Self {
-        assert!(!taps.is_empty(), "FIR filter needs at least one tap");
-        let n = taps.len();
-        Self {
-            taps,
-            delay: vec![Complex64::ZERO; n],
-            pos: 0,
-        }
-    }
-
-    /// Creates a filter from real-valued taps.
-    pub fn from_real(taps: &[f64]) -> Self {
-        Self::new(taps.iter().map(|&t| Complex64::from_re(t)).collect())
-    }
-
-    /// Number of taps.
-    pub fn len(&self) -> usize {
-        self.taps.len()
-    }
-
-    /// Always false; a filter has at least one tap.
-    pub fn is_empty(&self) -> bool {
-        false
-    }
-
-    /// The filter's taps.
-    pub fn taps(&self) -> &[Complex64] {
-        &self.taps
-    }
-
-    /// Pushes one input sample and returns one output sample
-    /// (`y[n] = sum_k taps[k] * x[n-k]`).
-    pub fn process(&mut self, x: Complex64) -> Complex64 {
-        let n = self.taps.len();
-        self.delay[self.pos] = x;
-        let mut acc = Complex64::ZERO;
-        let mut idx = self.pos;
-        for &t in &self.taps {
-            acc += t * self.delay[idx];
-            idx = if idx == 0 { n - 1 } else { idx - 1 };
-        }
-        self.pos = (self.pos + 1) % n;
-        acc
-    }
-
-    /// Filters a whole block, preserving state across calls.
-    pub fn process_block(&mut self, xs: &[Complex64]) -> Vec<Complex64> {
-        xs.iter().map(|&x| self.process(x)).collect()
-    }
-
-    /// Clears the delay line.
-    pub fn reset(&mut self) {
-        self.delay.fill(Complex64::ZERO);
-        self.pos = 0;
-    }
-}
 
 /// Full linear convolution of two sequences (output length `a + b - 1`).
 /// Used by the channel simulator to apply multipath impulse responses to
@@ -104,98 +33,10 @@ pub fn sinc(x: f64) -> f64 {
     }
 }
 
-/// Designs a windowed-sinc low-pass FIR.
-///
-/// * `num_taps` — filter length (odd lengths give exact linear phase about
-///   the center tap).
-/// * `cutoff` — normalized cutoff in cycles/sample, in `(0, 0.5)`.
-///
-/// Taps are Hamming-windowed and scaled for unity DC gain.
-pub fn lowpass_taps(num_taps: usize, cutoff: f64) -> Vec<f64> {
-    assert!(num_taps > 0, "filter length must be nonzero");
-    assert!(
-        cutoff > 0.0 && cutoff < 0.5,
-        "cutoff must be in (0, 0.5), got {cutoff}"
-    );
-    let center = (num_taps - 1) as f64 / 2.0;
-    let mut taps: Vec<f64> = (0..num_taps)
-        .map(|i| {
-            let t = i as f64 - center;
-            let w = crate::window::hamming_at(i, num_taps);
-            2.0 * cutoff * sinc(2.0 * cutoff * t) * w
-        })
-        .collect();
-    let gain: f64 = taps.iter().sum();
-    for t in &mut taps {
-        *t /= gain;
-    }
-    taps
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::complex::C64;
-    use crate::fft::fft;
-
-    #[test]
-    fn fir_identity() {
-        let mut f = Fir::from_real(&[1.0]);
-        for i in 0..10 {
-            let x = C64::new(i as f64, -(i as f64));
-            assert_eq!(f.process(x), x);
-        }
-    }
-
-    #[test]
-    fn fir_delay() {
-        let mut f = Fir::from_real(&[0.0, 0.0, 1.0]);
-        let xs: Vec<C64> = (0..8).map(|i| C64::from_re(i as f64 + 1.0)).collect();
-        let ys = f.process_block(&xs);
-        assert_eq!(ys[0], C64::ZERO);
-        assert_eq!(ys[1], C64::ZERO);
-        for i in 2..8 {
-            assert_eq!(ys[i], xs[i - 2]);
-        }
-    }
-
-    #[test]
-    fn fir_matches_convolution_prefix() {
-        let taps: Vec<C64> = vec![C64::new(0.5, 0.1), C64::new(-0.2, 0.0), C64::new(0.0, 0.3)];
-        let xs: Vec<C64> = (0..20)
-            .map(|i| C64::new((i as f64 * 0.4).sin(), (i as f64 * 0.9).cos()))
-            .collect();
-        let mut f = Fir::new(taps.clone());
-        let stream = f.process_block(&xs);
-        let full = convolve(&xs, &taps);
-        for i in 0..xs.len() {
-            assert!(stream[i].dist(full[i]) < 1e-12, "sample {i}");
-        }
-    }
-
-    #[test]
-    fn fir_state_survives_chunking() {
-        let taps = lowpass_taps(21, 0.2);
-        let xs: Vec<C64> = (0..50).map(|i| C64::cis(i as f64 * 0.2)).collect();
-        let mut whole = Fir::from_real(&taps);
-        let y_whole = whole.process_block(&xs);
-        let mut chunked = Fir::from_real(&taps);
-        let mut y_chunked = Vec::new();
-        for chunk in xs.chunks(7) {
-            y_chunked.extend(chunked.process_block(chunk));
-        }
-        for (a, b) in y_whole.iter().zip(&y_chunked) {
-            assert!(a.dist(*b) < 1e-12);
-        }
-    }
-
-    #[test]
-    fn fir_reset() {
-        let mut f = Fir::from_real(&[0.0, 1.0]);
-        f.process(C64::ONE);
-        f.reset();
-        assert_eq!(f.process(C64::ONE), C64::ZERO);
-    }
 
     #[test]
     fn convolve_lengths_and_values() {
@@ -217,29 +58,5 @@ mod tests {
         assert!(sinc(1.0).abs() < 1e-12);
         assert!(sinc(2.0).abs() < 1e-12);
         assert!((sinc(0.5) - 2.0 / std::f64::consts::PI).abs() < 1e-12);
-    }
-
-    #[test]
-    fn lowpass_has_unity_dc_gain_and_stopband_rejection() {
-        let taps = lowpass_taps(63, 0.1);
-        assert!((taps.iter().sum::<f64>() - 1.0).abs() < 1e-12);
-
-        // Zero-pad to 256 and check the frequency response.
-        let mut padded = vec![C64::ZERO; 256];
-        for (i, &t) in taps.iter().enumerate() {
-            padded[i] = C64::from_re(t);
-        }
-        let h = fft(&padded);
-        // Passband (DC): ~0 dB.
-        assert!((h[0].abs() - 1.0).abs() < 1e-6);
-        // Deep stopband: at 0.3 cycles/sample (bin 77) expect < -40 dB.
-        let stop = h[77].abs();
-        assert!(stop < 0.01, "stopband leakage {stop}");
-    }
-
-    #[test]
-    #[should_panic(expected = "cutoff")]
-    fn lowpass_rejects_bad_cutoff() {
-        lowpass_taps(11, 0.6);
     }
 }

@@ -4,7 +4,7 @@
 //! MIMO-OFDM spatial-multiplexing transceiver. Everything here is
 //! implemented from scratch (no external numeric crates): complex
 //! arithmetic, a planned radix-2 FFT, correlation kernels for
-//! synchronization, FIR filtering, fractional resampling and streaming
+//! synchronization, convolution, fractional resampling and streaming
 //! statistics.
 //!
 //! The crate is intentionally free of any protocol knowledge; 802.11n

@@ -16,6 +16,75 @@ pub fn db_to_lin(db: f64) -> f64 {
     10f64.powf(db / 10.0)
 }
 
+/// Statistics that can be combined across shards.
+///
+/// `merge` must be associative enough that folding per-shard values in a
+/// fixed order reproduces the single-threaded result — which is exactly
+/// how the sweep engine (`mimonet::sweep`) calls it. Every stats type
+/// implements it in its own crate; this crate sits below all of them.
+pub trait Merge: Default + Send {
+    /// Folds `other` (a later shard, in shard order) into `self`.
+    fn merge(&mut self, other: &Self);
+}
+
+/// Plain counters merge by summation.
+impl Merge for u64 {
+    fn merge(&mut self, other: &Self) {
+        *self += other;
+    }
+}
+
+impl Merge for f64 {
+    fn merge(&mut self, other: &Self) {
+        *self += other;
+    }
+}
+
+impl<T: Merge, U: Merge> Merge for (T, U) {
+    fn merge(&mut self, other: &Self) {
+        self.0.merge(&other.0);
+        self.1.merge(&other.1);
+    }
+}
+
+impl<T: Merge, U: Merge, V: Merge> Merge for (T, U, V) {
+    fn merge(&mut self, other: &Self) {
+        self.0.merge(&other.0);
+        self.1.merge(&other.1);
+        self.2.merge(&other.2);
+    }
+}
+
+impl<T: Merge, const N: usize> Merge for [T; N]
+where
+    [T; N]: Default,
+{
+    fn merge(&mut self, other: &Self) {
+        for (a, b) in self.iter_mut().zip(other) {
+            a.merge(b);
+        }
+    }
+}
+
+/// Element-wise merge; an empty side adopts the other wholesale (so the
+/// `Default` identity works for any length).
+impl<T: Merge + Clone> Merge for Vec<T> {
+    fn merge(&mut self, other: &Self) {
+        if self.is_empty() {
+            *self = other.clone();
+            return;
+        }
+        assert_eq!(
+            self.len(),
+            other.len(),
+            "merging Vec stats of different lengths"
+        );
+        for (a, b) in self.iter_mut().zip(other) {
+            a.merge(b);
+        }
+    }
+}
+
 /// Welford online mean/variance accumulator.
 ///
 /// Numerically stable for the long Monte-Carlo runs the benches perform,
@@ -102,9 +171,11 @@ impl Running {
     pub fn max(&self) -> f64 {
         self.max
     }
+}
 
-    /// Merges another accumulator into this one (parallel Welford).
-    pub fn merge(&mut self, other: &Running) {
+/// Parallel Welford: the moments of the two batches combined.
+impl Merge for Running {
+    fn merge(&mut self, other: &Self) {
         if other.n == 0 {
             return;
         }

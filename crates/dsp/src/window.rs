@@ -1,15 +1,6 @@
-//! Window functions for filter design and spectral analysis.
+//! Window functions for spectral analysis and interpolation.
 
 use std::f64::consts::PI;
-
-/// Hamming window coefficient at index `i` of an `n`-point window.
-/// For `n == 1` returns 1.0.
-pub fn hamming_at(i: usize, n: usize) -> f64 {
-    if n <= 1 {
-        return 1.0;
-    }
-    0.54 - 0.46 * (2.0 * PI * i as f64 / (n - 1) as f64).cos()
-}
 
 /// Hann window coefficient at index `i` of an `n`-point window.
 pub fn hann_at(i: usize, n: usize) -> f64 {
@@ -19,28 +10,9 @@ pub fn hann_at(i: usize, n: usize) -> f64 {
     0.5 * (1.0 - (2.0 * PI * i as f64 / (n - 1) as f64).cos())
 }
 
-/// Blackman window coefficient at index `i` of an `n`-point window.
-pub fn blackman_at(i: usize, n: usize) -> f64 {
-    if n <= 1 {
-        return 1.0;
-    }
-    let x = 2.0 * PI * i as f64 / (n - 1) as f64;
-    0.42 - 0.5 * x.cos() + 0.08 * (2.0 * x).cos()
-}
-
-/// Full Hamming window of length `n`.
-pub fn hamming(n: usize) -> Vec<f64> {
-    (0..n).map(|i| hamming_at(i, n)).collect()
-}
-
 /// Full Hann window of length `n`.
 pub fn hann(n: usize) -> Vec<f64> {
     (0..n).map(|i| hann_at(i, n)).collect()
-}
-
-/// Full Blackman window of length `n`.
-pub fn blackman(n: usize) -> Vec<f64> {
-    (0..n).map(|i| blackman_at(i, n)).collect()
 }
 
 #[cfg(test)]
@@ -50,10 +22,9 @@ mod tests {
     #[test]
     fn windows_are_symmetric() {
         for n in [2usize, 5, 16, 65] {
-            for w in [hamming(n), hann(n), blackman(n)] {
-                for i in 0..n {
-                    assert!((w[i] - w[n - 1 - i]).abs() < 1e-12, "n={n} i={i}");
-                }
+            let w = hann(n);
+            for i in 0..n {
+                assert!((w[i] - w[n - 1 - i]).abs() < 1e-12, "n={n} i={i}");
             }
         }
     }
@@ -61,12 +32,11 @@ mod tests {
     #[test]
     fn window_peaks_at_center() {
         let n = 33;
-        for w in [hamming(n), hann(n), blackman(n)] {
-            let center = w[n / 2];
-            assert!((center - 1.0).abs() < 1e-12);
-            for &v in &w {
-                assert!(v <= center + 1e-12);
-            }
+        let w = hann(n);
+        let center = w[n / 2];
+        assert!((center - 1.0).abs() < 1e-12);
+        for &v in &w {
+            assert!(v <= center + 1e-12);
         }
     }
 
@@ -78,16 +48,8 @@ mod tests {
     }
 
     #[test]
-    fn hamming_endpoints() {
-        let w = hamming(10);
-        assert!((w[0] - 0.08).abs() < 1e-12);
-    }
-
-    #[test]
     fn degenerate_lengths() {
-        assert_eq!(hamming(0).len(), 0);
-        assert_eq!(hamming(1), vec![1.0]);
+        assert_eq!(hann(0).len(), 0);
         assert_eq!(hann(1), vec![1.0]);
-        assert_eq!(blackman(1), vec![1.0]);
     }
 }

@@ -3,7 +3,7 @@
 use mimonet_dsp::complex::{dot_conj, energy, Complex64};
 use mimonet_dsp::correlate::{lagged_autocorrelation, normalized_cross_correlate};
 use mimonet_dsp::fft::{fft, fftshift, ifft, ifftshift};
-use mimonet_dsp::stats::Running;
+use mimonet_dsp::stats::{Merge, Running};
 use proptest::prelude::*;
 
 fn small_f64() -> impl Strategy<Value = f64> {

@@ -42,14 +42,6 @@ impl Layout {
         }
     }
 
-    /// Number of data subcarriers.
-    pub fn num_data(self) -> usize {
-        match self {
-            Layout::Legacy => LEGACY_DATA_CARRIERS,
-            Layout::Ht => HT_DATA_CARRIERS,
-        }
-    }
-
     /// Data subcarrier logical indices in increasing frequency order
     /// (pilots and DC excluded). Static — call sites never allocate.
     pub fn data_carriers(self) -> &'static [i32] {
@@ -57,16 +49,6 @@ impl Layout {
             Layout::Legacy => &LEGACY_DATA_TABLE,
             Layout::Ht => &HT_DATA_TABLE,
         }
-    }
-
-    /// `true` if logical index `k` is a pilot.
-    pub fn is_pilot(self, k: i32) -> bool {
-        PILOT_CARRIERS.contains(&k)
-    }
-
-    /// `true` if logical index `k` carries energy (data or pilot).
-    pub fn is_occupied(self, k: i32) -> bool {
-        k != 0 && k >= -self.edge() && k <= self.edge()
     }
 }
 
@@ -140,15 +122,6 @@ mod tests {
                 .collect();
             assert_eq!(layout.data_carriers(), want.as_slice());
         }
-    }
-
-    #[test]
-    fn occupancy_edges() {
-        assert!(Layout::Legacy.is_occupied(-26));
-        assert!(!Layout::Legacy.is_occupied(-27));
-        assert!(Layout::Ht.is_occupied(28));
-        assert!(!Layout::Ht.is_occupied(29));
-        assert!(!Layout::Ht.is_occupied(0));
     }
 
     #[test]

@@ -162,37 +162,37 @@ pub struct VectorSink {
 
 /// Shared view of a [`VectorSink`]'s collected items.
 #[derive(Clone, Default)]
-pub struct SinkHandle(std::sync::Arc<parking_lot::Mutex<Vec<Item>>>);
+pub struct SinkHandle(pub(crate) std::sync::Arc<std::sync::Mutex<Vec<Item>>>);
 
 impl SinkHandle {
     /// Snapshot of everything collected so far.
     pub fn items(&self) -> Vec<Item> {
-        self.0.lock().clone()
+        crate::lock(&self.0).clone()
     }
 
     /// Collected items as complex samples.
     pub fn complex(&self) -> Vec<mimonet_dsp::complex::Complex64> {
-        convert::to_complex(&self.0.lock())
+        convert::to_complex(&crate::lock(&self.0))
     }
 
     /// Collected items as bytes.
     pub fn bytes(&self) -> Vec<u8> {
-        convert::to_bytes(&self.0.lock())
+        convert::to_bytes(&crate::lock(&self.0))
     }
 
     /// Collected items as reals.
     pub fn reals(&self) -> Vec<f64> {
-        convert::to_reals(&self.0.lock())
+        convert::to_reals(&crate::lock(&self.0))
     }
 
     /// Number of items collected.
     pub fn len(&self) -> usize {
-        self.0.lock().len()
+        crate::lock(&self.0).len()
     }
 
     /// `true` when nothing has been collected.
     pub fn is_empty(&self) -> bool {
-        self.0.lock().is_empty()
+        crate::lock(&self.0).is_empty()
     }
 }
 
@@ -229,7 +229,7 @@ impl Block for VectorSink {
         let n = inputs[0].available();
         if n > 0 {
             let items = inputs[0].take(n);
-            self.store.0.lock().extend(items);
+            crate::lock(&self.store.0).extend(items);
             WorkStatus::Progress
         } else if inputs[0].is_finished() {
             WorkStatus::Done

@@ -398,8 +398,11 @@ impl Flowgraph {
         sup: SupervisorConfig,
     ) -> Result<(), GraphError> {
         self.validate()?;
-        use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender};
         use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+        use std::sync::mpsc::{
+            channel, sync_channel, Receiver, RecvTimeoutError, SyncSender, TryRecvError,
+            TrySendError,
+        };
         use std::sync::Arc;
         use std::time::Instant;
         type Chunk = (Vec<crate::buffer::Item>, Vec<crate::buffer::Tag>);
@@ -422,7 +425,7 @@ impl Flowgraph {
         }
         let telemetry = self.telemetry.clone();
         // Build channels per edge.
-        let mut senders: Vec<Vec<Option<Sender<Chunk>>>> = self
+        let mut senders: Vec<Vec<Option<SyncSender<Chunk>>>> = self
             .blocks
             .iter()
             .map(|e| (0..e.n_out).map(|_| None).collect())
@@ -433,7 +436,7 @@ impl Flowgraph {
             .map(|e| (0..e.n_in).map(|_| None).collect())
             .collect();
         for (&(si, sp), &(di, dp)) in &self.edges {
-            let (tx, rx) = bounded::<Chunk>(64);
+            let (tx, rx) = sync_channel::<Chunk>(64);
             senders[si][sp] = Some(tx);
             receivers[di][dp] = Some(rx);
         }
@@ -442,14 +445,14 @@ impl Flowgraph {
         let cancel = Arc::new(AtomicBool::new(false));
         // Per-block "last healthy activity" timestamp, in ms since `start`.
         let heartbeats: Arc<Vec<AtomicU64>> = Arc::new((0..n).map(|_| AtomicU64::new(0)).collect());
-        let (report_tx, report_rx) = unbounded::<(usize, Outcome)>();
+        let (report_tx, report_rx) = channel::<(usize, Outcome)>();
 
         let mut handles: Vec<Option<std::thread::JoinHandle<()>>> = Vec::with_capacity(n);
         let mut names = Vec::with_capacity(n);
         for (i, entry) in self.blocks.into_iter().enumerate() {
             let mut block = entry.block;
             names.push(entry.name.clone());
-            let my_senders: Vec<Sender<Chunk>> = senders[i]
+            let my_senders: Vec<SyncSender<Chunk>> = senders[i]
                 .iter_mut()
                 .map(|s| s.take().expect("validated"))
                 .collect();
@@ -485,8 +488,8 @@ impl Flowgraph {
                                         buf.push_tag(t);
                                     }
                                 }
-                                Err(crossbeam::channel::TryRecvError::Empty) => break,
-                                Err(crossbeam::channel::TryRecvError::Disconnected) => {
+                                Err(TryRecvError::Empty) => break,
+                                Err(TryRecvError::Disconnected) => {
                                     buf.upstream_done = true;
                                     break;
                                 }
@@ -537,7 +540,7 @@ impl Flowgraph {
                         loop {
                             match tx.try_send(chunk) {
                                 Ok(()) => break,
-                                Err(crossbeam::channel::TrySendError::Full(c)) => {
+                                Err(TrySendError::Full(c)) => {
                                     if cancel.load(Ordering::Relaxed) {
                                         break 'life Outcome::Cancelled;
                                     }
@@ -551,7 +554,7 @@ impl Flowgraph {
                                         t.blocked_output_ns.add(t0.elapsed().as_nanos() as u64);
                                     }
                                 }
-                                Err(crossbeam::channel::TrySendError::Disconnected(c)) => {
+                                Err(TrySendError::Disconnected(c)) => {
                                     // Downstream gone; drop this port's data
                                     // (visible as queue_drops, not silent).
                                     if let Some(t) = &tel {
@@ -1111,7 +1114,7 @@ mod tests {
         }
         /// Sink that records tag positions.
         struct TagSink {
-            seen: std::sync::Arc<parking_lot::Mutex<Vec<Tag>>>,
+            seen: std::sync::Arc<std::sync::Mutex<Vec<Tag>>>,
         }
         impl crate::block::Block for TagSink {
             fn name(&self) -> &str {
@@ -1138,18 +1141,18 @@ mod tests {
                     };
                 }
                 let tags: Vec<Tag> = i[0].tags_in_window(n).into_iter().cloned().collect();
-                self.seen.lock().extend(tags);
+                self.seen.lock().unwrap().extend(tags);
                 i[0].take(n);
                 WorkStatus::Progress
             }
         }
-        let seen = std::sync::Arc::new(parking_lot::Mutex::new(Vec::new()));
+        let seen = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
         let mut fg = Flowgraph::new();
         let src = fg.add(TaggingSource { sent: false });
         let sink = fg.add(TagSink { seen: seen.clone() });
         fg.connect(src, 0, sink, 0).unwrap();
         fg.run(&MessageHub::new()).unwrap();
-        let tags = seen.lock();
+        let tags = seen.lock().unwrap();
         assert_eq!(tags.len(), 1);
         assert_eq!(tags[0].offset, 3);
         assert_eq!(tags[0].key, "frame_start");

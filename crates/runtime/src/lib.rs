@@ -41,3 +41,43 @@ pub use telemetry::{
     BlockSnapshot, BlockTelemetry, Counter, GraphSnapshot, GraphTelemetry, HistSnapshot,
     LogHistogram, MaxGauge, Span,
 };
+
+/// Locks `m` even when a holder panicked: a panicking block must not
+/// wedge the message hub or a sink for everyone else. Each update made
+/// under these locks is one insert, push or extend, so a panic cannot
+/// leave the data half-changed.
+pub(crate) fn lock<T>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::Arc;
+
+    #[test]
+    fn poisoned_locks_stay_usable() {
+        let (_sink, items) = VectorSink::new();
+        let hub = Arc::new(MessageHub::new());
+        let early = hub.subscribe("t");
+        let held = items.clone();
+        let sink_holder = std::thread::spawn(move || {
+            let _guard = lock(&held.0);
+            panic!("poison the sink");
+        });
+        assert!(sink_holder.join().is_err());
+        let held = hub.clone();
+        let hub_holder = std::thread::spawn(move || {
+            let _guard = lock(&held.topics);
+            panic!("poison the hub");
+        });
+        assert!(hub_holder.join().is_err());
+        assert!(items.0.is_poisoned() && hub.topics.is_poisoned());
+
+        assert!(items.items().is_empty());
+        let late = hub.subscribe("t");
+        hub.publish("t", Message::F64(1.0));
+        assert_eq!(early.drain(), [Message::F64(1.0)]);
+        assert_eq!(late.drain(), [Message::F64(1.0)]);
+    }
+}

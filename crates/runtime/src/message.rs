@@ -6,9 +6,9 @@
 //! and for control (e.g. an SNR probe publishing channel-state messages a
 //! rate-adaptation block consumes).
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
-use parking_lot::Mutex;
 use std::collections::HashMap;
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::Mutex;
 
 /// A message payload.
 #[derive(Clone, Debug, PartialEq)]
@@ -46,7 +46,7 @@ impl Subscription {
 /// thread-safe for the multi-threaded scheduler.
 #[derive(Default)]
 pub struct MessageHub {
-    topics: Mutex<HashMap<String, Vec<Sender<Message>>>>,
+    pub(crate) topics: Mutex<HashMap<String, Vec<Sender<Message>>>>,
 }
 
 impl MessageHub {
@@ -58,15 +58,18 @@ impl MessageHub {
     /// Subscribes to `topic`; messages published after this call are
     /// delivered to the returned handle.
     pub fn subscribe(&self, topic: impl Into<String>) -> Subscription {
-        let (tx, rx) = unbounded();
-        self.topics.lock().entry(topic.into()).or_default().push(tx);
+        let (tx, rx) = channel();
+        crate::lock(&self.topics)
+            .entry(topic.into())
+            .or_default()
+            .push(tx);
         Subscription { rx }
     }
 
     /// Publishes to every current subscriber of `topic`; a no-op without
     /// subscribers.
     pub fn publish(&self, topic: &str, msg: Message) {
-        if let Some(subs) = self.topics.lock().get(topic) {
+        if let Some(subs) = crate::lock(&self.topics).get(topic) {
             for s in subs {
                 // A dropped subscriber just misses messages.
                 let _ = s.send(msg.clone());
@@ -76,7 +79,7 @@ impl MessageHub {
 
     /// Number of subscribers currently attached to `topic`.
     pub fn subscriber_count(&self, topic: &str) -> usize {
-        self.topics.lock().get(topic).map_or(0, |v| v.len())
+        crate::lock(&self.topics).get(topic).map_or(0, |v| v.len())
     }
 }
 

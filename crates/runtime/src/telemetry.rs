@@ -8,12 +8,14 @@
 //! nothing load-bearing hides in the counters).
 //!
 //! Snapshots ([`BlockSnapshot`] / [`GraphSnapshot`]) are plain data:
-//! mergeable (summed counters, maxed gauges) and serializable. Wall-clock
+//! mergeable through [`Merge`] (summed counters, maxed gauges) and
+//! serializable. Wall-clock
 //! fields (`*_ns`, the work-latency histogram) are dropped when a snapshot
 //! is rendered with `include_wall = false` — the determinism contract that
 //! lets `MIMONET_DETERMINISTIC=1` runs byte-compare their reports while
 //! keeping every count.
 
+use mimonet_dsp::stats::Merge;
 #[cfg(not(feature = "telemetry-off"))]
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
@@ -164,17 +166,19 @@ impl Default for HistSnapshot {
     }
 }
 
+/// Element-wise sum of the bucket counts.
+impl Merge for HistSnapshot {
+    fn merge(&mut self, other: &Self) {
+        for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
+            *a += b;
+        }
+    }
+}
+
 impl HistSnapshot {
     /// Total observations.
     pub fn count(&self) -> u64 {
         self.buckets.iter().sum()
-    }
-
-    /// Element-wise sum of another snapshot into this one.
-    pub fn merge(&mut self, other: &Self) {
-        for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
-            *a += b;
-        }
     }
 
     /// Sparse `[bucket_floor, count]` pairs for the non-empty buckets.
@@ -322,10 +326,10 @@ pub struct BlockSnapshot {
     pub batch_frames: HistSnapshot,
 }
 
-impl BlockSnapshot {
-    /// Folds another snapshot of the *same block* into this one: counters
-    /// add, high-water marks take the max.
-    pub fn merge(&mut self, other: &Self) {
+/// Folds another snapshot of the *same block* into this one: counters
+/// add, high-water marks take the max.
+impl Merge for BlockSnapshot {
+    fn merge(&mut self, other: &Self) {
         if self.name.is_empty() {
             self.name = other.name.clone();
         }
@@ -347,7 +351,9 @@ impl BlockSnapshot {
         self.work_ns_hist.merge(&other.work_ns_hist);
         self.batch_frames.merge(&other.batch_frames);
     }
+}
 
+impl BlockSnapshot {
     /// Serializes; `include_wall = false` drops every wall-clock-derived
     /// field (`*_ns`, the latency histogram) so deterministic runs
     /// byte-compare.
@@ -381,11 +387,11 @@ pub struct GraphSnapshot {
     pub blocks: Vec<BlockSnapshot>,
 }
 
-impl GraphSnapshot {
-    /// Folds another snapshot of the *same graph topology* into this one
-    /// (block-wise [`BlockSnapshot::merge`]); an empty side adopts the
-    /// other wholesale, so `Default` is the merge identity.
-    pub fn merge(&mut self, other: &Self) {
+/// Folds another snapshot of the *same graph topology* into this one
+/// (block by block); an empty side adopts the other wholesale, so
+/// `Default` is the merge identity.
+impl Merge for GraphSnapshot {
+    fn merge(&mut self, other: &Self) {
         if self.blocks.is_empty() {
             self.blocks = other.blocks.clone();
             return;
@@ -399,7 +405,9 @@ impl GraphSnapshot {
             a.merge(b);
         }
     }
+}
 
+impl GraphSnapshot {
     /// Serializes every block; see [`BlockSnapshot::to_value`].
     pub fn to_value(&self, include_wall: bool) -> serde::Value {
         serde::Value::Array(
