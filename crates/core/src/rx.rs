@@ -69,7 +69,7 @@ use mimonet_detect::{prepare as prepare_detector, CMat, EvmSnrEstimator, Prepare
 use mimonet_dsp::complex::Complex64;
 use mimonet_dsp::stats::lin_to_db;
 use mimonet_fec::interleaver::Interleaver;
-use mimonet_fec::puncture::depuncture_soft_into;
+use mimonet_fec::puncture::{depuncture_soft_into, CodeRate};
 use mimonet_fec::{Symbol, ViterbiDecoder};
 use mimonet_frame::carriers::{carrier_to_bin, CP_LEN, FFT_LEN, PILOT_CARRIERS, SYM_LEN};
 use mimonet_frame::mcs::Mcs;
@@ -254,7 +254,6 @@ pub struct RxWorkspace {
     hdr: Vec<u8>,
     viterbi: ViterbiDecoder,
     decoded: Vec<u8>,
-    descramble_scratch: Vec<u8>,
 }
 
 impl RxWorkspace {
@@ -288,7 +287,6 @@ impl RxWorkspace {
             hdr: Vec::new(),
             viterbi: ViterbiDecoder::new(),
             decoded: Vec::new(),
-            descramble_scratch: Vec::new(),
         }
     }
 
@@ -1111,7 +1109,6 @@ impl Receiver {
             hard_syms,
             viterbi,
             decoded,
-            descramble_scratch,
             ..
         } = &mut *ws;
         let chan: &ChannelEstimate = if smoothed { chan_smooth } else { chan };
@@ -1206,9 +1203,15 @@ impl Receiver {
         }
         clock.lap(profile, RxStage::Equalize);
 
-        // --- 10a. Depuncture to the mother-code LLR stream ---
-        let mother_len = 2 * n_sym * mcs.n_dbps();
-        depuncture_soft_into(all_llrs, mcs.code_rate, mother_len, full_llrs);
+        // --- 10a. The mother-code LLR stream: the slab itself at rate
+        // 1/2, else depunctured, erasures +0.0 ---
+        let mother: &[f64] = if mcs.code_rate == CodeRate::R1_2 {
+            all_llrs
+        } else {
+            let mother_len = 2 * n_sym * mcs.n_dbps();
+            depuncture_soft_into(all_llrs, mcs.code_rate, mother_len, full_llrs);
+            full_llrs
+        };
 
         frame.mcs = htsig.mcs;
         frame.snr_db = snr_db;
@@ -1216,19 +1219,28 @@ impl Receiver {
         frame.timing = ltf_start;
         frame.evm_snr_db = evm.snr_db();
         frame.frame_end = data_start + n_sym * 80;
-        frame.coded_hard.clear();
-        frame
-            .coded_hard
-            .extend(all_llrs.iter().map(|&l| if l > 0.0 { 0 } else { 1 }));
+        // Sized first, then written sixteen decisions at a time: LLVM
+        // vectorizes that form, and leaves an element-wise loop scalar.
+        let hard = |l: f64| if l > 0.0 { 0 } else { 1 };
+        frame.coded_hard.truncate(all_llrs.len());
+        frame.coded_hard.resize(all_llrs.len(), 0);
+        let mut out = frame.coded_hard.chunks_exact_mut(16);
+        let mut llrs = all_llrs.chunks_exact(16);
+        for (h, l) in out.by_ref().zip(llrs.by_ref()) {
+            h.copy_from_slice(&std::array::from_fn::<u8, 16, _>(|k| hard(l[k])));
+        }
+        for (h, &l) in out.into_remainder().iter_mut().zip(llrs.remainder()) {
+            *h = hard(l);
+        }
 
         // --- 10b. Viterbi → descramble → PSDU ---
         if self.cfg.soft_decoding {
             viterbi
-                .decode_soft_unterminated_into(full_llrs, decoded)
+                .decode_soft_unterminated_into(mother, decoded)
                 .map_err(|_| RxError::Fec)?;
         } else {
             hard_syms.clear();
-            hard_syms.extend(full_llrs.iter().map(|&l| {
+            hard_syms.extend(mother.iter().map(|&l| {
                 if l == 0.0 {
                     Symbol::Erased
                 } else {
@@ -1239,12 +1251,7 @@ impl Receiver {
                 .decode_hard_unterminated_into(hard_syms, decoded)
                 .map_err(|_| RxError::Fec)?;
         }
-        if !descramble_data_bits_into(
-            decoded,
-            htsig.length as usize,
-            descramble_scratch,
-            &mut frame.psdu,
-        ) {
+        if !descramble_data_bits_into(decoded, htsig.length as usize, &mut frame.psdu) {
             return Err(RxError::Fec);
         }
         clock.lap(profile, RxStage::Fec);

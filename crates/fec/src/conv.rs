@@ -41,6 +41,34 @@ pub fn encode_step(state: u8, bit: u8) -> (u8, u8, u8) {
     (a, b, next_state)
 }
 
+/// Encodes up to 64 input bits at once: [`encode_step`] applied to bits
+/// `0..n` of `x` in order (first bit in bit 0), from `state`.
+///
+/// Returns the A and B output words (the outputs of input bit `k` in
+/// bit `k`; bits `n..` are unspecified) and the state after bit `n - 1`.
+/// Each output is an XOR of the input delayed by the generator's taps;
+/// the delayed words take their first bits from `state`.
+#[inline]
+pub fn encode_word(state: u8, x: u64, n: u32) -> (u64, u64, u8) {
+    debug_assert!((1..=64).contains(&n));
+    debug_assert!(state < NUM_STATES as u8);
+    let state = u64::from(state);
+    let (mut a, mut b) = (0, 0);
+    for d in 0..CONSTRAINT_LEN as u32 {
+        // Input bit k - d: bit 5 of `state` is the bit before bit 0.
+        let delayed = if d == 0 { x } else { x << d | state >> (6 - d) };
+        let tap = 6 - d;
+        if G0 >> tap & 1 == 1 {
+            a ^= delayed;
+        }
+        if G1 >> tap & 1 == 1 {
+            b ^= delayed;
+        }
+    }
+    let next = (u128::from(x) << 6 | u128::from(state)) >> n;
+    (a, b, next as u8 & 0x3F)
+}
+
 /// The streaming convolutional encoder.
 #[derive(Clone, Debug, Default)]
 pub struct ConvEncoder {
@@ -140,6 +168,25 @@ mod tests {
         // State holds the six most recent bits; after pushing b0..b5 the
         // newest (b5=1) sits in bit 5, oldest (b0=1) in bit 0.
         assert_eq!(e.state(), 0b101101);
+    }
+
+    #[test]
+    fn word_encoder_matches_the_bit_encoder() {
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        for n in (1..=64u32).cycle().take(2_000) {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let state = (x >> 58) as u8;
+            let (a, b, next) = encode_word(state, x, n);
+            let mut s = state;
+            for k in 0..n {
+                let (want_a, want_b, ns) = encode_step(s, (x >> k) as u8 & 1);
+                assert_eq!(((a >> k) as u8 & 1, (b >> k) as u8 & 1), (want_a, want_b));
+                s = ns;
+            }
+            assert_eq!(next, s, "n {n}");
+        }
     }
 
     #[test]

@@ -5,6 +5,12 @@
 //! seeds it with a nonzero 7-bit initial state carried implicitly in the
 //! first 7 scrambled bits of the SERVICE field; descrambling is the
 //! identical operation, so one type serves both directions.
+//!
+//! [`Scrambler`] works a bit at a time; [`keystream_words`] gives the
+//! same keystream 64 bits at a time, for the transmitter's bit pass and
+//! the receiver's descrambler.
+
+use std::sync::OnceLock;
 
 /// The 802.11 frame-synchronous scrambler / descrambler.
 #[derive(Clone, Debug)]
@@ -54,6 +60,36 @@ impl Scrambler {
     pub fn state(&self) -> u8 {
         self.state
     }
+}
+
+/// Period of the keystream: the `x^7 + x^4 + 1` LFSR is maximal-length,
+/// so every nonzero seed repeats after 127 bits.
+pub const PERIOD: usize = 127;
+
+/// One seed's keystream as 64-bit words, one per phase: bit `k` of word
+/// `p` is keystream bit `(p + k) mod 127`, so a word-wide scrambler at
+/// phase `p` XORs its next 64 bits with word `p` and moves on to phase
+/// `(p + 64) mod 127`. The low byte of word `p` is the keystream octet
+/// at phase `p`. Built once per seed, on first use.
+///
+/// # Panics
+///
+/// Panics on the seeds [`Scrambler::new`] rejects.
+pub fn keystream_words(seed: u8) -> &'static [u64; PERIOD] {
+    static WORDS: [OnceLock<[u64; PERIOD]>; 0x80] = [const { OnceLock::new() }; 0x80];
+    let mut s = Scrambler::new(seed);
+    WORDS[seed as usize].get_or_init(|| {
+        // Bits 0..192 of the keystream: one period, then the 64 bits a
+        // word at the last phase runs into.
+        let mut bits = [0u64; 3];
+        for i in 0..192 {
+            bits[i / 64] |= u64::from(s.next_bit()) << (i % 64);
+        }
+        std::array::from_fn(|p| {
+            let pair = u128::from(bits[p / 64]) | u128::from(bits[p / 64 + 1]) << 64;
+            (pair >> (p % 64)) as u64
+        })
+    })
 }
 
 /// Recovers the scrambler seed from the first 7 descrambled-to-zero bits.
@@ -120,6 +156,19 @@ mod tests {
                 *b = s.next_bit();
             }
             assert_eq!(recover_seed(&first7), Some(seed));
+        }
+    }
+
+    #[test]
+    fn keystream_words_match_the_lfsr() {
+        for seed in 1..0x80u8 {
+            let mut s = Scrambler::new(seed);
+            let ks: Vec<u8> = (0..PERIOD + 64).map(|_| s.next_bit()).collect();
+            for (p, &w) in keystream_words(seed).iter().enumerate() {
+                for (k, &bit) in ks[p..p + 64].iter().enumerate() {
+                    assert_eq!((w >> k) as u8 & 1, bit, "seed {seed:#x} phase {p} bit {k}");
+                }
+            }
         }
     }
 

@@ -7,7 +7,8 @@
 //! counterpart replaced, and its value is that it does not change.
 //!
 //! * [`ReferenceReceiver`] — the allocate-per-stage receiver that
-//!   `mimonet::Receiver` must match bit for bit (`tests/equivalence.rs`);
+//!   `mimonet::Receiver` must match bit for bit (`tests/equivalence.rs`),
+//!   with the per-bit descramble the word-wide one replaced;
 //! * [`viterbi`] — the closure-driven forward-scatter Viterbi decoder
 //!   that `mimonet_fec::ViterbiDecoder` must match bit for bit;
 //! * [`correlate`] — the per-lag and scalar sliding correlators that

@@ -392,18 +392,7 @@ pub struct GraphSnapshot {
 /// `Default` is the merge identity.
 impl Merge for GraphSnapshot {
     fn merge(&mut self, other: &Self) {
-        if self.blocks.is_empty() {
-            self.blocks = other.blocks.clone();
-            return;
-        }
-        assert_eq!(
-            self.blocks.len(),
-            other.blocks.len(),
-            "merging telemetry of different graph topologies"
-        );
-        for (a, b) in self.blocks.iter_mut().zip(&other.blocks) {
-            a.merge(b);
-        }
+        self.blocks.merge(&other.blocks);
     }
 }
 
